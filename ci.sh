@@ -112,6 +112,17 @@ go test -race -count=1 \
 #     incremental detector fed the same chunks and gap.
 go test -count=1 -run='TestIncrementalServing' ./internal/serve
 
+# DSP frontend gauntlet (one MFCC kernel for batch and streaming).
+# (1) The whole package under the race detector, then the table memo's
+#     concurrency test ten times over: goroutines building extractors and
+#     frontends at once over a fresh configuration must match a serial run.
+go test -race -count=1 ./internal/dsp
+go test -race -count=10 -run='TestConcurrentConstructionMatchesSerial' ./internal/dsp
+# (2) Allocation gates: batch MFCC.Compute allocates only its result
+#     (at most 2 allocations per call), and a steady-state streaming push
+#     allocates nothing.
+go test -count=1 -run='TestMFCCComputeAllocs|TestFrontendZeroAllocs' ./internal/dsp
+
 # Observability gauntlet (unit layer).
 # (1) Prometheus text-exposition golden file: the rendered /metrics?format=prom
 #     output for a deterministic registry must match testdata byte-for-byte

@@ -258,8 +258,10 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 			"engine's temporal-cache hop path (12 new frames per 240 ms hop, 0 allocs), " +
 			"StreamHopFull/StreamHopIncremental time the whole per-hop streaming pipeline " +
 			"(MFCC featurisation + inference) at 16 kHz, and speedup_hop_vs_full gates the " +
-			"pipeline ratio — featurisation dominates the full path, while pad erosion " +
-			"caps the engine-only hop reuse near 1.8x (hop_engine_speedup_by_policy). " +
+			"pipeline ratio: the full path featurises 49 frames to the incremental path's 12, " +
+			"but with the real-input FFT kernel featurisation is no longer most of either, " +
+			"and pad erosion caps the engine-only hop reuse near 1.8x " +
+			"(hop_engine_speedup_by_policy), so a cheaper frontend lowers the ratio. " +
 			"v4 carry-overs: layer_layouts + EngineInferInt8Forced* audit the layout cost " +
 			"model; batch overhead at workers=1 is bounded at 1.5x of single-frame; batch " +
 			"rows are per-policy under GOMAXPROCS=workers",

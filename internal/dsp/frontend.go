@@ -1,34 +1,27 @@
 package dsp
 
-import "math"
-
 // Frontend is the incremental MFCC featuriser for streaming inference: it
 // consumes audio samples as they arrive and computes MFCC features only for
 // each newly completed analysis frame, instead of re-featurising a whole
-// sliding window every hop. At the paper's 40 ms/20 ms framing a 250 ms hop
-// completes ~12 frames, so the frontend does ~4x less FFT/mel/DCT work than
-// the batch path — and featurisation dominates the per-hop cost of the
-// streaming pipeline (one frame's MFCC costs an order of magnitude more than
-// the engine's incremental hop).
+// sliding window every hop. At the paper's 40 ms/20 ms framing a 240 ms hop
+// completes 12 frames where the batch path featurises all 49.
 //
 // Frames are anchored to the absolute stream position: frame k covers
 // samples [k·stride, k·stride+frameLen). A batch MFCC.Compute over a window
-// whose start is a multiple of the stride produces exactly these frames, so
-// the frontend's feature ring is bit-identical to batch featurisation for
+// whose start is a multiple of the stride produces exactly these frames, and
+// both run the same per-frame kernel over the same shared tables, so the
+// frontend's feature ring is bit-identical to batch featurisation for
 // stride-aligned windows (TestFrontendMatchesBatch pins this over random
 // chunkings). Callers that hop on a non-stride-aligned cadence would sample
 // a different frame grid; the streaming Detector therefore snaps its hop to
 // the stride grid in incremental mode.
 //
-// A Frontend is single-stream state and not safe for concurrent use.
-// Steady-state pushes allocate nothing.
+// A Frontend is single-stream state and not safe for concurrent use. It owns
+// its sample ring, feature ring and per-frame scratch; the window, FFT plan,
+// mel bands and DCT basis are shared with every MFCC and Frontend of the
+// same configuration. Steady-state pushes allocate nothing.
 type Frontend struct {
-	cfg       MFCCConfig
-	fftSize   int
-	window    []float64
-	fbank     [][]float64
-	dctCos    [][]float64 // [coeff][mel] DCT-II basis, same math.Cos values DCT2 computes
-	dctScale  []float64
+	k         kernel
 	winFrames int
 
 	ring       []float64 // last frameLen samples
@@ -37,12 +30,6 @@ type Frontend struct {
 
 	feats []float32 // feature ring, winFrames × numCoeffs
 	total int64     // frames completed since construction or Reset
-
-	// Per-frame scratch.
-	frame []float64
-	buf   []complex128
-	spec  []float64
-	mel   []float64
 }
 
 // NewFrontend builds an incremental featuriser whose feature ring holds
@@ -50,42 +37,17 @@ type Frontend struct {
 // window).
 func NewFrontend(cfg MFCCConfig, winFrames int) *Frontend {
 	fl := cfg.FrameLen()
-	fftSize := NextPow2(fl)
-	n := cfg.NumMel
-	dctCos := make([][]float64, cfg.NumCoeffs)
-	dctScale := make([]float64, cfg.NumCoeffs)
-	for k := range dctCos {
-		row := make([]float64, n)
-		for i := range row {
-			row[i] = math.Cos(math.Pi * float64(k) * (float64(i) + 0.5) / float64(n))
-		}
-		dctCos[k] = row
-		if k == 0 {
-			dctScale[k] = math.Sqrt(1 / float64(n))
-		} else {
-			dctScale[k] = math.Sqrt(2 / float64(n))
-		}
-	}
 	return &Frontend{
-		cfg:        cfg,
-		fftSize:    fftSize,
-		window:     HannWindow(fl),
-		fbank:      MelFilterbank(cfg, fftSize),
-		dctCos:     dctCos,
-		dctScale:   dctScale,
+		k:          newKernel(cfg),
 		winFrames:  winFrames,
 		ring:       make([]float64, fl),
 		untilFrame: fl,
 		feats:      make([]float32, winFrames*cfg.NumCoeffs),
-		frame:      make([]float64, fl),
-		buf:        make([]complex128, fftSize),
-		spec:       make([]float64, fftSize/2+1),
-		mel:        make([]float64, cfg.NumMel),
 	}
 }
 
 // Config returns the frontend's MFCC configuration.
-func (f *Frontend) Config() MFCCConfig { return f.cfg }
+func (f *Frontend) Config() MFCCConfig { return f.k.t.cfg }
 
 // WindowFrames returns the feature ring's capacity in frames.
 func (f *Frontend) WindowFrames() int { return f.winFrames }
@@ -102,7 +64,7 @@ func (f *Frontend) PushSample(s float64) bool {
 	if f.untilFrame > 0 {
 		return false
 	}
-	f.untilFrame = f.cfg.Stride()
+	f.untilFrame = f.k.t.cfg.Stride()
 	f.completeFrame()
 	return true
 }
@@ -130,7 +92,7 @@ func (f *Frontend) Window(dst []float32) bool {
 	if f.total < int64(f.winFrames) {
 		return false
 	}
-	c := f.cfg.NumCoeffs
+	c := f.k.t.cfg.NumCoeffs
 	for i := 0; i < f.winFrames; i++ {
 		slot := int((f.total + int64(i)) % int64(f.winFrames))
 		copy(dst[i*c:(i+1)*c], f.feats[slot*c:(slot+1)*c])
@@ -150,37 +112,11 @@ func (f *Frontend) Reset() {
 }
 
 // completeFrame featurises the frameLen samples ending at the current
-// position into the next feature-ring slot. The arithmetic — Hann window,
-// zero-padded FFT power spectrum, mel integration skipping zero filter
-// weights, log(e+1e-10), DCT-II — matches MFCC.Compute operation for
-// operation, so each frame is bit-identical to the batch pipeline's.
+// position into the next feature-ring slot, through the kernel MFCC.Compute
+// runs.
 func (f *Frontend) completeFrame() {
-	fl := len(f.ring)
-	n1 := fl - f.rpos
-	for i := 0; i < n1; i++ {
-		f.frame[i] = f.ring[f.rpos+i] * f.window[i]
-	}
-	for i := n1; i < fl; i++ {
-		f.frame[i] = f.ring[i-n1] * f.window[i]
-	}
-	powerSpectrumInto(f.spec, f.buf, f.frame)
-	for b, row := range f.fbank {
-		var e float64
-		for k, w := range row {
-			if w != 0 {
-				e += w * f.spec[k]
-			}
-		}
-		f.mel[b] = math.Log(e + 1e-10)
-	}
+	c := f.k.t.cfg.NumCoeffs
 	slot := int(f.total % int64(f.winFrames))
-	out := f.feats[slot*f.cfg.NumCoeffs:]
-	for k, row := range f.dctCos {
-		var s float64
-		for i, v := range f.mel {
-			s += v * row[i]
-		}
-		out[k] = float32(s * f.dctScale[k])
-	}
+	f.k.run(f.feats[slot*c:(slot+1)*c], f.ring[f.rpos:], f.ring[:f.rpos])
 	f.total++
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -578,5 +579,33 @@ func TestRunLoadDirect(t *testing.T) {
 	}
 	if rep.SamplesPushed == 0 || rep.ChunksPushed == 0 {
 		t.Fatalf("no audio flowed: %+v", rep)
+	}
+}
+
+// TestDoneAfterOnClose pins Session.Done's contract: it closes only after
+// OnClose has returned, so a caller woken by Done (the load generator
+// reading the close reason, the TCP front flushing its bye line) sees
+// everything the callback did, however slow the callback is.
+func TestDoneAfterOnClose(t *testing.T) {
+	srv := mustServer(t, testConfig(t))
+	var reason atomic.Value
+	sess, err := srv.Open(OpenOptions{
+		ID: "slow-close",
+		OnClose: func(r CloseReason) {
+			time.Sleep(20 * time.Millisecond)
+			reason.Store(r)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	select {
+	case <-sess.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("session never finished")
+	}
+	if r, _ := reason.Load().(CloseReason); r != ReasonClientClose {
+		t.Fatalf("after Done, OnClose had recorded %q, want %q", r, ReasonClientClose)
 	}
 }

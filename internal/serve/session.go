@@ -371,7 +371,8 @@ func (s *Session) deliver(ev stream.Event) {
 }
 
 // finish runs exactly once, on the pump goroutine, after the intake has
-// drained: it deregisters the session, signals Done, and fires OnClose.
+// drained: it deregisters the session, fires OnClose, and then signals
+// Done, so a caller woken by Done sees everything OnClose did.
 func (s *Session) finish() {
 	s.state.Store(stateClosed)
 	if s.hopCls != nil {
@@ -388,7 +389,6 @@ func (s *Session) finish() {
 	s.mu.Unlock()
 
 	s.srv.remove(s, reason)
-	close(s.done)
 	if s.onClose != nil {
 		func() {
 			defer func() {
@@ -399,6 +399,7 @@ func (s *Session) finish() {
 			s.onClose(reason)
 		}()
 	}
+	close(s.done)
 }
 
 // breaker is a per-session circuit breaker over chunk fault scores. It is

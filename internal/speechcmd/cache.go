@@ -41,8 +41,11 @@ import (
 // CacheMagic identifies a THFC feature-cache file.
 const CacheMagic = "THFC"
 
-// CacheVersion is the current cache format version.
-const CacheVersion = 1
+// CacheVersion is the current cache format version. Version 2 marks the
+// real-input FFT frontend: its power spectrum differs from the complex
+// FFT's in the last float64 bits, so features cached by version 1 are not
+// guaranteed to equal what Generate now computes.
+const CacheVersion = 2
 
 // ErrCacheCorrupt reports a structurally invalid or checksum-failing cache.
 var ErrCacheCorrupt = errors.New("speechcmd: corrupt feature cache")

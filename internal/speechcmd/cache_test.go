@@ -1,6 +1,7 @@
 package speechcmd
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -150,5 +151,48 @@ func TestLoadCacheDetectsCorruption(t *testing.T) {
 	datasetsEqual(t, ds, got)
 	if _, warm, _ := GenerateCached(cfg, path); !warm {
 		t.Fatal("cache must be valid again after regeneration")
+	}
+}
+
+// TestGenerateCachedRewritesOldVersion checks that a cache written under an
+// earlier format version is a miss: GenerateCached regenerates the corpus
+// and rewrites the file at the current version, which then serves warm.
+func TestGenerateCachedRewritesOldVersion(t *testing.T) {
+	cfg := tinyConfig()
+	path := filepath.Join(t.TempDir(), "feat.thfc")
+	ds := Generate(cfg)
+	if err := ds.SaveCache(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := raw[len(CacheMagic) : len(CacheMagic)+4]
+	binary.LittleEndian.PutUint32(version, 1) // the header sits outside the CRC
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCache(path); !errors.Is(err, ErrCacheCorrupt) {
+		t.Fatalf("v1 header: LoadCache returned %v, want ErrCacheCorrupt", err)
+	}
+
+	got, warm, err := GenerateCached(cfg, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm {
+		t.Fatal("a v1 cache must be a miss")
+	}
+	datasetsEqual(t, ds, got)
+	raw, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(raw[len(CacheMagic):]); v != CacheVersion {
+		t.Fatalf("rewritten cache has version %d, want %d", v, CacheVersion)
+	}
+	if _, warm, _ := GenerateCached(cfg, path); !warm {
+		t.Fatal("the rewritten cache must serve warm")
 	}
 }

@@ -266,17 +266,21 @@ func DefaultConfig(sampleRate int) Config {
 type Detector struct {
 	cfg      Config
 	cls      Classifier
-	mfcc     *dsp.MFCC
-	window   []float64 // ring of the last second of audio
-	buffered int       // valid samples in the ring (grows to len(window))
-	pos      int       // absolute stream position in samples
-	sinceHop int       // samples since the last classification
+	buffered int // samples since the last Reset, capped at one second
+	pos      int // absolute stream position in samples
+	sinceHop int // samples since the last classification
 	history  [][]float32
 	lastFire []int // per class, absolute sample of last event (-1 = never)
 
 	// featMean/featStd standardise features the same way the training
 	// corpus was normalised.
 	featMean, featStd float32
+
+	// Full-window pipeline state (Incremental off): the ring of the last
+	// second of audio, re-featurised in full by mfcc every hop. An
+	// incremental detector allocates neither.
+	mfcc   *dsp.MFCC
+	window []float64
 
 	// Incremental pipeline state (Config.Incremental). frontend featurises
 	// newly completed frames as samples arrive; hopCls is cls when it also
@@ -372,8 +376,6 @@ func NewDetector(cfg Config, cls Classifier, featMean, featStd float32) *Detecto
 	d := &Detector{
 		cfg:      cfg,
 		cls:      cls,
-		mfcc:     dsp.NewMFCC(mfccCfg),
-		window:   make([]float64, cfg.SampleRate),
 		lastFire: make([]int, cls.NumClasses()),
 		featMean: featMean,
 		featStd:  featStd,
@@ -396,6 +398,9 @@ func NewDetector(cfg Config, cls Classifier, featMean, featStd float32) *Detecto
 		if hc, ok := cls.(HopClassifier); ok {
 			d.hopCls = hc
 		}
+	} else {
+		d.mfcc = dsp.NewMFCC(mfccCfg)
+		d.window = make([]float64, cfg.SampleRate)
 	}
 	for i := range d.lastFire {
 		d.lastFire[i] = -1 << 30
@@ -457,16 +462,17 @@ func (d *Detector) Push(samples []float64) []Event {
 			atomic.AddInt64(&d.stats.Clipped, 1)
 			d.obs.clipped.Inc()
 		}
-		d.window[d.pos%len(d.window)] = s
 		if d.frontend != nil {
 			d.frontend.PushSample(s)
+		} else {
+			d.window[d.pos%len(d.window)] = s
 		}
 		d.pos++
-		if d.buffered < len(d.window) {
+		if d.buffered < d.cfg.SampleRate {
 			d.buffered++
 		}
 		d.sinceHop++
-		if d.sinceHop >= hop && d.buffered == len(d.window) {
+		if d.sinceHop >= hop && d.buffered == d.cfg.SampleRate {
 			d.sinceHop = 0
 			d.obs.hops.Inc()
 			var t0 time.Time
@@ -616,7 +622,11 @@ func (d *Detector) safeClassifyHop(feat []float32, nNew int) (probs []float32, i
 // completed frames were featurised this hop) and reports how many trailing
 // frames are new; the full path re-featurises the whole window ring.
 func (d *Detector) hopFeatures() (feat []float32, nNew int, incremental bool) {
-	if d.frontend != nil && d.frontend.Window(d.featWin) {
+	if d.frontend != nil {
+		// A hop runs only once a second has been pushed since the last
+		// Reset, by which time the frontend has completed a full window of
+		// frames, so Window always fills featWin here.
+		d.frontend.Window(d.featWin)
 		total := d.frontend.TotalFrames()
 		nNew = int(total - d.lastTotal)
 		d.lastTotal = total

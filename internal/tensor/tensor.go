@@ -17,6 +17,21 @@ import (
 type Tensor struct {
 	shape []int
 	Data  []float32
+	dims  [4]int // inline storage for shapes of rank ≤ 4; see withShape
+}
+
+// withShape wraps data in a tensor holding a copy of shape. Shapes of rank
+// ≤ 4 live in the header itself, so a new tensor costs two allocations —
+// header and data — rather than three.
+func withShape(data []float32, shape []int) *Tensor {
+	t := &Tensor{Data: data}
+	if len(shape) <= len(t.dims) {
+		t.shape = t.dims[:len(shape):len(shape)]
+		copy(t.shape, shape)
+	} else {
+		t.shape = append([]int(nil), shape...)
+	}
+	return t
 }
 
 // New returns a zero-filled tensor with the given shape.
@@ -25,11 +40,13 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			// Format a copy: passing shape itself would move every
+			// caller's variadic array to the heap.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n)}
+	return withShape(make([]float32, n), shape)
 }
 
 // Zeros is an alias for New, provided for readability at call sites.
@@ -55,9 +72,9 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), append([]int(nil), shape...), n))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), Data: data}
+	return withShape(data, shape)
 }
 
 // Shape returns the tensor's shape. The returned slice must not be modified.
