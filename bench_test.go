@@ -169,12 +169,11 @@ func benchEngineInput(e *deploy.Engine, seed int64) []float32 {
 
 func BenchmarkEngineInferNaive(b *testing.B) {
 	e := deploy.SyntheticEngine(9, 0.35)
-	e.Naive = true
 	x := benchEngineInput(e, 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Infer(x)
+		e.NaiveInt(x)
 	}
 }
 
@@ -208,11 +207,11 @@ func BenchmarkEngineInferMixed(b *testing.B) {
 	e := deploy.SyntheticEngine(9, 0.35)
 	e.Policy = deploy.PolicyMixed
 	x := benchEngineInput(e, 10)
-	e.InferInt(x) // warm up
+	e.Infer(x) // warm up
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.InferInt(x)
+		e.Infer(x)
 	}
 }
 
@@ -222,11 +221,11 @@ func BenchmarkEngineInferInt8(b *testing.B) {
 	e := deploy.SyntheticEngine(9, 0.35)
 	e.Policy = deploy.PolicyInt8
 	x := benchEngineInput(e, 10)
-	e.InferInt(x) // warm up
+	e.Infer(x) // warm up
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.InferInt(x)
+		e.Infer(x)
 	}
 }
 
@@ -235,7 +234,7 @@ func BenchmarkEngineInferInt8(b *testing.B) {
 // overlapping windows — the steady-state streaming-session shape. Must
 // report 0 allocs/op (pinned by TestInferHopZeroAllocs and gated in ci.sh);
 // kws-bench gates its speedup over the full-window single-frame path.
-func benchEngineHop(b *testing.B, pol deploy.Policy, float bool) {
+func benchEngineHop(b *testing.B, pol deploy.Policy) {
 	const hop = 12
 	const hops = 512
 	e := deploy.SyntheticEngine(9, 0.35)
@@ -248,13 +247,9 @@ func benchEngineHop(b *testing.B, pol deploy.Policy, float bool) {
 	window := func(i int) []float32 {
 		return strip[i*hop*int(e.Coeffs):][:int(e.Frames)*int(e.Coeffs)]
 	}
-	infer := e.InferHopInt
-	if float {
-		infer = e.InferHopFloat
-	}
 	hs := e.NewHopState()
 	defer hs.Release()
-	infer(hs, window(0), int(e.Frames)) // warm up: cold full recompute
+	e.InferHop(hs, window(0), int(e.Frames)) // warm up: cold full recompute
 	i := 1
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -263,16 +258,15 @@ func benchEngineHop(b *testing.B, pol deploy.Policy, float bool) {
 			// The strip loops: re-seed the cache outside the timed cost of a
 			// steady-state hop as rarely as the strip allows (1/511 hops).
 			i = 1
-			infer(hs, window(0), int(e.Frames))
+			e.InferHop(hs, window(0), int(e.Frames))
 		}
-		infer(hs, window(i), hop)
+		e.InferHop(hs, window(i), hop)
 		i++
 	}
 }
 
-func BenchmarkEngineInferHopFloat(b *testing.B) { benchEngineHop(b, deploy.PolicyMixed, true) }
-func BenchmarkEngineInferHopMixed(b *testing.B) { benchEngineHop(b, deploy.PolicyMixed, false) }
-func BenchmarkEngineInferHopInt8(b *testing.B)  { benchEngineHop(b, deploy.PolicyInt8, false) }
+func BenchmarkEngineInferHopMixed(b *testing.B) { benchEngineHop(b, deploy.PolicyMixed) }
+func BenchmarkEngineInferHopInt8(b *testing.B)  { benchEngineHop(b, deploy.PolicyInt8) }
 
 func BenchmarkEngineInferBatch(b *testing.B) {
 	const batch = 64

@@ -3,24 +3,23 @@
 // diff rather than a feeling.
 //
 // Engine mode (default) times the inference paths over the same synthetic
-// ST-HybridNet engine (see deploy.SyntheticEngine): the retained scalar
-// naive reference (Engine.Naive), the float32 reference simulation
-// (Engine.InferFloat — the EngineInfer row, the baseline the integer
-// policies are measured against), the word-packed integer path at the mixed
-// 8/16-bit and fully-8-bit activation policies (Engine.InferInt), and the
-// frame-major lane batch path per policy (EngineInferBatchMixed /
-// EngineInferBatchInt8) swept across worker counts — each batch row is
-// measured under runtime.GOMAXPROCS(workers), with EngineInferBatchFloat
-// (serial per-frame InferFloat over the same batch) as the float baseline.
-// It also records the measured weight density, the model file size, the
-// per-policy activation scratch footprints, and the cost model's per-row
-// layout choices (runs/spans/packed2b) for every lane-dispatched ternary
-// matrix, plus an int8 single-frame row per forced layout (SetForceLayout)
-// so the layout cost model is auditable from the report. Parity
-// cross-checks: integer/float on 1000 random frames, 1000 frames of batch
-// output bit-exact against the scalar NaiveInt oracle under both policies,
-// and the same NaiveInt oracle against a telemetry-attached engine
-// (single-frame and batch) — attaching an observer must not change a bit.
+// ST-HybridNet engine (see deploy.SyntheticEngine): the scalar oracle
+// (NaiveInt), the float32 reference simulation (InferFloat — the
+// EngineInfer row, the baseline the integer policies are measured
+// against), the word-packed integer path at the mixed 8/16-bit and
+// fully-8-bit activation policies (Infer), the frame-major lane batch
+// path per policy (EngineInferBatchMixed / EngineInferBatchInt8) swept
+// across worker counts — each batch row is measured under
+// runtime.GOMAXPROCS(workers), with EngineInferBatchFloat (serial per-frame
+// InferFloat over the same batch) as the float baseline — and the
+// incremental hop path per policy (InferHop) next to the whole
+// streaming per-hop pipeline. It also records the measured weight density,
+// the model file size and the per-policy activation scratch footprints.
+// Parity cross-checks: integer/float on 1000 random frames, 1000 frames of
+// batch output bit-exact against the scalar NaiveInt oracle under both
+// policies, the same NaiveInt oracle against a telemetry-attached engine
+// (single-frame and batch) — attaching an observer must not change a bit —
+// and 1000 consecutive hops against full-window Infer.
 //
 // Train mode (-train) measures training throughput on the paper-shape
 // hybrid: samples/sec and ns/step for the serial trainer versus the
@@ -43,7 +42,7 @@
 // The engine headline gates, asserted here and in the test suite: the
 // integer paths (single-frame and batch) must run with 0 allocs/op,
 // EngineInferInt8 must be at least -min-speedup (default 2.5×) faster than
-// the float EngineInfer baseline, InferInt must agree byte-exactly with
+// the float EngineInfer baseline, Infer must agree byte-exactly with
 // InferFloat, all NaiveInt parity checks (batch, telemetry-attached) must
 // hold, and — unless -gate-batch=false — batch ns/frame at workers=1 must
 // stay within 1.5× of the matching single-frame ns/op for both integer
@@ -84,44 +83,42 @@ type result struct {
 }
 
 type report struct {
-	Schema            string                `json:"schema"`
-	Generated         string                `json:"generated"`
-	GoVersion         string                `json:"go_version"`
-	GOOS              string                `json:"goos"`
-	GOARCH            string                `json:"goarch"`
-	GOMAXPROCS        int                   `json:"gomaxprocs"`
-	NumCPU            int                   `json:"num_cpu"`
-	Shape             string                `json:"shape"`
-	Density           float64               `json:"density"`
-	DensityMeasured   float64               `json:"density_measured"`
-	Seed              int64                 `json:"seed"`
-	BatchSize         int                   `json:"batch_size"`
-	Reps              int                   `json:"reps"`
-	ModelFileBytes    int64                 `json:"model_file_bytes"`
-	ScratchBytesFloat int64                 `json:"scratch_bytes_float"`
-	ScratchBytesMixed int64                 `json:"scratch_bytes_mixed"`
-	ScratchBytesInt8  int64                 `json:"scratch_bytes_int8"`
-	WorkerCounts      []int                 `json:"worker_counts"`
-	LayerLayouts      []deploy.LayerLayouts `json:"layer_layouts"`
-	Results           []result              `json:"results"`
-	SpeedupVsNaive    float64               `json:"speedup_mixed_vs_naive"`
-	SpeedupIntVsFloat float64               `json:"speedup_int8_vs_float"`
-	LayoutSpeedups    map[string]float64    `json:"speedup_int8_vs_float_by_layout"`
-	IntFloatParity    bool                  `json:"int_float_parity_1000_frames"`
-	BatchParity       bool                  `json:"batch_parity_1000_frames"`
-	TelemetryParity   bool                  `json:"telemetry_parity_1000_frames"`
-	BatchNsPerFrame   float64               `json:"batch_ns_per_frame"` // mixed @ workers=1 (v2 continuity)
-	BatchNsFrameFloat float64               `json:"batch_ns_per_frame_float"`
-	BatchNsFrameMixed float64               `json:"batch_ns_per_frame_mixed"`
-	BatchNsFrameInt8  float64               `json:"batch_ns_per_frame_int8"`
-	HopFrames         int                   `json:"hop_frames"`           // new frames per incremental hop
-	HopEffectiveMs    int                   `json:"hop_effective_ms"`     // 250 ms snapped to the 20 ms stride grid
-	StreamSampleRate  int                   `json:"stream_sample_rate"`   // rate of the streaming-pipeline rows
-	HopParity         bool                  `json:"hop_parity_1000_hops"` // InferHop == full-window InferInt, both policies
-	HopEngineSpeedups map[string]float64    `json:"hop_engine_speedup_by_policy"`
-	SpeedupHopVsFull  float64               `json:"speedup_hop_vs_full"` // streaming per-hop pipeline (featurise+infer), gated
-	CPUWarning        string                `json:"cpu_warning,omitempty"`
-	Note              string                `json:"note,omitempty"`
+	Schema            string             `json:"schema"`
+	Generated         string             `json:"generated"`
+	GoVersion         string             `json:"go_version"`
+	GOOS              string             `json:"goos"`
+	GOARCH            string             `json:"goarch"`
+	GOMAXPROCS        int                `json:"gomaxprocs"`
+	NumCPU            int                `json:"num_cpu"`
+	Shape             string             `json:"shape"`
+	Density           float64            `json:"density"`
+	DensityMeasured   float64            `json:"density_measured"`
+	Seed              int64              `json:"seed"`
+	BatchSize         int                `json:"batch_size"`
+	Reps              int                `json:"reps"`
+	ModelFileBytes    int64              `json:"model_file_bytes"`
+	ScratchBytesFloat int64              `json:"scratch_bytes_float"`
+	ScratchBytesMixed int64              `json:"scratch_bytes_mixed"`
+	ScratchBytesInt8  int64              `json:"scratch_bytes_int8"`
+	WorkerCounts      []int              `json:"worker_counts"`
+	Results           []result           `json:"results"`
+	SpeedupVsNaive    float64            `json:"speedup_mixed_vs_naive"`
+	SpeedupIntVsFloat float64            `json:"speedup_int8_vs_float"`
+	IntFloatParity    bool               `json:"int_float_parity_1000_frames"`
+	BatchParity       bool               `json:"batch_parity_1000_frames"`
+	TelemetryParity   bool               `json:"telemetry_parity_1000_frames"`
+	BatchNsPerFrame   float64            `json:"batch_ns_per_frame"` // mixed @ workers=1 (v2 continuity)
+	BatchNsFrameFloat float64            `json:"batch_ns_per_frame_float"`
+	BatchNsFrameMixed float64            `json:"batch_ns_per_frame_mixed"`
+	BatchNsFrameInt8  float64            `json:"batch_ns_per_frame_int8"`
+	HopFrames         int                `json:"hop_frames"`           // new frames per incremental hop
+	HopEffectiveMs    int                `json:"hop_effective_ms"`     // 250 ms snapped to the 20 ms stride grid
+	StreamSampleRate  int                `json:"stream_sample_rate"`   // rate of the streaming-pipeline rows
+	HopParity         bool               `json:"hop_parity_1000_hops"` // InferHop == full-window Infer, both policies
+	HopEngineSpeedups map[string]float64 `json:"hop_engine_speedup_by_policy"`
+	SpeedupHopVsFull  float64            `json:"speedup_hop_vs_full"` // streaming per-hop pipeline (featurise+infer), gated
+	CPUWarning        string             `json:"cpu_warning,omitempty"`
+	Note              string             `json:"note,omitempty"`
 }
 
 // best runs a benchmark reps times and keeps the fastest run — the one
@@ -240,7 +237,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	rep := report{
-		Schema:    "kws-bench/v5",
+		Schema:    "kws-bench/v6",
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
@@ -254,17 +251,16 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		WorkerCounts:    workerCounts,
 		Reps:            reps,
 		ModelFileBytes:  e.Size(),
-		Note: "schema v5 adds the incremental streaming rows: EngineInferHop* time the " +
-			"engine's temporal-cache hop path (12 new frames per 240 ms hop, 0 allocs), " +
-			"StreamHopFull/StreamHopIncremental time the whole per-hop streaming pipeline " +
-			"(MFCC featurisation + inference) at 16 kHz, and speedup_hop_vs_full gates the " +
-			"pipeline ratio: the full path featurises 49 frames to the incremental path's 12, " +
-			"but with the real-input FFT kernel featurisation is no longer most of either, " +
-			"and pad erosion caps the engine-only hop reuse near 1.8x " +
-			"(hop_engine_speedup_by_policy), so a cheaper frontend lowers the ratio. " +
-			"v4 carry-overs: layer_layouts + EngineInferInt8Forced* audit the layout cost " +
-			"model; batch overhead at workers=1 is bounded at 1.5x of single-frame; batch " +
-			"rows are per-policy under GOMAXPROCS=workers",
+		Note: "schema v6 drops the layout audit (layer_layouts, " +
+			"speedup_int8_vs_float_by_layout, EngineInferInt8Forced*) and the float hop " +
+			"row with the float key of hop_engine_speedup_by_policy: every ternary row now " +
+			"runs the index-run walk and the engine has one integer hop path. v5 carry-overs: EngineInferHop* time the engine's temporal-cache hop " +
+			"path (12 new frames per 240 ms hop, 0 allocs), StreamHopFull/" +
+			"StreamHopIncremental time the whole per-hop streaming pipeline (MFCC " +
+			"featurisation + inference) at 16 kHz, and speedup_hop_vs_full gates that " +
+			"pipeline ratio; pad erosion caps the engine-only hop reuse near 1.8x " +
+			"(hop_engine_speedup_by_policy). Batch overhead at workers=1 is bounded at " +
+			"1.5x of single-frame; batch rows are per-policy under GOMAXPROCS=workers",
 	}
 
 	// Footprints per policy (the paper's Table 6 size story). Restore the
@@ -277,11 +273,9 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	rep.ScratchBytesMixed = e.ScratchBytes()
 
 	naive := best(reps, func(b *testing.B) {
-		e.Naive = true
-		defer func() { e.Naive = false }()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.Infer(x)
+			e.NaiveInt(x)
 		}
 	})
 	naive.Name = "EngineInferNaive"
@@ -298,50 +292,27 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	rep.Results = append(rep.Results, flt)
 
 	e.Policy = deploy.PolicyMixed
-	e.InferInt(x) // warm up: integer arena at the mixed policy
+	e.Infer(x) // warm up: integer arena at the mixed policy
 	mixed := best(reps, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.InferInt(x)
+			e.Infer(x)
 		}
 	})
 	mixed.Name = "EngineInferMixed"
 	rep.Results = append(rep.Results, mixed)
 
 	e.Policy = deploy.PolicyInt8
-	e.InferInt(x) // warm up: arena rebuild at the 8-bit policy
+	e.Infer(x) // warm up: arena rebuild at the 8-bit policy
 	int8r := best(reps, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.InferInt(x)
+			e.Infer(x)
 		}
 	})
 	int8r.Name = "EngineInferInt8"
 	rep.Results = append(rep.Results, int8r)
 
-	// Layout cost-model audit: the per-row choices the model made, plus the
-	// int8 single-frame time with each layout forced everywhere, so the
-	// report shows the auto choice is at (or near) the per-layout floor.
-	rep.LayerLayouts = e.LayoutReport()
-	rep.LayoutSpeedups = map[string]float64{}
-	forcedRows := make([]result, 0, 3)
-	for _, lk := range []deploy.LayoutKind{deploy.LayoutRuns, deploy.LayoutSpans, deploy.LayoutPacked2b} {
-		e.SetForceLayout(lk)
-		e.InferInt(x) // warm up under the forced layout
-		fr := best(reps, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e.InferInt(x)
-			}
-		})
-		ln := lk.String()
-		fr.Name = "EngineInferInt8Forced" + strings.ToUpper(ln[:1]) + ln[1:]
-		rep.Results = append(rep.Results, fr)
-		forcedRows = append(forcedRows, fr)
-		rep.LayoutSpeedups[lk.String()] = flt.NsPerOp / fr.NsPerOp
-	}
-	e.SetForceLayout(deploy.LayoutAuto)
-	rep.LayoutSpeedups["auto"] = flt.NsPerOp / int8r.NsPerOp
 	e.Policy = deploy.PolicyMixed
 
 	// Batch float baseline: serial per-frame InferFloat over the same batch.
@@ -410,23 +381,20 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	rep.HopEffectiveMs = 240
 	hopRows := map[string]result{}
 	for _, pc := range []struct {
-		pol   deploy.Policy
-		name  string
-		float bool
+		pol  deploy.Policy
+		name string
 	}{
-		{deploy.PolicyMixed, "EngineInferHopFloat", true},
-		{deploy.PolicyMixed, "EngineInferHopMixed", false},
-		{deploy.PolicyInt8, "EngineInferHopInt8", false},
+		{deploy.PolicyMixed, "EngineInferHopMixed"},
+		{deploy.PolicyInt8, "EngineInferHopInt8"},
 	} {
 		e.Policy = pc.pol
-		r := benchHop(e, pc.float, hopFrames, reps)
+		r := benchHop(e, hopFrames, reps)
 		r.Name = pc.name
 		rep.Results = append(rep.Results, r)
 		hopRows[pc.name] = r
 	}
 	e.Policy = deploy.PolicyMixed
 	rep.HopEngineSpeedups = map[string]float64{
-		"float": flt.NsPerOp / hopRows["EngineInferHopFloat"].NsPerOp,
 		"mixed": mixed.NsPerOp / hopRows["EngineInferHopMixed"].NsPerOp,
 		"int8":  int8r.NsPerOp / hopRows["EngineInferHopInt8"].NsPerOp,
 	}
@@ -466,9 +434,8 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	fail := false
-	allocRows := append([]result{mixed, int8r, batAt1[deploy.PolicyMixed], batAt1[deploy.PolicyInt8],
-		hopRows["EngineInferHopFloat"], hopRows["EngineInferHopMixed"], hopRows["EngineInferHopInt8"],
-		streamInc}, forcedRows...)
+	allocRows := []result{mixed, int8r, batAt1[deploy.PolicyMixed], batAt1[deploy.PolicyInt8],
+		hopRows["EngineInferHopMixed"], hopRows["EngineInferHopInt8"], streamInc}
 	for _, r := range allocRows {
 		if r.AllocsPerOp != 0 {
 			fmt.Fprintf(os.Stderr, "kws-bench: REGRESSION: %s allocates %d objects/op, want 0\n", r.Name, r.AllocsPerOp)
@@ -486,11 +453,11 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		fail = true
 	}
 	if !rep.HopParity {
-		fmt.Fprintln(os.Stderr, "kws-bench: REGRESSION: InferHop disagrees with full-window InferInt")
+		fmt.Fprintln(os.Stderr, "kws-bench: REGRESSION: InferHop disagrees with full-window Infer")
 		fail = true
 	}
 	if !rep.IntFloatParity {
-		fmt.Fprintln(os.Stderr, "kws-bench: REGRESSION: InferInt disagrees with the InferFloat simulation")
+		fmt.Fprintln(os.Stderr, "kws-bench: REGRESSION: Infer disagrees with the InferFloat simulation")
 		fail = true
 	}
 	if !rep.BatchParity {
@@ -525,10 +492,9 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	writeReport(rep, out)
-	fmt.Printf("kws-bench: naive %.0f ns/op, float %.0f ns/op, mixed %.0f ns/op, int8 %.0f ns/op (%.2fx vs float, %d allocs/op), forced runs/spans/packed2b %.2fx/%.2fx/%.2fx, batch mixed %.0f / int8 %.0f ns/frame @ workers=1, hop mixed %.0f / int8 %.0f ns/hop, stream hop %.0f vs full %.0f ns (%.2fx) -> %s\n",
+	fmt.Printf("kws-bench: naive %.0f ns/op, float %.0f ns/op, mixed %.0f ns/op, int8 %.0f ns/op (%.2fx vs float, %d allocs/op), batch mixed %.0f / int8 %.0f ns/frame @ workers=1, hop mixed %.0f / int8 %.0f ns/hop, stream hop %.0f vs full %.0f ns (%.2fx) -> %s\n",
 		naive.NsPerOp, flt.NsPerOp, mixed.NsPerOp, int8r.NsPerOp,
 		rep.SpeedupIntVsFloat, int8r.AllocsPerOp,
-		rep.LayoutSpeedups["runs"], rep.LayoutSpeedups["spans"], rep.LayoutSpeedups["packed2b"],
 		rep.BatchNsFrameMixed, rep.BatchNsFrameInt8,
 		hopRows["EngineInferHopMixed"].NsPerOp, hopRows["EngineInferHopInt8"].NsPerOp,
 		streamInc.NsPerOp, streamFull.NsPerOp, rep.SpeedupHopVsFull, out)
@@ -541,7 +507,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 // strip of overlapping windows advanced hopFrames rows per call, with the
 // cache re-seeded (a full recompute) only when the strip wraps — 1/255 of
 // timed hops, matching a streaming session that almost never discontinues.
-func benchHop(e *deploy.Engine, float bool, hopFrames, reps int) result {
+func benchHop(e *deploy.Engine, hopFrames, reps int) result {
 	const hops = 256
 	rng := rand.New(rand.NewSource(17))
 	coeffs := int(e.Coeffs)
@@ -553,22 +519,18 @@ func benchHop(e *deploy.Engine, float bool, hopFrames, reps int) result {
 	window := func(i int) []float32 {
 		return strip[i*hopFrames*coeffs:][:frames*coeffs]
 	}
-	infer := e.InferHopInt
-	if float {
-		infer = e.InferHopFloat
-	}
 	hs := e.NewHopState()
 	defer hs.Release()
-	infer(hs, window(0), frames) // warm up: cold full recompute
+	e.InferHop(hs, window(0), frames) // warm up: cold full recompute
 	i := 1
 	return best(reps, func(b *testing.B) {
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
 			if i >= hops {
 				i = 1
-				infer(hs, window(0), frames)
+				e.InferHop(hs, window(0), frames)
 			}
-			infer(hs, window(i), hopFrames)
+			e.InferHop(hs, window(i), hopFrames)
 			i++
 		}
 	})
@@ -576,7 +538,7 @@ func benchHop(e *deploy.Engine, float bool, hopFrames, reps int) result {
 
 // benchStreamHop times one hop of the streaming pipeline both ways over the
 // same audio strip. Full: batch-featurise the trailing one-second window
-// (dsp.MFCC.Compute) and run full-window InferInt — the per-hop work of the
+// (dsp.MFCC.Compute) and run full-window Infer — the per-hop work of the
 // non-incremental detector. Incremental: push only the hop's samples through
 // the streaming frontend (which featurises just the newly completed frames)
 // and run the cached hop path. Both run the engine's default mixed policy.
@@ -596,7 +558,7 @@ func benchStreamHop(e *deploy.Engine, rate, hopFrames, reps int) (full, inc resu
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
 			f := m.Compute(strip[fi*hopSamples:][:rate])
-			e.InferInt(f.Data)
+			e.Infer(f.Data)
 			fi++
 			if fi >= hops {
 				fi = 0
@@ -614,7 +576,7 @@ func benchStreamHop(e *deploy.Engine, rate, hopFrames, reps int) (full, inc resu
 		hs.Invalidate()
 		fe.Push(strip[:rate])
 		fe.Window(feat)
-		e.InferHopInt(hs, feat, frames)
+		e.InferHop(hs, feat, frames)
 		return rate
 	}
 	pos := seed()
@@ -628,7 +590,7 @@ func benchStreamHop(e *deploy.Engine, rate, hopFrames, reps int) (full, inc resu
 			}
 			fe.Push(strip[pos : pos+hopSamples])
 			fe.Window(feat)
-			e.InferHopInt(hs, feat, hopFrames)
+			e.InferHop(hs, feat, hopFrames)
 			pos += hopSamples
 		}
 	})
@@ -637,7 +599,7 @@ func benchStreamHop(e *deploy.Engine, rate, hopFrames, reps int) (full, inc resu
 
 // hopParityCheck verifies the incremental headline exactness claim on the
 // shipped binary: n consecutive hops through the temporal cache must agree
-// byte-for-byte with full-window InferInt on the same windows, under both
+// byte-for-byte with full-window Infer on the same windows, under both
 // activation policies.
 func hopParityCheck(e *deploy.Engine, seed int64, n, hopFrames int) bool {
 	rng := rand.New(rand.NewSource(seed))
@@ -657,8 +619,8 @@ func hopParityCheck(e *deploy.Engine, seed int64, n, hopFrames int) bool {
 			if i == 0 {
 				nNew = frames
 			}
-			hsc, hcl := e.InferHopInt(hs, w, nNew)
-			wsc, wcl := e.InferInt(w)
+			hsc, hcl := e.InferHop(hs, w, nNew)
+			wsc, wcl := e.Infer(w)
 			if hcl != wcl {
 				hs.Release()
 				return false
@@ -706,7 +668,7 @@ func telemetryParityCheck(oracle *deploy.Engine, engSeed int64, density float64,
 				xs[i] = f
 				ws, wc := oracle.NaiveInt(f)
 				want[i] = append([]int32(nil), ws...)
-				is, ic := eObs.InferInt(f)
+				is, ic := eObs.Infer(f)
 				if ic != wc {
 					return false
 				}
@@ -776,7 +738,7 @@ func batchParityCheck(e *deploy.Engine, seed int64, n, batch int) bool {
 }
 
 // parityCheck verifies the headline exactness claim on the shipped binary:
-// InferInt and the InferFloat simulation must agree byte-for-byte on n random
+// Infer and the InferFloat simulation must agree byte-for-byte on n random
 // frames under both activation policies.
 func parityCheck(e *deploy.Engine, seed int64, n int) bool {
 	rng := rand.New(rand.NewSource(seed))
@@ -788,7 +750,7 @@ func parityCheck(e *deploy.Engine, seed int64, n int) bool {
 			for i := range x {
 				x[i] = float32(rng.NormFloat64()) * 2
 			}
-			is, ic := e.InferInt(x)
+			is, ic := e.Infer(x)
 			fs, fc := e.InferFloat(x)
 			if ic != fc {
 				return false

@@ -116,9 +116,9 @@ func TestReadWAVSkipsUnknownOddChunkWithPad(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(full[:12]) // RIFF header
 	buf.WriteString("LIST")
-	buf.Write([]byte{3, 0, 0, 0}) // odd size
+	buf.Write([]byte{3, 0, 0, 0})       // odd size
 	buf.Write([]byte{'i', 'n', 'f', 0}) // 3 bytes + pad
-	buf.Write(full[12:]) // fmt + data
+	buf.Write(full[12:])                // fmt + data
 	got, rate, err := ReadWAV(&buf)
 	if err != nil {
 		t.Fatalf("odd unknown chunk broke parsing: %v", err)
@@ -152,10 +152,10 @@ func TestReadWAVHostileChunkSizes(t *testing.T) {
 		data []byte
 	}{
 		{"data chunk over cap", riffWith("data", maxDataChunkBytes+1, nil)},
-		{"fmt chunk over cap", riffWith("fmt ", 1 << 30, nil)},
-		{"data chunk short body", riffWith("data", 1 << 20, []byte{1, 2, 3, 4})},
+		{"fmt chunk over cap", riffWith("fmt ", 1<<30, nil)},
+		{"data chunk short body", riffWith("data", 1<<20, []byte{1, 2, 3, 4})},
 		{"fmt chunk short body", riffWith("fmt ", 64, []byte{1, 0})},
-		{"unknown chunk short body", riffWith("LIST", 1 << 28, []byte("abc"))},
+		{"unknown chunk short body", riffWith("LIST", 1<<28, []byte("abc"))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,20 +17,20 @@ const maxShardWorkers = 8
 // Engine.Infer uses the engine's resident arena, InferBatch checks one out
 // per worker.
 type arena struct {
-	pol        Policy   // activation policy this arena was sized for
-	imgA, imgB []int8   // ping-pong activation planes (max c·h·w over the chain)
-	cols       []int8   // im2col scratch (max over convs)
-	hidden     []int16  // standard-conv hidden planes, mixed policy (max r·nOut)
-	hidden8    []int8   // standard-conv hidden planes, PolicyInt8
-	acc        []int32  // per-row accumulators: max(r,cout)·nOut standard, 2·nOut depthwise
-	pooled     []int8   // average-pool output feeding the tree
-	z16        []int16  // tree projection at 16 bit
-	z8         []int8   // requantised projection ẑ
-	wv         []int16  // per-node W and V outputs (2·L)
-	scores     []int64  // class score accumulators
-	out        []int32  // returned score slice
-	denseHid   []int16  // QDense hidden scratch (max R over tree denses)
-	xPad       []byte   // QDense bitplane staging (max ⌈In/64⌉·64 over tree denses)
+	pol        Policy  // activation policy this arena was sized for
+	imgA, imgB []int8  // ping-pong activation planes (max c·h·w over the chain)
+	cols       []int8  // im2col scratch (max over convs)
+	hidden     []int16 // standard-conv hidden planes, mixed policy (max r·nOut)
+	hidden8    []int8  // standard-conv hidden planes, PolicyInt8
+	acc        []int32 // per-row accumulators: max(r,cout)·nOut standard, 2·nOut depthwise
+	pooled     []int8  // average-pool output feeding the tree
+	z16        []int16 // tree projection at 16 bit
+	z8         []int8  // requantised projection ẑ
+	wv         []int16 // per-node W and V outputs (2·L)
+	scores     []int64 // class score accumulators
+	out        []int32 // returned score slice
+	denseHid   []int16 // QDense hidden scratch (max R over tree denses)
+	xPad       []byte  // QDense bitplane staging (max ⌈In/64⌉·64 over tree denses)
 
 	// Shard worker pool, started lazily on the first large-enough conv
 	// stage. Workers reference only the channels, so a dropped arena is

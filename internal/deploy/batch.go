@@ -51,8 +51,8 @@ func (e *Engine) ensureBatchWorkers() {
 
 // InferBatch classifies many MFCC frames, amortising dispatch for streaming
 // and serving callers. Frames are packed eight per frame-major lane (see
-// lane.go) so each decoded ±1 run and each span sweep covers the whole lane;
-// lanes are spread over up to GOMAXPROCS workers from a persistent pool.
+// lane.go) so each decoded ±1 index covers the whole lane; lanes are spread
+// over up to GOMAXPROCS workers from a persistent pool.
 // Per-frame faults (wrong input length, a recovered panic) land in that
 // frame's Err instead of failing the batch. Unlike Infer, the returned score
 // slices are caller-owned copies.
@@ -167,16 +167,10 @@ func (e *Engine) inferOne(a *arena, x []float32, scratch []int32) (r BatchResult
 		e.obs.fault()
 		return BatchResult{Class: -1, Err: fmt.Errorf("%w: input length %d, want %d", ErrShapeMismatch, len(x), want)}
 	}
-	var sc []int32
-	var cls int
-	if e.Naive {
-		sc, cls = e.inferNaive(x, a.pol)
-	} else {
-		// Run at the arena's policy, not e.Policy: the kernels must match the
-		// buffers the arena was sized with, even if Policy was flipped after
-		// this worker checked its arena out.
-		sc, cls = e.inferArena(a, x, a.pol)
-	}
+	// Run at the arena's policy, not e.Policy: the kernels must match the
+	// buffers the arena was sized with, even if Policy was flipped after
+	// this worker checked its arena out.
+	sc, cls := e.inferArena(a, x, a.pol)
 	return BatchResult{Scores: append(scratch[:0], sc...), Class: cls}
 }
 

@@ -25,13 +25,16 @@ package deploy
 // Two weight encodings use the scheme:
 //
 //   - Convolutions keep their ±1 plane-index lists (sparseRows): each
-//     selected im2col plane is swept eight output positions per load
-//     (gatherPlanesI8W).
-//   - Dense matvecs (the Bonsai tree, and conv stages whose planes are one
-//     element wide) re-encode each ternary row as two bitplane words per 64
-//     columns (bitRows): the +1 mask and the −1 mask. A mask byte expands
-//     through a 256-entry LUT into a byte-lane select, so eight activations
-//     are loaded, masked and lane-accumulated per set mask byte.
+//     selected plane is swept eight values per load (gatherPlanesI8W, and
+//     its fused-requant twins in collane.go) — eight output columns of one
+//     frame on the single-frame and hop paths, one position of eight
+//     frames on the batch lanes. It is the only conv row form: one SWAR add
+//     per nonzero, the paper's one-add-per-nonzero cost.
+//   - Single-frame dense matvecs (the Bonsai tree) re-encode each ternary
+//     row as two bitplane words per 64 columns (bitRows): the +1 mask and
+//     the −1 mask. A mask byte expands through a 256-entry LUT into a
+//     byte-lane select, so eight activations are loaded, masked and
+//     lane-accumulated per set mask byte.
 
 import (
 	"encoding/binary"

@@ -4,16 +4,16 @@ package deploy
 //
 // The batch lane kernels (lane.go) get their throughput from two properties:
 // every SWAR load is full (laneW = nOut·8 is always a multiple of the group
-// width, so there is no scalar tail) and every decoded ±1 run is amortised
+// width, so there is no scalar tail) and every decoded ±1 index is amortised
 // over eight values. The single-frame path used to have neither — nOut is
-// rarely a multiple of 8, so gatherPlanesI8W ran a scalar tail every row and
-// re-derived a plane base per index. This file turns the same lane machinery
-// 90°: instead of 8 frames per 64-bit word, one frame's planes are stored at
-// a *padded column stride* (tensor.PadStride: nOut rounded up to the next
-// multiple of 8), so a word carries 8 adjacent output columns of one frame
-// and the span/packed decode amortises over 8 outputs exactly as the batch
-// lanes amortise over 8 frames. The batch gather kernels are reused verbatim
-// with laneW = the padded stride.
+// rarely a multiple of 8, so gatherPlanesI8W ran a scalar tail every row.
+// This file turns the same lane machinery 90°: instead of 8 frames per
+// 64-bit word, one frame's planes are stored at a *padded column stride*
+// (tensor.PadStride: nOut rounded up to the next multiple of 8), so a word
+// carries 8 adjacent output columns of one frame and each index decode
+// amortises over 8 outputs exactly as the batch lanes amortise over 8
+// frames. The same index-run kernels serve both, with laneW = the padded
+// stride here.
 //
 // Pad columns hold garbage and that is fine: every stage between
 // quantisation and the tree is either position-wise (output column j reads
@@ -22,10 +22,12 @@ package deploy
 // pad column can never contaminate a real one. The ~2% of extra arithmetic
 // on pad columns buys branch-free full-width loads everywhere.
 //
-// The per-row gather dispatch below picks, for every compiled ternary row,
-// whichever of the three layouts the compile-time cost model (cost.go)
-// scored cheapest: index runs (bitplane.go), coalesced spans (span.go,
-// lane.go) or two-bit-packed weight words (wpack.go).
+// Every standard-conv row walks its ±1 index runs — one SWAR add per nonzero
+// tap per group, the paper's one-add-per-nonzero cost — fused with its
+// requantisation (gatherPlanesQ8/Q16 below). It is the only row form:
+// coalesced spans and two-bit-packed weight words, once chosen per row by a
+// cost model, measured no faster beyond noise at any density from 0.05 to
+// 1.0 (DESIGN.md, "One row walk").
 
 import "encoding/binary"
 
@@ -183,47 +185,6 @@ func dwColScalarPos(img []int8, plus, minus []int32, h, w, ow, kw, padH, padW, L
 		}
 	}
 	return s
-}
-
-// gatherWbRow accumulates hidden row i's ternary combination of the int8
-// planes at the given column stride, through the layout chosen for the row.
-// A stride off the SWAR group width (dense callers) takes the tailed runs
-// kernel regardless of layout — the span walk has no scalar tail.
-func (q *QConv) gatherWbRow(i int, acc []int32, cols []byte, stride int) {
-	if stride&7 != 0 {
-		plus, minus := q.wbSp.row(i)
-		gatherPlanesI8W(acc, cols, plus, minus, stride)
-		return
-	}
-	switch q.wbLay[i] {
-	case LayoutSpans:
-		gatherLaneI8(acc, cols, q.wbSpan.chunks[i], stride)
-	case LayoutPacked2b:
-		q.wbPack2.gatherRow(i, acc, cols, stride)
-	default:
-		plus, minus := q.wbSp.row(i)
-		gatherPlanesI8W(acc, cols, plus, minus, stride)
-	}
-}
-
-// gatherWcRow is gatherWbRow for the 1×1 combine rows over int8 hidden
-// planes (PolicyInt8; the mixed policy's int16 hidden combine keeps the
-// index gather — byte-lane packing does not apply to int16 planes).
-func (q *QConv) gatherWcRow(c int, acc []int32, hid []byte, stride int) {
-	if stride&7 != 0 {
-		plus, minus := q.wcSp.row(c)
-		gatherPlanesI8W(acc, hid, plus, minus, stride)
-		return
-	}
-	switch q.wcLay[c] {
-	case LayoutSpans:
-		gatherLaneI8(acc, hid, q.wcSpan.chunks[c], stride)
-	case LayoutPacked2b:
-		q.wcPack2.gatherRow(c, acc, hid, stride)
-	default:
-		plus, minus := q.wcSp.row(c)
-		gatherPlanesI8W(acc, hid, plus, minus, stride)
-	}
 }
 
 // The requant loops compute Mult.Apply(v) with the constants hoisted and the
@@ -526,217 +487,15 @@ func q16(v int32, mant, half int64, shift uint8) int16 {
 	return int16(o)
 }
 
-// gatherLaneQ8 runs one span-layout row end to end: the chunked SWAR gather
-// and the int8 requantisation in a single pass, each column's sum
-// requantised straight out of the lane registers, so the int32 accumulator
-// round-trip (spread store plus requant reload per column) disappears. Rows
-// the single pass cannot represent — multi-chunk rows, whose tile sums are
-// not final until the last chunk, and the saturated multiplier — fall back
-// to the two-phase pair this fuses; acc is scratch for that fallback.
-func gatherLaneQ8(dst []int8, acc []int32, cols []byte, chunks []laneChunk, laneW int, m Mult, b int32, relu bool) {
-	if len(chunks) != 1 || (m.Shift == 0 && m.Mant != 0) {
-		gatherLaneI8(acc, cols, chunks, laneW)
-		requantRowI8(dst, acc, m, b, relu)
-		return
-	}
-	ch := &chunks[0]
-	corr := ch.corr
-	mant := int64(m.Mant)
-	shift := m.Shift
-	half := int64(1) << (shift - 1)
-	var lo int32 = -128
-	if relu {
-		lo = 0
-	}
-	nG := laneW >> 3
-	g := 0
-	for ; g+4 <= nG; g += 4 {
-		base := g << 3
-		var e0, o0, e1, o1, e2, o2, e3, o3 uint64
-		for _, sp := range ch.plus {
-			off := int(sp.start)*laneW + base
-			for k := int32(0); k < sp.n; k++ {
-				src := cols[off : off+32]
-				w0 := binary.LittleEndian.Uint64(src) ^ biasI8
-				w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8
-				w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8
-				w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8
-				e0 += w0 & laneMaskE8
-				o0 += (w0 >> 8) & laneMaskE8
-				e1 += w1 & laneMaskE8
-				o1 += (w1 >> 8) & laneMaskE8
-				e2 += w2 & laneMaskE8
-				o2 += (w2 >> 8) & laneMaskE8
-				e3 += w3 & laneMaskE8
-				o3 += (w3 >> 8) & laneMaskE8
-				off += laneW
-			}
-		}
-		for _, sp := range ch.minus {
-			off := int(sp.start)*laneW + base
-			for k := int32(0); k < sp.n; k++ {
-				src := cols[off : off+32]
-				w0 := binary.LittleEndian.Uint64(src) ^ biasI8Neg
-				w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8Neg
-				w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8Neg
-				w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8Neg
-				e0 += w0 & laneMaskE8
-				o0 += (w0 >> 8) & laneMaskE8
-				e1 += w1 & laneMaskE8
-				o1 += (w1 >> 8) & laneMaskE8
-				e2 += w2 & laneMaskE8
-				o2 += (w2 >> 8) & laneMaskE8
-				e3 += w3 & laneMaskE8
-				o3 += (w3 >> 8) & laneMaskE8
-				off += laneW
-			}
-		}
-		if base+32 <= len(dst) {
-			requantLanes8((*[32]int8)(dst[base:]), e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift, b, lo)
-		} else {
-			// Partial last tile: the pad columns rode along in the gather;
-			// requantise the full tile into a stack staging array and copy
-			// only the columns dst still needs.
-			var tmp [32]int8
-			requantLanes8(&tmp, e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift, b, lo)
-			copy(dst[base:], tmp[:])
-		}
-	}
-	for ; g < nG; g++ {
-		// laneW not a tile multiple: finish group-by-group.
-		base := g << 3
-		var ev, od uint64
-		for _, sp := range ch.plus {
-			off := int(sp.start)*laneW + base
-			for k := int32(0); k < sp.n; k++ {
-				w := binary.LittleEndian.Uint64(cols[off:off+8]) ^ biasI8
-				ev += w & laneMaskE8
-				od += (w >> 8) & laneMaskE8
-				off += laneW
-			}
-		}
-		for _, sp := range ch.minus {
-			off := int(sp.start)*laneW + base
-			for k := int32(0); k < sp.n; k++ {
-				w := binary.LittleEndian.Uint64(cols[off:off+8]) ^ biasI8Neg
-				ev += w & laneMaskE8
-				od += (w >> 8) & laneMaskE8
-				off += laneW
-			}
-		}
-		var tmp [8]int8
-		requantLaneG8(tmp[:], ev, od, corr, mant, half, shift, b, lo)
-		if base >= len(dst) {
-			continue
-		}
-		copy(dst[base:], tmp[:])
-	}
-}
-
-// gatherLaneQ16 is gatherLaneQ8 at the mixed policy's int16 hidden width
-// (no bias, no ReLU — requantRowHid16 semantics).
-func gatherLaneQ16(dst []int16, acc []int32, cols []byte, chunks []laneChunk, laneW int, m Mult) {
-	if len(chunks) != 1 || (m.Shift == 0 && m.Mant != 0) {
-		gatherLaneI8(acc, cols, chunks, laneW)
-		requantRowHid16(dst, acc, m)
-		return
-	}
-	ch := &chunks[0]
-	corr := ch.corr
-	mant := int64(m.Mant)
-	shift := m.Shift
-	half := int64(1) << (shift - 1)
-	nG := laneW >> 3
-	g := 0
-	for ; g+4 <= nG; g += 4 {
-		base := g << 3
-		var e0, o0, e1, o1, e2, o2, e3, o3 uint64
-		for _, sp := range ch.plus {
-			off := int(sp.start)*laneW + base
-			for k := int32(0); k < sp.n; k++ {
-				src := cols[off : off+32]
-				w0 := binary.LittleEndian.Uint64(src) ^ biasI8
-				w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8
-				w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8
-				w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8
-				e0 += w0 & laneMaskE8
-				o0 += (w0 >> 8) & laneMaskE8
-				e1 += w1 & laneMaskE8
-				o1 += (w1 >> 8) & laneMaskE8
-				e2 += w2 & laneMaskE8
-				o2 += (w2 >> 8) & laneMaskE8
-				e3 += w3 & laneMaskE8
-				o3 += (w3 >> 8) & laneMaskE8
-				off += laneW
-			}
-		}
-		for _, sp := range ch.minus {
-			off := int(sp.start)*laneW + base
-			for k := int32(0); k < sp.n; k++ {
-				src := cols[off : off+32]
-				w0 := binary.LittleEndian.Uint64(src) ^ biasI8Neg
-				w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8Neg
-				w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8Neg
-				w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8Neg
-				e0 += w0 & laneMaskE8
-				o0 += (w0 >> 8) & laneMaskE8
-				e1 += w1 & laneMaskE8
-				o1 += (w1 >> 8) & laneMaskE8
-				e2 += w2 & laneMaskE8
-				o2 += (w2 >> 8) & laneMaskE8
-				e3 += w3 & laneMaskE8
-				o3 += (w3 >> 8) & laneMaskE8
-				off += laneW
-			}
-		}
-		if base+32 <= len(dst) {
-			requantLanes16((*[32]int16)(dst[base:]), e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift)
-		} else {
-			// Partial last tile: the pad columns rode along in the gather;
-			// requantise the full tile into a stack staging array and copy
-			// only the columns dst still needs.
-			var tmp [32]int16
-			requantLanes16(&tmp, e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift)
-			copy(dst[base:], tmp[:])
-		}
-	}
-	for ; g < nG; g++ {
-		// laneW not a tile multiple: finish group-by-group.
-		base := g << 3
-		var ev, od uint64
-		for _, sp := range ch.plus {
-			off := int(sp.start)*laneW + base
-			for k := int32(0); k < sp.n; k++ {
-				w := binary.LittleEndian.Uint64(cols[off:off+8]) ^ biasI8
-				ev += w & laneMaskE8
-				od += (w >> 8) & laneMaskE8
-				off += laneW
-			}
-		}
-		for _, sp := range ch.minus {
-			off := int(sp.start)*laneW + base
-			for k := int32(0); k < sp.n; k++ {
-				w := binary.LittleEndian.Uint64(cols[off:off+8]) ^ biasI8Neg
-				ev += w & laneMaskE8
-				od += (w >> 8) & laneMaskE8
-				off += laneW
-			}
-		}
-		var tmp [8]int16
-		requantLaneG16(tmp[:], ev, od, corr, mant, half, shift)
-		if base >= len(dst) {
-			continue
-		}
-		copy(dst[base:], tmp[:])
-	}
-}
-
-// gatherPlanesQ8 is the runs-layout twin of gatherLaneQ8: the ±1 index-list
-// gather and the int8 requantisation in one pass, each tile requantised
-// straight out of the lane registers. Rows the single pass cannot represent
-// — more nonzeros than one 16-bit fold budget, or the saturated multiplier
-// — fall back to the two-phase pair; acc is scratch for that fallback.
-// laneW must be a multiple of 8 (the column-lane stride contract).
+// gatherPlanesQ8 runs one row end to end: the ±1 index-list gather and the
+// int8 requantisation in one pass, each column's sum requantised straight
+// out of the lane registers, so the int32 accumulator round-trip (spread
+// store plus requant reload per column) disappears. Rows the single pass
+// cannot represent — more nonzeros than one 16-bit fold budget, whose tile
+// sums are not final until the last chunk, or the saturated multiplier —
+// fall back to the two-phase pair this fuses; acc is scratch for that
+// fallback. laneW must be a multiple of 8 (the column-lane stride
+// contract).
 func gatherPlanesQ8(dst []int8, acc []int32, cols []byte, plus, minus []int32, laneW int, m Mult, b int32, relu bool) {
 	if len(plus)+len(minus) > chunkPlanes8 || (m.Shift == 0 && m.Mant != 0) {
 		gatherPlanesI8W(acc, cols, plus, minus, laneW)
@@ -789,6 +548,9 @@ func gatherPlanesQ8(dst []int8, acc []int32, cols []byte, plus, minus []int32, l
 		if base+32 <= len(dst) {
 			requantLanes8((*[32]int8)(dst[base:]), e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift, b, lo)
 		} else {
+			// Partial last tile: the pad columns rode along in the gather;
+			// requantise the full tile into a stack staging array and copy
+			// only the columns dst still needs.
 			var tmp [32]int8
 			requantLanes8(&tmp, e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift, b, lo)
 			copy(dst[base:], tmp[:])
@@ -893,57 +655,36 @@ func gatherPlanesQ16(dst []int16, acc []int32, cols []byte, plus, minus []int32,
 	}
 }
 
-// hidRowQ8 produces hidden plane i under PolicyInt8 — fused gather+requant
-// when the row's layout is spans or runs, the two-phase dispatch otherwise.
+// hidRowQ8 produces hidden plane i under PolicyInt8 through the fused
+// index-run kernel. A stride off the SWAR group width (dense callers) takes
+// the tailed two-phase pair instead — the fused kernel has no scalar tail.
 func (q *QConv) hidRowQ8(i int, dst []int8, acc []int32, cols []byte, stride int) {
+	plus, minus := q.wbSp.row(i)
 	if stride&7 == 0 {
-		switch q.wbLay[i] {
-		case LayoutSpans:
-			gatherLaneQ8(dst, acc, cols, q.wbSpan.chunks[i], stride, q.hidMul8[i], 0, false)
-			return
-		case LayoutRuns:
-			plus, minus := q.wbSp.row(i)
-			gatherPlanesQ8(dst, acc, cols, plus, minus, stride, q.hidMul8[i], 0, false)
-			return
-		}
+		gatherPlanesQ8(dst, acc, cols, plus, minus, stride, q.hidMul8[i], 0, false)
+		return
 	}
-	q.gatherWbRow(i, acc, cols, stride)
+	gatherPlanesI8W(acc, cols, plus, minus, stride)
 	requantRowHid8(dst, acc, q.hidMul8[i])
 }
 
 // hidRowQ16 is hidRowQ8 at the mixed policy's int16 hidden width.
 func (q *QConv) hidRowQ16(i int, dst []int16, acc []int32, cols []byte, stride int) {
+	plus, minus := q.wbSp.row(i)
 	if stride&7 == 0 {
-		switch q.wbLay[i] {
-		case LayoutSpans:
-			gatherLaneQ16(dst, acc, cols, q.wbSpan.chunks[i], stride, q.HidMul[i])
-			return
-		case LayoutRuns:
-			plus, minus := q.wbSp.row(i)
-			gatherPlanesQ16(dst, acc, cols, plus, minus, stride, q.HidMul[i])
-			return
-		}
+		gatherPlanesQ16(dst, acc, cols, plus, minus, stride, q.HidMul[i])
+		return
 	}
-	q.gatherWbRow(i, acc, cols, stride)
+	gatherPlanesI8W(acc, cols, plus, minus, stride)
 	requantRowHid16(dst, acc, q.HidMul[i])
 }
 
-// outRowQ8 produces output channel c under PolicyInt8 — fused when the Wc
-// row's layout is spans or runs.
+// outRowQ8 produces output channel c from int8 hidden planes (PolicyInt8),
+// the Wc counterpart of hidRowQ8. Hidden planes always live at a padded
+// stride, so there is no dense-stride fallback.
 func (q *QConv) outRowQ8(c int, dst []int8, acc []int32, cols []byte, stride int) {
-	if stride&7 == 0 {
-		switch q.wcLay[c] {
-		case LayoutSpans:
-			gatherLaneQ8(dst, acc, cols, q.wcSpan.chunks[c], stride, q.outMul8[c], q.OutBias[c], q.ReLU)
-			return
-		case LayoutRuns:
-			plus, minus := q.wcSp.row(c)
-			gatherPlanesQ8(dst, acc, cols, plus, minus, stride, q.outMul8[c], q.OutBias[c], q.ReLU)
-			return
-		}
-	}
-	q.gatherWcRow(c, acc, cols, stride)
-	q.requantChannel8(dst, acc, c)
+	plus, minus := q.wcSp.row(c)
+	gatherPlanesQ8(dst, acc, cols, plus, minus, stride, q.outMul8[c], q.OutBias[c], q.ReLU)
 }
 
 // requantLanes8 requantises one fused tile: the four even/odd lane

@@ -42,14 +42,12 @@ func ternaryRows(rng *rand.Rand, rows, taps int, density float64) []int8 {
 	return w
 }
 
-// TestGatherRowLayoutsProperty drives all three compiled row layouts — index
-// runs, coalesced spans and two-bit-packed words — over randomized shapes
-// and densities and checks every one against the scalar oracle on every
+// TestGatherRowProperty drives the index-run row kernel over randomized
+// shapes and densities and checks it against the scalar oracle on every
 // column including the pads. The sweep deliberately crosses the edge cases:
-// all-zero rows, full-density rows, rows shorter than one 32-tap packed
-// word, tap counts past the 256-plane chunk budget, and ragged column
-// counts that force a padded stride.
-func TestGatherRowLayoutsProperty(t *testing.T) {
+// all-zero rows, full-density rows, tap counts past the 256-plane chunk
+// budget, and ragged column counts that force a padded stride.
+func TestGatherRowProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	tapCases := []int{1, 3, 7, 31, 32, 33, 40, 64, 255, 256, 300}
 	colCases := []int{1, 5, 7, 8, 9, 25, 96, 125}
@@ -63,8 +61,6 @@ func TestGatherRowLayoutsProperty(t *testing.T) {
 
 		w := ternaryRows(rng, rows, taps, density)
 		sp := compileRows(w, rows, taps)
-		span := compileSpanRows(sp, rows)
-		pk := compilePackedRows(w, rows, taps)
 
 		cols := make([]int8, taps*stride)
 		for i := range cols {
@@ -75,26 +71,15 @@ func TestGatherRowLayoutsProperty(t *testing.T) {
 		for r := 0; r < rows; r++ {
 			plus, minus := sp.row(r)
 			want := oracleGather(cols, plus, minus, stride)
-
-			runs := make([]int32, stride)
-			gatherPlanesI8W(runs, colsB, plus, minus, stride)
-			spans := make([]int32, stride)
-			gatherLaneI8(spans, colsB, span.chunks[r], stride)
-			packed := make([]int32, stride)
-			pk.gatherRow(r, packed, colsB, stride)
-
+			got := make([]int32, stride)
+			for j := range got {
+				got[j] = 123456 // stale garbage the gather must overwrite
+			}
+			gatherPlanesI8W(got, colsB, plus, minus, stride)
 			for j := 0; j < stride; j++ {
-				if runs[j] != want[j] {
-					t.Fatalf("trial %d row %d (taps=%d cols=%d d=%.2f): runs[%d]=%d, want %d",
-						trial, r, taps, nOut, density, j, runs[j], want[j])
-				}
-				if spans[j] != want[j] {
-					t.Fatalf("trial %d row %d (taps=%d cols=%d d=%.2f): spans[%d]=%d, want %d",
-						trial, r, taps, nOut, density, j, spans[j], want[j])
-				}
-				if packed[j] != want[j] {
-					t.Fatalf("trial %d row %d (taps=%d cols=%d d=%.2f): packed[%d]=%d, want %d",
-						trial, r, taps, nOut, density, j, packed[j], want[j])
+				if got[j] != want[j] {
+					t.Fatalf("trial %d row %d (taps=%d cols=%d d=%.2f): acc[%d]=%d, want %d",
+						trial, r, taps, nOut, density, j, got[j], want[j])
 				}
 			}
 		}
@@ -102,9 +87,10 @@ func TestGatherRowLayoutsProperty(t *testing.T) {
 }
 
 // TestFusedRowKernelsMatchTwoPhase pins the fused gather+requant kernels
-// against the two-phase pair they replace, across random multipliers,
-// biases, ReLU cuts, dst lengths off the 32-column tile width, multi-chunk
-// rows (which must take the fallback) and the saturated-multiplier guard.
+// against the scalar gather followed by the requant row they fuse, across
+// random multipliers, biases, ReLU cuts, dst lengths off the 32-column tile
+// width, multi-chunk rows (which must take the fallback) and the
+// saturated-multiplier guard.
 func TestFusedRowKernelsMatchTwoPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	tapCases := []int{1, 12, 40, 300} // 300 > chunkPlanes8: two chunks
@@ -115,7 +101,7 @@ func TestFusedRowKernelsMatchTwoPhase(t *testing.T) {
 		stride := pad8(nOut)
 		w := ternaryRows(rng, 1, taps, 0.1+0.8*rng.Float64())
 		sp := compileRows(w, 1, taps)
-		span := compileSpanRows(sp, 1)
+		plus, minus := sp.row(0)
 
 		cols := make([]int8, taps*stride)
 		for i := range cols {
@@ -130,11 +116,10 @@ func TestFusedRowKernelsMatchTwoPhase(t *testing.T) {
 		b := int32(rng.Intn(81) - 40)
 		relu := rng.Intn(2) == 0
 		acc := make([]int32, stride)
+		wantAcc := oracleGather(cols, plus, minus, stride)
 
 		gotQ8 := make([]int8, nOut)
-		gatherLaneQ8(gotQ8, acc, colsB, span.chunks[0], stride, m, b, relu)
-		wantAcc := make([]int32, stride)
-		gatherLaneI8(wantAcc, colsB, span.chunks[0], stride)
+		gatherPlanesQ8(gotQ8, acc, colsB, plus, minus, stride, m, b, relu)
 		wantQ8 := make([]int8, nOut)
 		requantRowI8(wantQ8, wantAcc, m, b, relu)
 		for j := range wantQ8 {
@@ -145,34 +130,13 @@ func TestFusedRowKernelsMatchTwoPhase(t *testing.T) {
 		}
 
 		gotQ16 := make([]int16, nOut)
-		gatherLaneQ16(gotQ16, acc, colsB, span.chunks[0], stride, m)
+		gatherPlanesQ16(gotQ16, acc, colsB, plus, minus, stride, m)
 		wantQ16 := make([]int16, nOut)
 		requantRowHid16(wantQ16, wantAcc, m)
 		for j := range wantQ16 {
 			if gotQ16[j] != wantQ16[j] {
 				t.Fatalf("trial %d (taps=%d cols=%d m=%+v): q16[%d]=%d, want %d",
 					trial, taps, nOut, m, j, gotQ16[j], wantQ16[j])
-			}
-		}
-
-		// The runs-layout twins over the same row, against the same oracle
-		// (the index-list gather and the span gather agree by
-		// TestGatherRowLayoutsProperty, so one two-phase oracle serves both).
-		plus, minus := sp.row(0)
-		gotR8 := make([]int8, nOut)
-		gatherPlanesQ8(gotR8, acc, colsB, plus, minus, stride, m, b, relu)
-		for j := range wantQ8 {
-			if gotR8[j] != wantQ8[j] {
-				t.Fatalf("trial %d (taps=%d cols=%d m=%+v b=%d relu=%v): runs q8[%d]=%d, want %d",
-					trial, taps, nOut, m, b, relu, j, gotR8[j], wantQ8[j])
-			}
-		}
-		gotR16 := make([]int16, nOut)
-		gatherPlanesQ16(gotR16, acc, colsB, plus, minus, stride, m)
-		for j := range wantQ16 {
-			if gotR16[j] != wantQ16[j] {
-				t.Fatalf("trial %d (taps=%d cols=%d m=%+v): runs q16[%d]=%d, want %d",
-					trial, taps, nOut, m, j, gotR16[j], wantQ16[j])
 			}
 		}
 	}
@@ -202,58 +166,10 @@ func TestDWTapWord(t *testing.T) {
 	}
 }
 
-// TestChooseLayoutSanity pins the cost model's qualitative choices: empty
-// rows ride the span no-op, long coalesced runs pick spans, dense fragmented
-// rows pick the packed walk, and isolated far-apart nonzeros keep the runs
-// walk.
-func TestChooseLayoutSanity(t *testing.T) {
-	compile := func(w []int8, taps int) ([]int32, []int32, []laneChunk) {
-		sp := compileRows(w, 1, taps)
-		span := compileSpanRows(sp, 1)
-		plus, minus := sp.row(0)
-		return plus, minus, span.chunks[0]
-	}
-
-	empty := make([]int8, 64)
-	p, m, ch := compile(empty, 64)
-	if got := chooseLayout(p, m, ch, 64); got != LayoutSpans {
-		t.Fatalf("empty row: %v, want spans", got)
-	}
-
-	run := make([]int8, 64)
-	for i := 0; i < 32; i++ {
-		run[i] = 1
-	}
-	p, m, ch = compile(run, 64)
-	if got := chooseLayout(p, m, ch, 64); got != LayoutSpans {
-		t.Fatalf("single long run: %v, want spans", got)
-	}
-
-	dense := make([]int8, 32)
-	for i := range dense {
-		if i%2 == 0 {
-			dense[i] = 1
-		} else {
-			dense[i] = -1
-		}
-	}
-	p, m, ch = compile(dense, 32)
-	if got := chooseLayout(p, m, ch, 32); got != LayoutPacked2b {
-		t.Fatalf("dense alternating row: %v, want packed2b", got)
-	}
-
-	sparse := make([]int8, 256)
-	sparse[3], sparse[200] = 1, -1
-	p, m, ch = compile(sparse, 256)
-	if got := chooseLayout(p, m, ch, 256); got != LayoutRuns {
-		t.Fatalf("isolated nonzeros: %v, want runs", got)
-	}
-}
-
 // TestBatchLanePathWithTelemetry is the regression test for the batch
 // telemetry demotion: attaching an observer must keep InferBatch on the lane
-// path (counted lanes, frames and span sweeps) and stay bit-identical to the
-// unobserved engine.
+// path (counted lanes and frames) and stay bit-identical to the unobserved
+// engine.
 func TestBatchLanePathWithTelemetry(t *testing.T) {
 	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 		e := deployTestEngine(53)
@@ -296,9 +212,6 @@ func TestBatchLanePathWithTelemetry(t *testing.T) {
 		if got := obs.LaneFrames.Value(); got != laneFrames {
 			t.Fatalf("pol %v: %d frames on the lane path, want %d", pol, got, laneFrames)
 		}
-		if got := obs.Spans.Value(); got <= 0 {
-			t.Fatalf("pol %v: no span sweeps counted on the lane path", pol)
-		}
 	}
 }
 
@@ -338,7 +251,7 @@ func TestMixedSingleBatchConcurrent(t *testing.T) {
 		defer wg.Done()
 		for it := 0; it < iters; it++ {
 			for i, x := range ins {
-				if _, cls := e.InferInt(x); cls != wantClass[i] {
+				if _, cls := e.Infer(x); cls != wantClass[i] {
 					select {
 					case errs <- errMismatch(i, cls, wantClass[i]):
 					default:

@@ -1,7 +1,5 @@
 package deploy
 
-import "fmt"
-
 // Cost is the engine's per-inference operation budget, computed from the
 // packed weights actually deployed. Because the engine counts nonzero
 // ternary entries from its own packed matrices, it cross-validates the
@@ -64,166 +62,4 @@ func (e *Engine) CostReport() Cost {
 	// counted as adds like the paper's ternary combinations.
 	c.Adds += int64(len(e.Tree.Theta))
 	return c
-}
-
-// LayoutKind names the compiled row forms a ternary matrix row can execute
-// through on the SWAR lane paths. The compile-time model below scores each
-// row under all three and keeps the cheapest; LayoutAuto re-runs that choice.
-type LayoutKind uint8
-
-const (
-	// LayoutAuto defers to the cost model (the default at compile time).
-	LayoutAuto LayoutKind = iota
-	// LayoutRuns walks the row's nonzero taps through the ±1 index lists
-	// (bitplane.go gatherPlanesI8W): one plane-base load per nonzero.
-	LayoutRuns
-	// LayoutSpans walks span-coalesced nonzeros (span.go, lane.go
-	// gatherLaneI8): consecutive same-sign taps share one decoded base.
-	LayoutSpans
-	// LayoutPacked2b walks every tap (zeros included) through two-bit-packed
-	// weight words with branchless mask-select adds (wpack.go).
-	LayoutPacked2b
-)
-
-func (k LayoutKind) String() string {
-	switch k {
-	case LayoutRuns:
-		return "runs"
-	case LayoutSpans:
-		return "spans"
-	case LayoutPacked2b:
-		return "packed2b"
-	default:
-		return "auto"
-	}
-}
-
-// Per-tap cost weights for the layout choice, in rough per-group-of-8 cycle
-// units measured on the lane kernels of this codebase:
-//
-//   - a runs tap pays a load+xor+mask pair per 16-bit half plus the index
-//     load and plane-base multiply per column
-//     tile                                       → costRunTap  per nonzero
-//   - a spans tap amortises its base over the span (the walk is one add per
-//     tap) but pays span decode (base/len unpack)
-//     once per span per tile                     → costSpanTap per nonzero
-//     + costSpan per span
-//   - a packed tap is the cheapest per visit (no index traffic, no
-//     branches) but visits zeros too             → costPackTap per tap
-//
-// The constants only matter relative to each other and were calibrated by
-// forcing each layout on the paper-shape engine (BenchmarkEngineInferInt8
-// Runs/Spans/Packed2b). With both runs and spans fused into the requant
-// epilogue, the walks' per-tap bodies are identical; what separates them is
-// the span decode (base unpack, offset multiply, inner-loop setup), paid
-// per span per tile, which measures ≈ 6 run-tap units — so spans only wins
-// when its taps genuinely coalesce (average span length > 2, nSpans <
-// nnz/2), and density-0.35 rows (average span ≈ 1.2) ride the runs walk;
-// packed2b wins on dense fragmented rows where visiting the zeros beats
-// per-nonzero index traffic.
-const (
-	costRunTap  = 10
-	costSpanTap = 7
-	costSpan    = 6
-	costPackTap = 8
-)
-
-// chooseLayout scores one ternary row under the three layouts. plus/minus
-// are the row's ±1 tap indices, chunks its compiled span chunks, taps the
-// full row width (zeros included).
-func chooseLayout(plus, minus []int32, chunks []laneChunk, taps int) LayoutKind {
-	nnz := len(plus) + len(minus)
-	if nnz == 0 {
-		// Empty row: the span walk is a no-op (gatherLaneI8 zeroes the
-		// accumulator when there are no chunks).
-		return LayoutSpans
-	}
-	nSpans := 0
-	for _, ch := range chunks {
-		nSpans += len(ch.plus) + len(ch.minus)
-	}
-	runs := costRunTap * nnz
-	spans := costSpanTap*nnz + costSpan*nSpans
-	packed := costPackTap * taps
-	best := LayoutRuns
-	bestCost := runs
-	if spans < bestCost {
-		best, bestCost = LayoutSpans, spans
-	}
-	if packed < bestCost {
-		best = LayoutPacked2b
-	}
-	return best
-}
-
-// LayerLayouts reports, for one compiled ternary matrix, how many of its
-// rows the cost model assigned to each layout.
-type LayerLayouts struct {
-	Layer    string `json:"layer"`
-	Runs     int    `json:"runs"`
-	Spans    int    `json:"spans"`
-	Packed2b int    `json:"packed2b"`
-}
-
-func tallyLayouts(name string, lays []LayoutKind) LayerLayouts {
-	t := LayerLayouts{Layer: name}
-	for _, k := range lays {
-		switch k {
-		case LayoutRuns:
-			t.Runs++
-		case LayoutSpans:
-			t.Spans++
-		case LayoutPacked2b:
-			t.Packed2b++
-		}
-	}
-	return t
-}
-
-// LayoutReport returns the cost model's per-row layout choices for every
-// standard conv's Wb and Wc matrices (the matrices the lane gathers
-// dispatch on), in layer order.
-func (e *Engine) LayoutReport() []LayerLayouts {
-	e.ensureCompiled()
-	var out []LayerLayouts
-	for i, q := range e.Convs {
-		if q.Kind != kindStandard {
-			continue
-		}
-		out = append(out,
-			tallyLayouts(fmt.Sprintf("conv%d.wb", i), q.wbLay),
-			tallyLayouts(fmt.Sprintf("conv%d.wc", i), q.wcLay))
-	}
-	return out
-}
-
-// SetForceLayout overrides the cost model on every standard conv's lane
-// rows: k = LayoutRuns/LayoutSpans/LayoutPacked2b forces that form
-// everywhere, LayoutAuto restores the per-row model choice. Benchmarks use
-// this to measure the layouts in isolation.
-func (e *Engine) SetForceLayout(k LayoutKind) {
-	e.ensureCompiled()
-	for _, q := range e.Convs {
-		if q.Kind != kindStandard {
-			continue
-		}
-		q.setLayout(k)
-	}
-}
-
-// setLayout rewrites one conv's per-row layout tables, either forcing a
-// single kind or (LayoutAuto) re-running the cost model per row.
-func (q *QConv) setLayout(k LayoutKind) {
-	set := func(lays []LayoutKind, sp *sparseRows, span *spanRows, taps int) {
-		for r := range lays {
-			if k != LayoutAuto {
-				lays[r] = k
-				continue
-			}
-			plus, minus := sp.row(r)
-			lays[r] = chooseLayout(plus, minus, span.chunks[r], taps)
-		}
-	}
-	set(q.wbLay, &q.wbSp, &q.wbSpan, int(q.Cin*q.KH*q.KW))
-	set(q.wcLay, &q.wcSp, &q.wcSpan, int(q.R))
 }

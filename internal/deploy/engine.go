@@ -31,12 +31,9 @@ type QConv struct {
 	ReLU                        bool
 	InScale, HidScale, OutScale float32
 
-	wb, wc           []int8       // unpacked dense ternaries (naive reference path)
-	wbSp, wcSp       sparseRows   // compiled nonzero index lists (hot path)
-	wbSpan, wcSpan   spanRows     // span-coalesced rows for the lane kernels
-	wbPack2, wcPack2 packedRows   // two-bit-packed rows (wpack.go)
-	wbLay, wcLay     []LayoutKind // per-row layout chosen by the cost model
-	hidMul8, outMul8 []Mult       // PolicyInt8 requantisers, derived by deriveAct8
+	wb, wc           []int8     // unpacked dense ternaries (naive reference path)
+	wbSp, wcSp       sparseRows // compiled nonzero index lists (hot path)
+	hidMul8, outMul8 []Mult     // PolicyInt8 requantisers, derived by deriveAct8
 
 	// Depthwise column-lane tables (collane.go compileDWCol): per-tap linear
 	// read offsets and per-tap-per-group lane-validity masks for the SWAR
@@ -114,12 +111,12 @@ func (q *QConv) Forward(x []int8, h, w int) ([]int8, int, int) {
 // oracle: it iterates every ternary entry (zeros included), accumulates in
 // int64, and allocates its scratch per call. The engine's hot path uses the
 // precompiled sparse kernels in kernels.go; forwardRef is retained as the
-// correctness oracle behind Engine.Naive/Engine.NaiveInt and the
-// sparse-vs-naive property tests. The int64 accumulators are narrowed to
-// int32 before each requantisation, so if a sum ever exceeded 32 bits the
-// oracle would wrap exactly like the int32 kernels do — the two can only
-// diverge if the reference itself overflows int64, which no representable
-// shape approaches.
+// correctness oracle behind NaiveInt and the sparse-vs-naive property
+// tests. The int64 accumulators are narrowed to int32 before each
+// requantisation, so if a sum ever exceeded 32 bits the oracle would wrap
+// exactly like the int32 kernels do — the two can only diverge if the
+// reference itself overflows int64, which no representable shape
+// approaches.
 func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 	if q.wb == nil {
 		q.unpack()
@@ -287,8 +284,7 @@ type QDense struct {
 
 	wb, wc     []int8
 	wbSp, wcSp sparseRows
-	wbBits     bitRows  // word-packed Wb bitplanes (hot path, kernels.go)
-	wbSpan     spanRows // span-coalesced Wb rows for the lane projection
+	wbBits     bitRows // word-packed Wb bitplanes (hot path, kernels.go)
 }
 
 func (q *QDense) unpack() {
@@ -444,11 +440,6 @@ type Engine struct {
 	// the operative constants.
 	Calib []CalibEntry
 
-	// Naive routes Infer/InferBatch through the retained dense reference
-	// kernels — the correctness oracle the sparse kernels are verified
-	// against, and the baseline cmd/kws-bench measures speedup over.
-	Naive bool
-
 	compileOnce sync.Once   // guards kernel compilation
 	arena       *arena      // resident arena for Infer/InferSafe
 	arenas      sync.Pool   // spare arenas for the per-frame batch fallback
@@ -552,50 +543,40 @@ func poolInto(dst []int8, img []int8, c, h, w, k, s, srcCh int) (int, int) {
 	return outH, outW
 }
 
-// Infer classifies one float MFCC image (length Frames·Coeffs), returning
-// integer class scores and the argmax class. The scores slice is owned by
-// the engine's arena and valid until the next Infer/InferSafe call; in
-// steady state Infer performs zero heap allocations.
+// Infer classifies one float MFCC image (length Frames·Coeffs) through the
+// compiled integer kernels at the engine's Policy, returning integer class
+// scores and the argmax class. The scores slice is owned by the engine's
+// arena and valid until the next Infer/InferSafe call; in steady state
+// Infer performs zero heap allocations.
 func (e *Engine) Infer(x []float32) (scores []int32, class int) {
 	if len(x) != int(e.Frames*e.Coeffs) {
 		panic(fmt.Sprintf("deploy: input length %d, want %d", len(x), e.Frames*e.Coeffs))
 	}
-	if e.Naive {
-		return e.inferNaive(x, e.Policy)
-	}
-	return e.inferInt(x)
+	return e.inferArena(e.residentArena(), x, e.Policy)
 }
 
-// InferInt is Infer pinned to the word-packed integer kernels: it ignores
-// the Naive flag, runs at the engine's Policy, and performs zero heap
-// allocations in steady state. Same arena-ownership rules as Infer.
-func (e *Engine) InferInt(x []float32) (scores []int32, class int) {
-	if len(x) != int(e.Frames*e.Coeffs) {
-		panic(fmt.Sprintf("deploy: input length %d, want %d", len(x), e.Frames*e.Coeffs))
-	}
-	return e.inferInt(x)
-}
-
-// NaiveInt is the engine's scalar oracle: the dense reference pipeline with
-// int64 accumulation at the engine's Policy. The word-packed path is pinned
-// bit-exact against it by the property tests; it allocates per call and is
-// not for production use.
-func (e *Engine) NaiveInt(x []float32) (scores []int32, class int) {
-	if len(x) != int(e.Frames*e.Coeffs) {
-		panic(fmt.Sprintf("deploy: input length %d, want %d", len(x), e.Frames*e.Coeffs))
-	}
-	return e.inferNaive(x, e.Policy)
-}
-
-// inferInt runs the compiled integer pipeline on the resident arena,
-// rebuilding the arena if the policy changed since it was sized.
-func (e *Engine) inferInt(x []float32) ([]int32, int) {
+// residentArena returns the arena Infer/InferSafe run on, compiling the
+// kernels on first use and rebuilding the arena if the policy changed since
+// it was sized.
+func (e *Engine) residentArena() *arena {
 	e.ensureCompiled()
 	if e.arena == nil || e.arena.pol != e.Policy {
 		e.arena = newArena(e, true)
 		e.obs.noteArena(e.arena)
 	}
-	return e.inferArena(e.arena, x, e.Policy)
+	return e.arena
+}
+
+// NaiveInt is the engine's scalar oracle: the dense reference pipeline with
+// int64 accumulation at the engine's Policy. The compiled kernels are pinned
+// bit-exact against it by the property tests, and cmd/kws-bench measures
+// their speedup over it; it allocates per call and is not for production
+// use.
+func (e *Engine) NaiveInt(x []float32) (scores []int32, class int) {
+	if len(x) != int(e.Frames*e.Coeffs) {
+		panic(fmt.Sprintf("deploy: input length %d, want %d", len(x), e.Frames*e.Coeffs))
+	}
+	return e.inferNaive(x, e.Policy)
 }
 
 // inferArena runs the sparse-kernel pipeline on the given arena. Activation
@@ -681,12 +662,7 @@ func (e *Engine) MeasuredDensity() float64 {
 // holds resident at the engine's current Policy — the "activation memory"
 // column of the paper's footprint table. Builds the arena if needed.
 func (e *Engine) ScratchBytes() int64 {
-	e.ensureCompiled()
-	if e.arena == nil || e.arena.pol != e.Policy {
-		e.arena = newArena(e, true)
-		e.obs.noteArena(e.arena)
-	}
-	return e.arena.bytes()
+	return e.residentArena().bytes()
 }
 
 func argmax(sc []int32) int {

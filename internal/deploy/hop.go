@@ -1,9 +1,6 @@
 package deploy
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Incremental hop inference: temporal caching across overlapping streaming
 // windows.
@@ -45,11 +42,9 @@ import (
 // accumulation is associative mod 2³², and each output position's sum walks
 // the same compiled nonzero indices in the same order regardless of which
 // other positions share the dispatch — so a recomputed band row is
-// bit-identical to the same row of a full-window InferInt, and a reused row
-// is bit-identical by induction. The float variant mirrors InferFloat's
-// float64 accumulation order per position and is bit-identical to it for
-// the same reason. TestInferHopMatchesFullStream and the property suite in
-// hop_test.go pin both claims over long streams.
+// bit-identical to the same row of a full-window Infer, and a reused row is
+// bit-identical by induction. TestInferHopMatchesFullStream and the
+// property suite in hop_test.go pin the claim over long streams.
 //
 // A HopState owns all mutable scratch (a serial arena plus the cached
 // images), so any number of HopStates may run concurrently on one engine —
@@ -57,31 +52,29 @@ import (
 // concurrent use. Steady-state hops allocate nothing.
 
 // hopGeom is one conv layer's spatial geometry and channel strides as the
-// hop path caches it: int8 images live at the column-lane padded stride
-// pad8(outH·outW), float images at the dense stride.
+// hop path caches it: images live at the column-lane padded stride
+// pad8(outH·outW).
 type hopGeom struct {
-	h, w       int // input spatial size
-	oh, ow     int // output spatial size
-	inStride   int // input channel stride (dense for the first layer)
-	outStride  int // output channel stride, pad8(oh·ow)
-	fInStride  int // float-path input channel stride (dense)
-	fOutStride int // float-path output channel stride (dense)
+	h, w      int // input spatial size
+	oh, ow    int // output spatial size
+	inStride  int // input channel stride (dense for the first layer)
+	outStride int // output channel stride, pad8(oh·ow)
 }
 
 // HopStats counts a HopState's work since construction.
 type HopStats struct {
-	Hops            int64 // InferHop* calls completed
+	Hops            int64 // InferHop calls completed
 	FullRecomputes  int64 // hops that ran the cold/invalid full path
 	ColumnsComputed int64 // conv output positions recomputed across all layers
 }
 
 // HopState is the per-stream temporal cache for incremental hop inference.
 // Obtain one with Engine.NewHopState, feed it consecutive windows through
-// Engine.InferHop/InferHopInt/InferHopFloat, and Release it when the stream
-// closes. Invalidate discards the cache (the next hop recomputes in full) —
-// callers must do that whenever the stream discontinues (gap concealment,
-// seek, reset), since the caller contract is that each window's leading
-// rows equal the previous window's trailing rows.
+// Engine.InferHop, and Release it when the stream closes. Invalidate
+// discards the cache (the next hop recomputes in full) — callers must do
+// that whenever the stream discontinues (gap concealment, seek, reset),
+// since the caller contract is that each window's leading rows equal the
+// previous window's trailing rows.
 type HopState struct {
 	e   *Engine
 	a   *arena
@@ -89,16 +82,10 @@ type HopState struct {
 
 	geom []hopGeom
 
-	// Integer cache: quantised input image plus one output image per conv.
-	in       []int8
-	imgs     [][]int8
-	intValid bool
-
-	// Float cache, built lazily on the first InferHopFloat.
-	fa         *floatArena
-	fin        []float32
-	fimgs      [][]float32
-	floatValid bool
+	// Cache: quantised input image plus one output image per conv.
+	in    []int8
+	imgs  [][]int8
+	valid bool
 
 	// Band scratch. cols is the hop path's own im2col storage: unlike the
 	// arena's it is also sized for pointwise convs, whose band input must
@@ -106,11 +93,9 @@ type HopState struct {
 	// band slice at the image stride would let the full-word SWAR loads
 	// read past the plane). row stages one channel's requantised band
 	// before it is scattered back into the cached image's segments.
-	cols  []int8
-	row   []int8
-	fcols []float32
-	frow  []float32
-	segs  [][2]int
+	cols []int8
+	row  []int8
+	segs [][2]int
 
 	lastFull bool
 	stats    HopStats
@@ -128,7 +113,6 @@ func newHopState(e *Engine) *HopState {
 	h, w := int(e.Frames), int(e.Coeffs)
 	hs.in = make([]int8, h*w)
 	inStride := h * w
-	fInStride := h * w
 	maxCols, maxNOut := 0, 0
 	for _, q := range e.Convs {
 		oh, ow := q.outSize(h, w)
@@ -141,53 +125,20 @@ func newHopState(e *Engine) *HopState {
 				maxCols = c
 			}
 		}
-		g := hopGeom{
-			h: h, w: w, oh: oh, ow: ow,
-			inStride: inStride, outStride: pad8(nOut),
-			fInStride: fInStride, fOutStride: nOut,
-		}
+		g := hopGeom{h: h, w: w, oh: oh, ow: ow, inStride: inStride, outStride: pad8(nOut)}
 		hs.geom = append(hs.geom, g)
 		hs.imgs = append(hs.imgs, make([]int8, int(q.Cout)*g.outStride))
 		h, w = oh, ow
-		inStride, fInStride = g.outStride, nOut
+		inStride = g.outStride
 	}
 	hs.cols = make([]int8, maxCols)
 	hs.row = make([]int8, pad8(maxNOut))
 	return hs
 }
 
-// ensureFloat builds the float-path cache on first use.
-func (hs *HopState) ensureFloat() {
-	if hs.fa != nil {
-		return
-	}
-	e := hs.e
-	hs.fa = newFloatArena(e)
-	hs.fin = make([]float32, int(e.Frames)*int(e.Coeffs))
-	maxCols, maxNOut := 0, 0
-	for i, q := range e.Convs {
-		g := hs.geom[i]
-		nOut := g.oh * g.ow
-		if nOut > maxNOut {
-			maxNOut = nOut
-		}
-		if q.Kind == kindStandard {
-			if c := int(q.Cin) * int(q.KH) * int(q.KW) * nOut; c > maxCols {
-				maxCols = c
-			}
-		}
-		hs.fimgs = append(hs.fimgs, make([]float32, int(q.Cout)*nOut))
-	}
-	hs.fcols = make([]float32, maxCols)
-	hs.frow = make([]float32, maxNOut)
-}
-
 // Invalidate discards all cached temporal state. The next hop on this state
 // recomputes the full window. Call on any stream discontinuity.
-func (hs *HopState) Invalidate() {
-	hs.intValid = false
-	hs.floatValid = false
-}
+func (hs *HopState) Invalidate() { hs.valid = false }
 
 // LastFull reports whether the most recent hop fell back to a full-window
 // recompute (cold cache, invalidation, policy change, or nNew ≥ Frames).
@@ -217,46 +168,29 @@ func (hs *HopState) Release() {
 }
 
 // InferHop classifies one hop of a sliding window through the integer path
-// at the engine's current policy. x is the full current window (Frames ×
-// Coeffs); nNew is how many trailing frame rows are new since the previous
-// call — the caller guarantees x's leading Frames−nNew rows equal the
-// previous window's trailing rows. The scores slice is state-owned, valid
-// until the next hop on hs.
+// at the engine's current policy, bit-exact with a full-window Infer on the
+// same window at a fraction of the work. x is the full current window
+// (Frames × Coeffs); nNew is how many trailing frame rows are new since the
+// previous call — the caller guarantees x's leading Frames−nNew rows equal
+// the previous window's trailing rows. The scores slice is state-owned,
+// valid until the next hop on hs.
 func (e *Engine) InferHop(hs *HopState, x []float32, nNew int) (scores []int32, class int) {
-	return e.InferHopInt(hs, x, nNew)
-}
-
-// InferHopInt is InferHop's explicit integer entry point: bit-exact with a
-// full-window InferInt on the same window, at a fraction of the work.
-func (e *Engine) InferHopInt(hs *HopState, x []float32, nNew int) ([]int32, int) {
-	hs.check(e, x)
-	return hs.inferInt(x, nNew)
-}
-
-// InferHopFloat is the incremental form of the float32 reference
-// simulation, bit-exact with a full-window InferFloat on the same window.
-func (e *Engine) InferHopFloat(hs *HopState, x []float32, nNew int) ([]int32, int) {
-	hs.check(e, x)
-	return hs.inferFloat(x, nNew)
-}
-
-func (hs *HopState) check(e *Engine, x []float32) {
 	if hs.e != e {
 		panic("deploy: HopState used with a different engine")
 	}
 	if len(x) != int(e.Frames*e.Coeffs) {
 		panic(fmt.Sprintf("deploy: input length %d, want %d", len(x), e.Frames*e.Coeffs))
 	}
+	return hs.infer(x, nNew)
 }
 
-// syncPolicy rebuilds the arena and poisons both caches when the engine's
+// syncPolicy rebuilds the arena and poisons the cache when the engine's
 // policy changed since the last hop (cached activations are policy-specific).
 func (hs *HopState) syncPolicy() {
 	if pol := hs.e.Policy; pol != hs.pol {
 		hs.a = newArena(hs.e, false)
 		hs.pol = pol
-		hs.intValid = false
-		hs.floatValid = false
+		hs.valid = false
 	}
 }
 
@@ -294,14 +228,14 @@ func cleanOut(q *QConv, g hopGeom, aIn, bIn, shift int) (aOut, bOut, sOut int, o
 	return aOut, bOut, sOut, true
 }
 
-// inferInt runs one integer hop. See the package comment for the algorithm.
-func (hs *HopState) inferInt(x []float32, nNew int) ([]int32, int) {
+// infer runs one hop. See the file comment for the algorithm.
+func (hs *HopState) infer(x []float32, nNew int) ([]int32, int) {
 	e := hs.e
 	hs.syncPolicy()
 	h0, w0 := int(e.Frames), int(e.Coeffs)
-	full := !hs.intValid || nNew < 0 || nNew >= h0
-	warm := hs.intValid
-	hs.intValid = false // poisoned until the hop completes
+	full := !hs.valid || nNew < 0 || nNew >= h0
+	warm := hs.valid
+	hs.valid = false // poisoned until the hop completes
 	pol := hs.pol
 
 	var colsComputed int64
@@ -312,7 +246,7 @@ func (hs *HopState) inferInt(x []float32, nNew int) ([]int32, int) {
 		img := hs.in
 		for i, conv := range e.Convs {
 			g := hs.geom[i]
-			colsComputed += int64(hs.runBandInt(conv, g, img, hs.imgs[i], hs.bandSegs(g.oh, g.oh, g.oh), pol))
+			colsComputed += int64(hs.runBand(conv, g, img, hs.imgs[i], hs.bandSegs(g.oh, g.oh, g.oh), pol))
 			img = hs.imgs[i]
 		}
 	} else {
@@ -330,7 +264,7 @@ func (hs *HopState) inferInt(x []float32, nNew int) ([]int32, int) {
 			out := hs.imgs[i]
 			aOut, bOut, sOut, ok := cleanOut(conv, g, aIn, bIn, shift)
 			if !ok {
-				colsComputed += int64(hs.runBandInt(conv, g, img, out, hs.bandSegs(g.oh, g.oh, g.oh), pol))
+				colsComputed += int64(hs.runBand(conv, g, img, out, hs.bandSegs(g.oh, g.oh, g.oh), pol))
 				aIn, bIn, shift = 0, 0, 0
 				img = out
 				continue
@@ -344,7 +278,7 @@ func (hs *HopState) inferInt(x []float32, nNew int) ([]int32, int) {
 				}
 			}
 			if segs := hs.bandSegs(aOut, bOut, g.oh); len(segs) > 0 {
-				colsComputed += int64(hs.runBandInt(conv, g, img, out, segs, pol))
+				colsComputed += int64(hs.runBand(conv, g, img, out, segs, pol))
 			}
 			aIn, bIn, shift = aOut, bOut, sOut
 			img = out
@@ -357,80 +291,7 @@ func (hs *HopState) inferInt(x []float32, nNew int) ([]int32, int) {
 	a := hs.a
 	ph, pw := poolInto(a.pooled, hs.imgs[last], c, g.oh, g.ow, int(e.PoolK), int(e.PoolS), g.outStride)
 	sc := e.Tree.forwardInto(a, a.pooled[:c*ph*pw])
-	hs.intValid = true
-	hs.noteHop(full, colsComputed)
-	return sc, argmax(sc)
-}
-
-// inferFloat is inferInt through the float32 reference simulation, caching
-// dense float images.
-func (hs *HopState) inferFloat(x []float32, nNew int) ([]int32, int) {
-	e := hs.e
-	hs.syncPolicy()
-	hs.ensureFloat()
-	h0, w0 := int(e.Frames), int(e.Coeffs)
-	full := !hs.floatValid || nNew < 0 || nNew >= h0
-	warm := hs.floatValid
-	hs.floatValid = false
-	pol := hs.pol
-	fa := hs.fa
-
-	snap := func(dst []float32, src []float32) {
-		inv := 1 / e.InScale
-		for i, v := range src {
-			dst[i] = float32(clampI8(int32(math.Round(float64(v * inv)))))
-		}
-	}
-	var colsComputed int64
-	if warm && !full && nNew == 0 {
-		// Identical window: caches already current.
-	} else if full {
-		snap(hs.fin, x)
-		img := hs.fin
-		for i, conv := range e.Convs {
-			g := hs.geom[i]
-			hs.runBandFloat(conv, g, img, hs.fimgs[i], hs.bandSegs(g.oh, g.oh, g.oh), pol)
-			colsComputed += int64(g.oh * g.ow)
-			img = hs.fimgs[i]
-		}
-	} else {
-		n := h0 * w0
-		copy(hs.fin[:n-nNew*w0], hs.fin[nNew*w0:])
-		snap(hs.fin[(h0-nNew)*w0:], x[(h0-nNew)*w0:])
-		aIn, bIn, shift := 0, h0-nNew, nNew
-		img := hs.fin
-		for i, conv := range e.Convs {
-			g := hs.geom[i]
-			out := hs.fimgs[i]
-			aOut, bOut, sOut, ok := cleanOut(conv, g, aIn, bIn, shift)
-			if !ok {
-				hs.runBandFloat(conv, g, img, out, hs.bandSegs(g.oh, g.oh, g.oh), pol)
-				colsComputed += int64(g.oh * g.ow)
-				aIn, bIn, shift = 0, 0, 0
-				img = out
-				continue
-			}
-			if sOut > 0 {
-				for c := 0; c < int(conv.Cout); c++ {
-					p := out[c*g.fOutStride:]
-					copy(p[:(g.oh-sOut)*g.ow], p[sOut*g.ow:g.oh*g.ow])
-				}
-			}
-			if segs := hs.bandSegs(aOut, bOut, g.oh); len(segs) > 0 {
-				hs.runBandFloat(conv, g, img, out, segs, pol)
-				colsComputed += int64((aOut + g.oh - bOut) * g.ow)
-			}
-			aIn, bIn, shift = aOut, bOut, sOut
-			img = out
-		}
-	}
-
-	last := len(e.Convs) - 1
-	g := hs.geom[last]
-	c := int(e.Convs[last].Cout)
-	ph, pw := poolIntoF(fa.pooled, hs.fimgs[last], c, g.oh, g.ow, int(e.PoolK), int(e.PoolS))
-	sc := e.Tree.forwardFloat(fa, fa.pooled[:c*ph*pw])
-	hs.floatValid = true
+	hs.valid = true
 	hs.noteHop(full, colsComputed)
 	return sc, argmax(sc)
 }
@@ -464,14 +325,14 @@ func segN(segs [][2]int, ow int) int {
 	return n
 }
 
-// runBandInt recomputes the listed output-row segments of one conv from the
+// runBand recomputes the listed output-row segments of one conv from the
 // current input image, writing them into the cached output image, and
 // returns the number of output positions it computed. All segments share
 // one kernel dispatch: the band im2col concatenates their rows into a
 // band-local plane at stride pad8(nBand), the compiled row kernels run once
 // over the nBand positions, and the requantised rows are scattered back
 // segment by segment (written in place when there is only one segment).
-func (hs *HopState) runBandInt(q *QConv, g hopGeom, x, out []int8, segs [][2]int, pol Policy) int {
+func (hs *HopState) runBand(q *QConv, g hopGeom, x, out []int8, segs [][2]int, pol Policy) int {
 	nBand := segN(segs, g.ow)
 	if nBand == 0 {
 		return 0
@@ -486,7 +347,7 @@ func (hs *HopState) runBandInt(q *QConv, g hopGeom, x, out []int8, segs [][2]int
 			q.dwSparse(hs.a, x[:int(q.Cin)*g.inStride], out, g.h, g.w, g.oh, g.ow, pol, g.inStride, g.outStride)
 			return g.oh * g.ow
 		}
-		hs.dwBandInt(q, g, x, out, segs, nBand, pol)
+		hs.dwBand(q, g, x, out, segs, nBand, pol)
 		return nBand
 	}
 	kh, kw := int(q.KH), int(q.KW)
@@ -529,7 +390,7 @@ func (hs *HopState) runBandInt(q *QConv, g hopGeom, x, out []int8, segs [][2]int
 		for c := 0; c < cout; c++ {
 			acc := a.acc[:pb]
 			q.outRowQ8(c, hs.row[:nBand], acc, hidB, pb)
-			hs.scatterInt(out[c*g.outStride:], segs, g.ow)
+			hs.scatter(out[c*g.outStride:], segs, g.ow)
 		}
 		return nBand
 	}
@@ -544,14 +405,14 @@ func (hs *HopState) runBandInt(q *QConv, g hopGeom, x, out []int8, segs [][2]int
 		plus, minus := q.wcSp.row(c)
 		gatherI16(acc, hidden, plus, minus, pb)
 		q.requantChannel(hs.row[:nBand], acc, c)
-		hs.scatterInt(out[c*g.outStride:], segs, g.ow)
+		hs.scatter(out[c*g.outStride:], segs, g.ow)
 	}
 	return nBand
 }
 
-// scatterInt copies hs.row's band rows back into one channel plane's
+// scatter copies hs.row's band rows back into one channel plane's
 // segments.
-func (hs *HopState) scatterInt(plane []int8, segs [][2]int, ow int) {
+func (hs *HopState) scatter(plane []int8, segs [][2]int, ow int) {
 	base := 0
 	for _, s := range segs {
 		n := (s[1] - s[0]) * ow
@@ -560,11 +421,11 @@ func (hs *HopState) scatterInt(plane []int8, segs [][2]int, ow int) {
 	}
 }
 
-// dwBandInt is the depthwise band kernel: the scalar tap gather of dwSparse
+// dwBand is the depthwise band kernel: the scalar tap gather of dwSparse
 // restricted to the band rows. The fused column-lane depthwise path is not
 // worth a band variant — depthwise is a few percent of the stack — and the
 // scalar taps are its bit-exact oracle.
-func (hs *HopState) dwBandInt(q *QConv, g hopGeom, x, out []int8, segs [][2]int, nBand int, pol Policy) {
+func (hs *HopState) dwBand(q *QConv, g hopGeom, x, out []int8, segs [][2]int, nBand int, pol Policy) {
 	a := hs.a
 	kw := int(q.KW)
 	stride, padH, padW := int(q.Stride), int(q.PadH), int(q.PadW)
@@ -614,7 +475,7 @@ func (hs *HopState) dwBandInt(q *QConv, g hopGeom, x, out []int8, segs [][2]int,
 			q.requantChannel(dst, acc, ch)
 		}
 		if !direct {
-			hs.scatterInt(out[ch*g.outStride:], segs, g.ow)
+			hs.scatter(out[ch*g.outStride:], segs, g.ow)
 		}
 	}
 }
@@ -718,213 +579,5 @@ func im2colBandI8(dst []int8, x []int8, c, h, w, kh, kw, stride, padH, padW, src
 				}
 			}
 		}
-	}
-}
-
-// im2colBandF32 is im2colBandI8 over float32 planes at the dense band
-// stride.
-func im2colBandF32(dst []float32, x []float32, c, h, w, kh, kw, stride, padH, padW, srcCh, dstP, outW int, segs [][2]int) {
-	outH := (h+2*padH-kh)/stride + 1
-	for i := range dst {
-		dst[i] = 0
-	}
-	for ch := 0; ch < c; ch++ {
-		img := x[ch*srcCh:][:h*w]
-		for ki := 0; ki < kh; ki++ {
-			oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
-			for kj := 0; kj < kw; kj++ {
-				ojLo, ojHi := colRuns(w, kj, stride, padW, outW)
-				if ojHi <= ojLo {
-					continue
-				}
-				row := dst[((ch*kh+ki)*kw+kj)*dstP:]
-				base := 0
-				for _, seg := range segs {
-					lo, hi := seg[0], seg[1]
-					if lo < oiLo {
-						lo = oiLo
-					}
-					if hi > oiHi {
-						hi = oiHi
-					}
-					for oi := lo; oi < hi; oi++ {
-						si := oi*stride + ki - padH
-						sj := ojLo*stride + kj - padW
-						drow := row[base+(oi-seg[0])*outW+ojLo : base+(oi-seg[0])*outW+ojHi]
-						if stride == 1 {
-							copy(drow, img[si*w+sj:])
-						} else {
-							src := img[si*w:]
-							for j := range drow {
-								drow[j] = src[sj]
-								sj += stride
-							}
-						}
-					}
-					base += (seg[1] - seg[0]) * outW
-				}
-			}
-		}
-	}
-}
-
-// runBandFloat is runBandInt through the float32 simulation: the same
-// band-local lowering with forwardFloat's per-position float64 accumulation
-// and requantisation, so each band position is bit-identical to the same
-// position of a full InferFloat.
-func (hs *HopState) runBandFloat(q *QConv, g hopGeom, x, out []float32, segs [][2]int, pol Policy) {
-	nBand := segN(segs, g.ow)
-	if nBand == 0 {
-		return
-	}
-	if q.Kind == kindDepthwise {
-		hs.dwBandFloat(q, g, x, out, segs, nBand, pol)
-		return
-	}
-	kh, kw := int(q.KH), int(q.KW)
-	cols := hs.fcols[:int(q.Cin)*kh*kw*nBand]
-	if kh == 1 && kw == 1 && q.Stride == 1 && q.PadH == 0 && q.PadW == 0 {
-		for ch := 0; ch < int(q.Cin); ch++ {
-			dst := cols[ch*nBand:]
-			base := 0
-			for _, s := range segs {
-				n := (s[1] - s[0]) * g.ow
-				copy(dst[base:base+n], x[ch*g.fInStride+s[0]*g.ow:][:n])
-				base += n
-			}
-		}
-	} else {
-		im2colBandF32(cols, x, int(q.Cin), g.h, g.w, kh, kw, int(q.Stride),
-			int(q.PadH), int(q.PadW), g.fInStride, nBand, g.ow, segs)
-	}
-
-	fa := hs.fa
-	r, cout := int(q.R), int(q.Cout)
-	hidden := fa.hidden[:r*nBand]
-	acc := fa.acc[:nBand]
-	for i := 0; i < r; i++ {
-		plus, minus := q.wbSp.row(i)
-		gatherF32(acc, cols, plus, minus, nBand)
-		dst := hidden[i*nBand:][:nBand]
-		if pol == PolicyInt8 {
-			mf := q.hidMul8[i].Float()
-			for j, v := range acc {
-				dst[j] = float32(clampF(math.Round(v*mf), -128, 127))
-			}
-		} else {
-			mf := q.HidMul[i].Float()
-			for j, v := range acc {
-				dst[j] = float32(clampF(math.Round(v*mf), -32768, 32767))
-			}
-		}
-	}
-	direct := len(segs) == 1
-	for c := 0; c < cout; c++ {
-		plus, minus := q.wcSp.row(c)
-		gatherF32(acc, hidden, plus, minus, nBand)
-		if direct {
-			q.requantFloat(out[c*g.fOutStride+segs[0][0]*g.ow:][:nBand], acc, c, pol)
-			continue
-		}
-		q.requantFloat(hs.frow[:nBand], acc, c, pol)
-		hs.scatterFloat(out[c*g.fOutStride:], segs, g.ow)
-	}
-}
-
-// scatterFloat copies hs.frow's band rows back into one channel plane's
-// segments.
-func (hs *HopState) scatterFloat(plane []float32, segs [][2]int, ow int) {
-	base := 0
-	for _, s := range segs {
-		n := (s[1] - s[0]) * ow
-		copy(plane[s[0]*ow:][:n], hs.frow[base:base+n])
-		base += n
-	}
-}
-
-// dwBandFloat is dwFloat restricted to the band rows.
-func (hs *HopState) dwBandFloat(q *QConv, g hopGeom, x, out []float32, segs [][2]int, nBand int, pol Policy) {
-	fa := hs.fa
-	kw := int(q.KW)
-	stride, padH, padW := int(q.Stride), int(q.PadH), int(q.PadW)
-	r := int(q.R)
-	acc := fa.acc[:nBand]
-	hacc := fa.acc[nBand:][:nBand]
-	act8 := pol == PolicyInt8
-	direct := len(segs) == 1
-	for ch := 0; ch < int(q.Cin); ch++ {
-		img := x[ch*g.fInStride:][:g.h*g.w]
-		for j := range acc {
-			acc[j] = 0
-		}
-		for u := 0; u < r; u++ {
-			hu := ch*r + u
-			wcv := q.wc[hu]
-			if wcv == 0 {
-				continue
-			}
-			for j := range hacc {
-				hacc[j] = 0
-			}
-			plus, minus := q.wbSp.row(hu)
-			for _, p := range plus {
-				dwGatherTapBandF(hacc, img, int(p)/kw, int(p)%kw, g.h, g.w, g.oh, g.ow, stride, padH, padW, 1, segs)
-			}
-			for _, p := range minus {
-				dwGatherTapBandF(hacc, img, int(p)/kw, int(p)%kw, g.h, g.w, g.oh, g.ow, stride, padH, padW, -1, segs)
-			}
-			var mf, lim float64
-			if act8 {
-				mf, lim = q.hidMul8[hu].Float(), 127
-			} else {
-				mf, lim = q.HidMul[hu].Float(), 32767
-			}
-			if q.wc[hu] > 0 {
-				for j, v := range hacc {
-					acc[j] += clampF(math.Round(v*mf), -lim-1, lim)
-				}
-			} else {
-				for j, v := range hacc {
-					acc[j] -= clampF(math.Round(v*mf), -lim-1, lim)
-				}
-			}
-		}
-		if direct {
-			q.requantFloat(out[ch*g.fOutStride+segs[0][0]*g.ow:][:nBand], acc, ch, pol)
-			continue
-		}
-		q.requantFloat(hs.frow[:nBand], acc, ch, pol)
-		hs.scatterFloat(out[ch*g.fOutStride:], segs, g.ow)
-	}
-}
-
-// dwGatherTapBandF is dwGatherTapBand over float32 planes with a float64
-// accumulator.
-func dwGatherTapBandF(hacc []float64, img []float32, ki, kj, h, w, outH, outW, stride, padH, padW int, sign float64, segs [][2]int) {
-	oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
-	ojLo, ojHi := colRuns(w, kj, stride, padW, outW)
-	if ojHi <= ojLo {
-		return
-	}
-	base := 0
-	for _, seg := range segs {
-		lo, hi := seg[0], seg[1]
-		if lo < oiLo {
-			lo = oiLo
-		}
-		if hi > oiHi {
-			hi = oiHi
-		}
-		for oi := lo; oi < hi; oi++ {
-			si := oi*stride + ki - padH
-			sj := ojLo*stride + kj - padW
-			dst := hacc[base+(oi-seg[0])*outW+ojLo : base+(oi-seg[0])*outW+ojHi]
-			src := img[si*w:]
-			for j := range dst {
-				dst[j] += sign * float64(src[sj])
-				sj += stride
-			}
-		}
-		base += (seg[1] - seg[0]) * outW
 	}
 }

@@ -36,9 +36,9 @@ func (s *hopStream) hops() int {
 
 // TestInferHopMatchesFullStream is the acceptance property: over 1000+
 // consecutive hops of a paper-shape stream at the default 250 ms hop
-// (12 stride-aligned frames), InferHopInt must be bit-exact with a
-// full-window InferInt on every window, under both policies, with and
-// without a telemetry observer attached.
+// (12 stride-aligned frames), InferHop must be bit-exact with a
+// full-window Infer on every window, under both policies, with and without
+// a telemetry observer attached.
 func TestInferHopMatchesFullStream(t *testing.T) {
 	const hop = 12
 	hops := 1000
@@ -61,8 +61,8 @@ func TestInferHopMatchesFullStream(t *testing.T) {
 				if i == 0 {
 					nNew = int(e.Frames) // cold start
 				}
-				gotSc, gotCls := e.InferHopInt(hs, x, nNew)
-				wantSc, wantCls := e.InferInt(x)
+				gotSc, gotCls := e.InferHop(hs, x, nNew)
+				wantSc, wantCls := e.Infer(x)
 				if gotCls != wantCls {
 					t.Fatalf("pol %v obs %v hop %d: class %d vs full %d", pol, withObs, i, gotCls, wantCls)
 				}
@@ -89,41 +89,6 @@ func TestInferHopMatchesFullStream(t *testing.T) {
 	}
 }
 
-// TestInferHopFloatMatchesFullStream pins the float hop path against
-// full-window InferFloat the same way.
-func TestInferHopFloatMatchesFullStream(t *testing.T) {
-	const hop = 12
-	hops := 300
-	if testing.Short() {
-		hops = 60
-	}
-	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
-		e := SyntheticEngine(21, 0.35)
-		e.Policy = pol
-		rng := rand.New(rand.NewSource(78))
-		s := newHopStream(rng, int(e.Frames), int(e.Coeffs), hop, hops)
-		hs := e.NewHopState()
-		for i := 0; i < hops; i++ {
-			x := s.window(i)
-			nNew := hop
-			if i == 0 {
-				nNew = int(e.Frames)
-			}
-			gotSc, gotCls := e.InferHopFloat(hs, x, nNew)
-			wantSc, wantCls := e.InferFloat(x)
-			if gotCls != wantCls {
-				t.Fatalf("pol %v hop %d: class %d vs full %d", pol, i, gotCls, wantCls)
-			}
-			for j := range wantSc {
-				if gotSc[j] != wantSc[j] {
-					t.Fatalf("pol %v hop %d: score[%d]=%d vs full %d", pol, i, j, gotSc[j], wantSc[j])
-				}
-			}
-		}
-		hs.Release()
-	}
-}
-
 // TestInferHopProperty sweeps random engine shapes, random (including
 // ragged and oversized) hop sizes, cold restarts, invalidations and policy
 // flips: every hop must stay bit-exact with the full-window path at the
@@ -142,7 +107,6 @@ func TestInferHopProperty(t *testing.T) {
 		for i := range win {
 			win[i] = float32(rng.NormFloat64())
 		}
-		useFloat := seed%3 == 2
 		for hop := 0; hop < 60; hop++ {
 			switch rng.Intn(10) {
 			case 0:
@@ -166,23 +130,16 @@ func TestInferHopProperty(t *testing.T) {
 			for i := range tail {
 				tail[i] = float32(rng.NormFloat64())
 			}
-			var gotSc, wantSc []int32
-			var gotCls, wantCls int
-			if useFloat {
-				gotSc, gotCls = e.InferHopFloat(hs, win, nNew)
-				wantSc, wantCls = e.InferFloat(win)
-			} else {
-				gotSc, gotCls = e.InferHopInt(hs, win, nNew)
-				wantSc, wantCls = e.InferInt(win)
-			}
+			gotSc, gotCls := e.InferHop(hs, win, nNew)
+			wantSc, wantCls := e.Infer(win)
 			if gotCls != wantCls {
-				t.Fatalf("seed %d hop %d (nNew=%d pol=%v float=%v): class %d vs full %d",
-					seed, hop, nNew, e.Policy, useFloat, gotCls, wantCls)
+				t.Fatalf("seed %d hop %d (nNew=%d pol=%v): class %d vs full %d",
+					seed, hop, nNew, e.Policy, gotCls, wantCls)
 			}
 			for j := range wantSc {
 				if gotSc[j] != wantSc[j] {
-					t.Fatalf("seed %d hop %d (nNew=%d pol=%v float=%v): score[%d]=%d vs full %d",
-						seed, hop, nNew, e.Policy, useFloat, j, gotSc[j], wantSc[j])
+					t.Fatalf("seed %d hop %d (nNew=%d pol=%v): score[%d]=%d vs full %d",
+						seed, hop, nNew, e.Policy, j, gotSc[j], wantSc[j])
 				}
 			}
 		}
@@ -191,39 +148,27 @@ func TestInferHopProperty(t *testing.T) {
 }
 
 // TestInferHopZeroAllocs pins the steady-state hop path at zero allocations
-// for both integer policies and the float simulation.
+// under both policies.
 func TestInferHopZeroAllocs(t *testing.T) {
 	const hop = 12
-	for _, tc := range []struct {
-		name  string
-		pol   Policy
-		float bool
-	}{
-		{"mixed", PolicyMixed, false},
-		{"int8", PolicyInt8, false},
-		{"float", PolicyMixed, true},
-	} {
+	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 		e := SyntheticEngine(9, 0.35)
-		e.Policy = tc.pol
+		e.Policy = pol
 		rng := rand.New(rand.NewSource(5))
 		s := newHopStream(rng, int(e.Frames), int(e.Coeffs), hop, 64)
 		hs := e.NewHopState()
-		infer := e.InferHopInt
-		if tc.float {
-			infer = e.InferHopFloat
-		}
-		infer(hs, s.window(0), int(e.Frames)) // warm up: cold full recompute
+		e.InferHop(hs, s.window(0), int(e.Frames)) // warm up: cold full recompute
 		i := 1
 		allocs := testing.AllocsPerRun(40, func() {
 			if i >= s.hops() {
 				i = 1 // restart mid-strip; window 1 vs window N is a plain miss
-				infer(hs, s.window(0), int(e.Frames))
+				e.InferHop(hs, s.window(0), int(e.Frames))
 			}
-			infer(hs, s.window(i), hop)
+			e.InferHop(hs, s.window(i), hop)
 			i++
 		})
 		if allocs != 0 {
-			t.Fatalf("%s: steady-state hop allocates %.1f/op, want 0", tc.name, allocs)
+			t.Fatalf("pol %v: steady-state hop allocates %.1f/op, want 0", pol, allocs)
 		}
 		hs.Release()
 	}
@@ -237,16 +182,16 @@ func TestInferHopStateReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	s := newHopStream(rng, int(e.Frames), int(e.Coeffs), 12, 8)
 	hs := e.NewHopState()
-	e.InferHopInt(hs, s.window(0), int(e.Frames))
+	e.InferHop(hs, s.window(0), int(e.Frames))
 	hs.Release()
 
 	e.Policy = PolicyInt8
 	hs2 := e.NewHopState()
-	if hs2.intValid {
+	if hs2.valid {
 		t.Fatal("pooled hop state came back with a valid cache")
 	}
-	got, _ := e.InferHopInt(hs2, s.window(1), 12)
-	want, _ := e.InferInt(s.window(1))
+	got, _ := e.InferHop(hs2, s.window(1), 12)
+	want, _ := e.Infer(s.window(1))
 	for j := range want {
 		if got[j] != want[j] {
 			t.Fatalf("pooled state after policy flip: score[%d]=%d want %d", j, got[j], want[j])
@@ -281,8 +226,8 @@ func TestInferHopConcurrent(t *testing.T) {
 				if i == 0 {
 					nNew = int(e.Frames)
 				}
-				got, _ := e.InferHopInt(hs, str.window(i), nNew)
-				want, _ := e.InferHopInt(ref, str.window(i), int(e.Frames))
+				got, _ := e.InferHop(hs, str.window(i), nNew)
+				want, _ := e.InferHop(ref, str.window(i), int(e.Frames))
 				for j := range want {
 					if got[j] != want[j] {
 						errs <- "hop/full divergence under concurrency"

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // TestGatherWordPackedMatchesScalar pins the SWAR plane gather against its
@@ -95,7 +97,7 @@ func TestInferIntMatchesNaiveRandomized(t *testing.T) {
 					x[i] = float32(rng.NormFloat64())
 				}
 				wantSc, wantCls := e.NaiveInt(x)
-				gotSc, gotCls := e.InferInt(x)
+				gotSc, gotCls := e.Infer(x)
 				if gotCls != wantCls {
 					t.Fatalf("seed %d pol %v trial %d: class %d vs oracle %d", seed, pol, trial, gotCls, wantCls)
 				}
@@ -129,7 +131,7 @@ func TestInferIntMatchesFloatSimulation(t *testing.T) {
 				x[i] = float32(rng.NormFloat64())
 			}
 			wantSc, wantCls := e.InferFloat(x)
-			gotSc, gotCls := e.InferInt(x)
+			gotSc, gotCls := e.Infer(x)
 			if gotCls != wantCls {
 				t.Fatalf("pol %v frame %d: class %d vs float sim %d", pol, trial, gotCls, wantCls)
 			}
@@ -161,7 +163,7 @@ func TestFloatSimulationRandomized(t *testing.T) {
 					x[i] = float32(rng.NormFloat64())
 				}
 				wantSc, _ := e.InferFloat(x)
-				gotSc, _ := e.InferInt(x)
+				gotSc, _ := e.Infer(x)
 				for j := range wantSc {
 					if gotSc[j] != wantSc[j] {
 						t.Fatalf("seed %d pol %v trial %d: score[%d]=%d vs float sim %d",
@@ -174,7 +176,7 @@ func TestFloatSimulationRandomized(t *testing.T) {
 }
 
 // TestInferIntZeroAllocs gates the headline perf property under both
-// policies: steady-state InferInt and InferIntSafe allocate nothing.
+// policies: steady-state Infer and InferSafe allocate nothing.
 func TestInferIntZeroAllocs(t *testing.T) {
 	e := SyntheticEngine(23, 0.35)
 	x := make([]float32, e.Frames*e.Coeffs)
@@ -184,25 +186,27 @@ func TestInferIntZeroAllocs(t *testing.T) {
 	}
 	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 		e.Policy = pol
-		e.InferInt(x) // warm up: kernel compile + arena rebuild for the policy
-		if allocs := testing.AllocsPerRun(50, func() { e.InferInt(x) }); allocs != 0 {
-			t.Fatalf("pol %v: InferInt allocates %.1f objects/op in steady state, want 0", pol, allocs)
+		e.Infer(x) // warm up: kernel compile + arena rebuild for the policy
+		if allocs := testing.AllocsPerRun(50, func() { e.Infer(x) }); allocs != 0 {
+			t.Fatalf("pol %v: Infer allocates %.1f objects/op in steady state, want 0", pol, allocs)
 		}
-		if allocs := testing.AllocsPerRun(50, func() { e.InferIntSafe(x) }); allocs != 0 {
-			t.Fatalf("pol %v: InferIntSafe allocates %.1f objects/op in steady state, want 0", pol, allocs)
+		if allocs := testing.AllocsPerRun(50, func() { e.InferSafe(x) }); allocs != 0 {
+			t.Fatalf("pol %v: InferSafe allocates %.1f objects/op in steady state, want 0", pol, allocs)
 		}
 	}
 }
 
 // TestConcurrentBatchAcrossPolicies runs InferBatch concurrently on three
-// engines — mixed-policy, fully-8-bit, and the naive oracle — in one
-// process (the ci.sh -race pass covers this), checking every frame against
-// the per-engine serial result.
+// engines — mixed-policy, fully-8-bit, and a telemetry-attached mixed
+// engine — in one process (the ci.sh -race pass covers this), checking every
+// frame against the per-engine NaiveInt oracle.
 func TestConcurrentBatchAcrossPolicies(t *testing.T) {
-	mk := func(pol Policy, naive bool) *Engine {
+	mk := func(pol Policy, observed bool) *Engine {
 		e := SyntheticEngine(31, 0.3)
 		e.Policy = pol
-		e.Naive = naive
+		if observed {
+			e.EnableTelemetry(telemetry.NewRegistry(), nil)
+		}
 		return e
 	}
 	engines := []*Engine{mk(PolicyMixed, false), mk(PolicyInt8, false), mk(PolicyMixed, true)}
@@ -268,7 +272,7 @@ func TestWriteToVersionMatrix(t *testing.T) {
 	for i := range x {
 		x[i] = float32(rng.NormFloat64())
 	}
-	wantSc, wantCls := e.InferInt(x)
+	wantSc, wantCls := e.Infer(x)
 	for v := int32(1); v <= 3; v++ {
 		var buf bytes.Buffer
 		if _, err := e.WriteToVersion(&buf, v); err != nil {
@@ -298,7 +302,7 @@ func TestWriteToVersionMatrix(t *testing.T) {
 			}
 			got.Policy = PolicyInt8 // run the comparison at the original policy
 		}
-		sc, cls := got.InferInt(x)
+		sc, cls := got.Infer(x)
 		if cls != wantCls {
 			t.Fatalf("v%d: class %d, want %d", v, cls, wantCls)
 		}
@@ -362,7 +366,7 @@ func TestPolicyFlipRebuildsArena(t *testing.T) {
 		pol := Policy(round % 2)
 		e.Policy = pol
 		wantSc, wantCls := e.NaiveInt(x)
-		gotSc, gotCls := e.InferInt(x)
+		gotSc, gotCls := e.Infer(x)
 		if e.arena.pol != pol {
 			t.Fatalf("round %d: arena built for %v, engine at %v", round, e.arena.pol, pol)
 		}

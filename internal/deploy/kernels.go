@@ -7,9 +7,13 @@ package deploy
 // kernel-compilation time (ReadEngine / Compile / first Infer) every ternary
 // matrix row is converted into two index lists — the columns of its +1
 // entries and the columns of its −1 entries — so the inner loops become
-// gather-add / gather-sub over only the nonzeros. Integer addition is exact
-// and commutative, so the sparse kernels are bit-identical to the naive
-// dense reference retained in engine.go (Engine.Naive).
+// gather-add / gather-sub over only the nonzeros: one add per nonzero
+// ternary entry per output position, the paper's cost model for a
+// strassenified matmul. Those index runs are the only row form the conv
+// stages execute — single-frame, batch lanes and hop bands all walk them
+// through the SWAR kernels in bitplane.go and collane.go. Integer addition
+// is exact and commutative, so the sparse kernels are bit-identical to the
+// naive dense reference retained in engine.go (NaiveInt).
 
 // sparseRows is a compiled ternary matrix: one flat index array holding, per
 // row, the run of +1 column indices followed by the run of −1 column
@@ -68,18 +72,6 @@ func (q *QConv) compileKernels() {
 	}
 	q.wbSp = compileRows(q.wb, int(q.R), int(q.Cin*q.KH*q.KW))
 	q.wcSp = compileRows(q.wc, int(q.Cout), int(q.R))
-	// Span-coalesced forms for the SWAR lane kernels (span.go, lane.go):
-	// adjacent ±1 runs become single strided sweeps.
-	q.wbSpan = compileSpanRows(q.wbSp, int(q.R))
-	q.wcSpan = compileSpanRows(q.wcSp, int(q.Cout))
-	// Two-bit-packed forms (wpack.go) for rows whose nonzeros are too
-	// fragmented for spans to pay; the cost model assigns each row its
-	// cheapest layout.
-	q.wbPack2 = compilePackedRows(q.wb, int(q.R), int(q.Cin*q.KH*q.KW))
-	q.wcPack2 = compilePackedRows(q.wc, int(q.Cout), int(q.R))
-	q.wbLay = make([]LayoutKind, int(q.R))
-	q.wcLay = make([]LayoutKind, int(q.Cout))
-	q.setLayout(LayoutAuto)
 }
 
 func (q *QDense) compileKernels() {
@@ -87,11 +79,10 @@ func (q *QDense) compileKernels() {
 	q.wbSp = compileRows(q.wb, int(q.R), int(q.In))
 	q.wcSp = compileRows(q.wc, int(q.Out), int(q.R))
 	// Wb reads int8 activations, so it also compiles to bitplane words for
-	// the word-packed matvec (bitplane.go) and to span form for the lane
-	// projection (lane.go). Wc reads the int16 hidden vector and keeps the
-	// index-gather form.
+	// the word-packed single-frame matvec (bitplane.go); the lane projection
+	// (lane.go) walks its index runs. Wc reads the int16 hidden vector and
+	// keeps the index-gather form.
 	q.wbBits = compileBitRows(q.wb, int(q.R), int(q.In))
-	q.wbSpan = compileSpanRows(q.wbSp, int(q.R))
 }
 
 func (t *QTree) compileKernels() {
@@ -417,11 +408,11 @@ func addPlanesI16(acc []int32, planes []int16, idx []int32, nOut int, sign int32
 }
 
 // stdHiddenRows computes hidden rows [lo,hi): each row gathers its +/−
-// im2col planes (at plane stride ps, through the row's chosen layout) into a
-// private int32 accumulator slot, then rescales to int16 through the
-// per-hidden-unit fixed-point multiplier. Accumulator slots and hidden
-// planes are indexed by row at the padded stride, so sharded workers never
-// touch the same slots.
+// im2col planes (at plane stride ps) and rescales them to int16 through the
+// per-hidden-unit fixed-point multiplier (hidRowQ16), with a private int32
+// accumulator slot as scratch. Accumulator slots and hidden planes are
+// indexed by row at the padded stride, so sharded workers never touch the
+// same slots.
 func (q *QConv) stdHiddenRows(cols []int8, hidden []int16, accBuf []int32, nOut, ps, lo, hi int) {
 	colsB := i8Bytes(cols)
 	pa := pad8(nOut)
@@ -457,8 +448,8 @@ func (q *QConv) stdOutRows(hidden []int16, accBuf []int32, out []int8, nOut, os,
 }
 
 // stdOutRows8 computes output channels [lo,hi) from int8 hidden planes
-// (PolicyInt8) through each row's chosen layout; only the real nOut columns
-// are written to out.
+// (PolicyInt8) through the fused index-run kernel; only the real nOut
+// columns are written to out.
 func (q *QConv) stdOutRows8(hidden8 []int8, accBuf []int32, out []int8, nOut, os, lo, hi int) {
 	hidB := i8Bytes(hidden8)
 	pa := pad8(nOut)

@@ -3,11 +3,12 @@ package deploy
 // Frame-major batch-lane kernels.
 //
 // The single-frame SWAR kernels (bitplane.go) pack 8 *activations* of one
-// frame per 64-bit word, so a batch re-decodes every ±1 run and re-loads
+// frame per 64-bit word, so a batch re-decodes every ±1 index and re-loads
 // every plane base once per frame. The lane kernels flip the layout: element
 // i of frame f lives at i·8+f, so one 64-bit word carries the *same*
-// activation index across 8 frames and each decoded run — and each strided
-// span sweep compiled by span.go — is amortised over the whole lane.
+// activation index across 8 frames and each decoded index is amortised over
+// the whole lane. The gathers are the single-frame index-run kernels
+// (gatherPlanesI8W) run at plane stride laneW.
 //
 // The lane pipeline is the single-frame pipeline with every spatial position
 // widened 8×: a conv stage over nOut positions becomes the same kernel over
@@ -25,11 +26,10 @@ package deploy
 // Exactness therefore reduces to the SWAR fold argument in bitplane.go
 // (≤ 256 planes of ≤ 255 per 16-bit lane between folds, int32 addition
 // commutes mod 2³²), which is why the lane path is bit-identical to
-// InferInt and to the int64 scalar oracle — pinned by the property tests in
+// Infer and to the int64 scalar oracle — pinned by the property tests in
 // lane_test.go.
 
 import (
-	"encoding/binary"
 	"math"
 	"time"
 
@@ -43,103 +43,6 @@ const laneFrames = 8
 // laneMinFrames is the smallest batch slice worth lane-packing; below it the
 // padded slots outnumber the real frames and the per-frame scalar path wins.
 const laneMinFrames = 5
-
-// gatherLaneI8 accumulates the ternary plane combination of frame-major lane
-// storage: acc[g·8+f] = Σ₊ cols[(p·laneW)+(g·8+f)] − Σ₋ …, for all positions
-// g and lane slots f. cols is the byte view of the int8 lane planes (plane
-// stride laneW = nOut·8). chunks is the row's span-coalesced form: per
-// chunk, contiguous plane spans are swept with one strided pointer walk
-// (off += laneW), the SWAR lanes fold once, and the precomputed bias
-// correction is subtracted. laneW is a multiple of 8 by construction, so
-// unlike gatherPlanesI8W there is never a scalar tail.
-func gatherLaneI8(acc []int32, cols []byte, chunks []laneChunk, laneW int) {
-	nG := laneW >> 3
-	acc = acc[:laneW]
-	if len(chunks) == 0 {
-		for j := range acc {
-			acc[j] = 0
-		}
-		return
-	}
-	for ci := range chunks {
-		ch := &chunks[ci]
-		first := ci == 0
-		corr := ch.corr
-		g := 0
-		for ; g+3 < nG; g += 4 {
-			base := g << 3
-			var e0, o0, e1, o1, e2, o2, e3, o3 uint64
-			for _, sp := range ch.plus {
-				off := int(sp.start)*laneW + base
-				for k := int32(0); k < sp.n; k++ {
-					// One 32-byte subslice bounds the strip; the compiler
-					// proves the constant-offset loads and drops their
-					// checks.
-					src := cols[off : off+32]
-					w0 := binary.LittleEndian.Uint64(src) ^ biasI8
-					w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8
-					w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8
-					w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8
-					e0 += w0 & laneMaskE8
-					o0 += (w0 >> 8) & laneMaskE8
-					e1 += w1 & laneMaskE8
-					o1 += (w1 >> 8) & laneMaskE8
-					e2 += w2 & laneMaskE8
-					o2 += (w2 >> 8) & laneMaskE8
-					e3 += w3 & laneMaskE8
-					o3 += (w3 >> 8) & laneMaskE8
-					off += laneW
-				}
-			}
-			for _, sp := range ch.minus {
-				off := int(sp.start)*laneW + base
-				for k := int32(0); k < sp.n; k++ {
-					src := cols[off : off+32]
-					w0 := binary.LittleEndian.Uint64(src) ^ biasI8Neg
-					w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8Neg
-					w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8Neg
-					w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8Neg
-					e0 += w0 & laneMaskE8
-					o0 += (w0 >> 8) & laneMaskE8
-					e1 += w1 & laneMaskE8
-					o1 += (w1 >> 8) & laneMaskE8
-					e2 += w2 & laneMaskE8
-					o2 += (w2 >> 8) & laneMaskE8
-					e3 += w3 & laneMaskE8
-					o3 += (w3 >> 8) & laneMaskE8
-					off += laneW
-				}
-			}
-			spreadLanes(acc[base:], e0, o0, corr, first)
-			spreadLanes(acc[base+8:], e1, o1, corr, first)
-			spreadLanes(acc[base+16:], e2, o2, corr, first)
-			spreadLanes(acc[base+24:], e3, o3, corr, first)
-		}
-		for ; g < nG; g++ {
-			base := g << 3
-			var ev, od uint64
-			for _, sp := range ch.plus {
-				off := int(sp.start)*laneW + base
-				for k := int32(0); k < sp.n; k++ {
-					w := binary.LittleEndian.Uint64(cols[off:]) ^ biasI8
-					ev += w & laneMaskE8
-					od += (w >> 8) & laneMaskE8
-					off += laneW
-				}
-			}
-			for _, sp := range ch.minus {
-				off := int(sp.start)*laneW + base
-				for k := int32(0); k < sp.n; k++ {
-					w := binary.LittleEndian.Uint64(cols[off:]) ^ biasI8Neg
-					ev += w & laneMaskE8
-					od += (w >> 8) & laneMaskE8
-					off += laneW
-				}
-			}
-			spreadLanes(acc[base:], ev, od, corr, first)
-		}
-	}
-}
 
 // laneArena holds every buffer one lane (8 interleaved frames) needs, sized
 // once from the engine's compiled shapes like the single-frame arena so the
@@ -347,8 +250,8 @@ func (q *QConv) forwardLane(a *laneArena, x, out []int8, h, w int, pol Policy) (
 	return outH, outW
 }
 
-// stdLane is the standard-conv lane kernel: the span-coalesced SWAR gather
-// into the lane hidden planes, then the 1×1 combine with per-channel
+// stdLane is the standard-conv lane kernel: the index-run SWAR gather into
+// the lane hidden planes, then the 1×1 combine with per-channel
 // requantisation. Rows run serially — batch parallelism is across lanes, not
 // within a stage — and the row accumulator is reused, so the working set is
 // one laneW strip of int32 plus the lane planes.
@@ -360,19 +263,22 @@ func (q *QConv) stdLane(a *laneArena, cols, out []int8, nOut int, pol Policy) {
 	if pol == PolicyInt8 {
 		hidden8 := a.hidden8[:r*laneW]
 		for i := 0; i < r; i++ {
-			q.gatherWbRow(i, acc, colsB, laneW)
+			plus, minus := q.wbSp.row(i)
+			gatherPlanesI8W(acc, colsB, plus, minus, laneW)
 			requantRowHid8(hidden8[i*laneW:][:laneW], acc, q.hidMul8[i])
 		}
 		hidB := i8Bytes(hidden8)
 		for c := 0; c < cout; c++ {
-			q.gatherWcRow(c, acc, hidB, laneW)
+			plus, minus := q.wcSp.row(c)
+			gatherPlanesI8W(acc, hidB, plus, minus, laneW)
 			q.requantChannel8(out[c*laneW:][:laneW], acc, c)
 		}
 		return
 	}
 	hidden := a.hidden[:r*laneW]
 	for i := 0; i < r; i++ {
-		q.gatherWbRow(i, acc, colsB, laneW)
+		plus, minus := q.wbSp.row(i)
+		gatherPlanesI8W(acc, colsB, plus, minus, laneW)
 		requantRowHid16(hidden[i*laneW:][:laneW], acc, q.HidMul[i])
 	}
 	// The int16 hidden combine keeps the unrolled index gather (as the
@@ -535,9 +441,9 @@ func poolLaneInto(dst []int8, img []int8, c, h, w, k, s int) (int, int) {
 }
 
 // forwardLane classifies the n real frames of a lane: the projection runs
-// frame-major (the span gather and the int16 combine amortise over all 8
-// slots), then each frame's data-dependent node walk untransposes its ẑ and
-// runs on scalars, exactly as forwardInto does. Results land in dst,
+// frame-major (the index-run gather and the int16 combine amortise over all
+// 8 slots), then each frame's data-dependent node walk untransposes its ẑ
+// and runs on scalars, exactly as forwardInto does. Results land in dst,
 // reusing each slot's Scores storage.
 func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult) {
 	L := int(t.NumClasses)
@@ -548,7 +454,8 @@ func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult
 	accL := a.acc[:laneFrames]
 	hidL := a.hidL[:r*laneFrames]
 	for i := 0; i < r; i++ {
-		gatherLaneI8(accL, xB, t.Z.wbSpan.chunks[i], laneFrames)
+		plus, minus := t.Z.wbSp.row(i)
+		gatherPlanesI8W(accL, xB, plus, minus, laneFrames)
 		m := t.Z.HidMul[i]
 		dstH := hidL[i*laneFrames:][:laneFrames]
 		for f, v := range accL {
@@ -606,11 +513,11 @@ func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult
 // runLane classifies one lane's worth of frames (1–8) into dst. Full, valid
 // lanes take the frame-major fast path — observed through the instrumented
 // lane pipeline when telemetry is attached, no longer demoted to scalar;
-// short lanes, wrong-length frames and the naive oracle fall back to the
-// per-frame scalar kernels, and a panic escaping the lane path is retried
-// per frame so only the faulting frame reports an error.
+// short lanes and wrong-length frames fall back to the per-frame
+// single-frame kernels, and a panic escaping the lane path is retried per
+// frame so only the faulting frame reports an error.
 func (e *Engine) runLane(xs [][]float32, dst []BatchResult) {
-	if len(xs) >= laneMinFrames && !e.Naive {
+	if len(xs) >= laneMinFrames {
 		want := int(e.Frames) * int(e.Coeffs)
 		ok := true
 		for _, x := range xs {
@@ -664,7 +571,7 @@ func (e *Engine) laneInfer(xs [][]float32, dst []BatchResult) (ok bool) {
 // laneInferObserved is laneInfer's body with per-layer attribution, the lane
 // counterpart of inferArenaObserved: a span and a latency observation around
 // every stage (each covering all frames of the lane), the whole-lane latency
-// in InferNs, and the lane/frame/span work counters. Kept separate so the
+// in InferNs, and the lane/frame work counters. Kept separate so the
 // unobserved lane path retains its exact instruction stream.
 func (e *Engine) laneInferObserved(a *laneArena, xs [][]float32, dst []BatchResult) {
 	o := e.obs
@@ -702,6 +609,5 @@ func (e *Engine) laneInferObserved(a *laneArena, xs [][]float32, dst []BatchResu
 	o.Gathers.Add(o.gathersPerInfer * n)
 	o.LaneLanes.Inc()
 	o.LaneFrames.Add(n)
-	o.Spans.Add(o.spansPerLane)
 	root.End()
 }

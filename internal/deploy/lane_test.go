@@ -8,89 +8,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// expandSpans flattens a row's chunked span form back into sorted index
-// lists, verifying per-chunk invariants along the way.
-func expandSpans(t *testing.T, chunks []laneChunk) (plus, minus []int32) {
-	t.Helper()
-	for ci, ch := range chunks {
-		var pc, mc int32
-		for _, sp := range ch.plus {
-			for k := int32(0); k < sp.n; k++ {
-				plus = append(plus, sp.start+k)
-			}
-			pc += sp.n
-		}
-		for _, sp := range ch.minus {
-			for k := int32(0); k < sp.n; k++ {
-				minus = append(minus, sp.start+k)
-			}
-			mc += sp.n
-		}
-		if pc+mc == 0 {
-			t.Fatalf("chunk %d is empty", ci)
-		}
-		if pc+mc > chunkPlanes8 {
-			t.Fatalf("chunk %d holds %d planes, budget %d", ci, pc+mc, chunkPlanes8)
-		}
-		if want := 128*pc + 127*mc; ch.corr != want {
-			t.Fatalf("chunk %d corr %d, want %d", ci, ch.corr, want)
-		}
-	}
-	return plus, minus
-}
-
-// TestCompileSpanRows pins the span-coalesced form against the index lists
-// it was compiled from: expanding every chunk must reproduce the exact +1
-// and −1 column sets, with fold budgets and bias corrections intact. Rows
-// mix isolated nonzeros with long forced runs so spans of length 1 through
-// >chunkPlanes8 all occur.
-func TestCompileSpanRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 30; trial++ {
-		rows := 1 + rng.Intn(4)
-		cols := 1 + rng.Intn(700)
-		w := make([]int8, rows*cols)
-		for r := 0; r < rows; r++ {
-			row := w[r*cols : (r+1)*cols]
-			for c := 0; c < cols; {
-				v := int8(rng.Intn(3) - 1)
-				run := 1
-				if rng.Intn(3) == 0 {
-					run += rng.Intn(400) // force long same-sign runs
-				}
-				for ; run > 0 && c < cols; run, c = run-1, c+1 {
-					row[c] = v
-				}
-			}
-		}
-		s := compileRows(w, rows, cols)
-		sr := compileSpanRows(s, rows)
-		for r := 0; r < rows; r++ {
-			wantPlus, wantMinus := s.row(r)
-			gotPlus, gotMinus := expandSpans(t, sr.chunks[r])
-			if len(gotPlus) != len(wantPlus) || len(gotMinus) != len(wantMinus) {
-				t.Fatalf("trial %d row %d: nnz (%d,%d), want (%d,%d)",
-					trial, r, len(gotPlus), len(gotMinus), len(wantPlus), len(wantMinus))
-			}
-			for i := range wantPlus {
-				if gotPlus[i] != wantPlus[i] {
-					t.Fatalf("trial %d row %d: plus[%d]=%d, want %d", trial, r, i, gotPlus[i], wantPlus[i])
-				}
-			}
-			for i := range wantMinus {
-				if gotMinus[i] != wantMinus[i] {
-					t.Fatalf("trial %d row %d: minus[%d]=%d, want %d", trial, r, i, gotMinus[i], wantMinus[i])
-				}
-			}
-		}
-	}
-}
-
-// TestGatherLaneMatchesScalar pins the frame-major span gather against the
-// scalar per-frame oracle: packing 8 random frames into lane layout and
-// running gatherLaneI8 must reproduce gatherI8 on each frame's planes, for
-// plane counts straddling the fold boundary and rows from empty to fully
-// dense.
+// TestGatherLaneMatchesScalar pins the frame-major index-run gather against
+// the scalar per-frame oracle: packing 8 random frames into lane layout and
+// running gatherPlanesI8W at the lane stride must reproduce gatherI8 on each
+// frame's planes, for plane counts straddling the fold boundary and rows
+// from empty to fully dense.
 func TestGatherLaneMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cases := []struct {
@@ -113,7 +35,6 @@ func TestGatherLaneMatchesScalar(t *testing.T) {
 			}
 		}
 		sp := compileRows(w, 1, tc.planes)
-		spans := compileSpanRows(sp, 1)
 		plus, minus := sp.row(0)
 
 		laneW := tc.nOut * laneFrames
@@ -130,7 +51,7 @@ func TestGatherLaneMatchesScalar(t *testing.T) {
 		for i := range acc {
 			acc[i] = 123456 // stale garbage the gather must overwrite
 		}
-		gatherLaneI8(acc, i8Bytes(lane), spans.chunks[0], laneW)
+		gatherPlanesI8W(acc, i8Bytes(lane), plus, minus, laneW)
 		ref := make([]int32, tc.nOut)
 		for f := 0; f < laneFrames; f++ {
 			gatherI8(ref, frames[f], plus, minus, tc.nOut)
@@ -147,7 +68,7 @@ func TestGatherLaneMatchesScalar(t *testing.T) {
 // TestInferBatchLaneMatchesPerFrame is the batch-path exactness property:
 // for randomized engine shapes and densities, every batch size (ragged
 // tails included) and both activation policies, InferBatch must be
-// bit-identical per frame to InferInt and to the int64 scalar oracle.
+// bit-identical per frame to Infer and to the int64 scalar oracle.
 func TestInferBatchLaneMatchesPerFrame(t *testing.T) {
 	sizes := []int{1, 3, 5, 7, 8, 9, 16, 23}
 	if testing.Short() {
@@ -174,13 +95,13 @@ func TestInferBatchLaneMatchesPerFrame(t *testing.T) {
 					if r.Err != nil {
 						t.Fatalf("seed %d pol %v n=%d frame %d: %v", seed, pol, n, i, r.Err)
 					}
-					sc, cls := e.InferInt(xs[i])
+					sc, cls := e.Infer(xs[i])
 					if r.Class != cls {
-						t.Fatalf("seed %d pol %v n=%d frame %d: class %d, InferInt %d", seed, pol, n, i, r.Class, cls)
+						t.Fatalf("seed %d pol %v n=%d frame %d: class %d, Infer %d", seed, pol, n, i, r.Class, cls)
 					}
 					for j := range sc {
 						if r.Scores[j] != sc[j] {
-							t.Fatalf("seed %d pol %v n=%d frame %d: score[%d]=%d, InferInt %d",
+							t.Fatalf("seed %d pol %v n=%d frame %d: score[%d]=%d, Infer %d",
 								seed, pol, n, i, j, r.Scores[j], sc[j])
 						}
 					}
@@ -253,7 +174,7 @@ func TestInferBatchLaneConcurrent(t *testing.T) {
 			x[j] = float32(rng.NormFloat64())
 		}
 		xs[i] = x
-		sc, cls := e.InferInt(x)
+		sc, cls := e.Infer(x)
 		exp[i] = append([]int32(nil), sc...)
 		expCls[i] = cls
 	}

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -276,24 +277,63 @@ func TestEngineSparseMatchesNaiveRandomized(t *testing.T) {
 	}
 }
 
-// TestSyntheticEngineSparseMatchesNaive pins the default deployment shape.
+// TestSyntheticEngineSparseMatchesNaive pins the paper deployment shape
+// across the densities the index-run walk must serve — from sparser than any
+// trained model (0.05) through the benchmark's 0.35 to fully dense (1.0) —
+// under both policies: single-frame Infer, a batch that fills two lanes
+// (one full, one of laneMinFrames) and a 30-hop InferHop stream must all
+// match the NaiveInt oracle bit for bit.
 func TestSyntheticEngineSparseMatchesNaive(t *testing.T) {
-	e := SyntheticEngine(7, 0.35)
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 3; trial++ {
-		x := make([]float32, e.Frames*e.Coeffs)
-		for i := range x {
-			x[i] = float32(rng.NormFloat64())
-		}
-		wantSc, wantCls := e.inferNaive(x, PolicyMixed)
-		gotSc, gotCls := e.Infer(x)
+	const batch = laneFrames + laneMinFrames
+	const hop, hops = 12, 30
+	check := func(what string, got []int32, gotCls int, x []float32, e *Engine) {
+		t.Helper()
+		want, wantCls := e.NaiveInt(x)
 		if gotCls != wantCls {
-			t.Fatalf("trial %d: class %d vs naive %d", trial, gotCls, wantCls)
+			t.Fatalf("%s: class %d vs naive %d", what, gotCls, wantCls)
 		}
-		for j := range wantSc {
-			if gotSc[j] != wantSc[j] {
-				t.Fatalf("trial %d: score[%d] %d vs naive %d", trial, j, gotSc[j], wantSc[j])
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s: score[%d] %d vs naive %d", what, j, got[j], want[j])
 			}
+		}
+	}
+	for _, density := range []float64{0.05, 0.35, 0.75, 1.0} {
+		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+			e := SyntheticEngine(7, density)
+			e.Policy = pol
+			rng := rand.New(rand.NewSource(7))
+			tag := fmt.Sprintf("density %.2f pol %v", density, pol)
+
+			xs := make([][]float32, batch)
+			for i := range xs {
+				xs[i] = make([]float32, e.Frames*e.Coeffs)
+				for j := range xs[i] {
+					xs[i][j] = float32(rng.NormFloat64())
+				}
+			}
+			for i := 0; i < 3; i++ {
+				sc, cls := e.Infer(xs[i])
+				check(fmt.Sprintf("%s: Infer frame %d", tag, i), sc, cls, xs[i], e)
+			}
+			for i, r := range e.InferBatch(xs) {
+				if r.Err != nil {
+					t.Fatalf("%s: InferBatch frame %d: %v", tag, i, r.Err)
+				}
+				check(fmt.Sprintf("%s: InferBatch frame %d", tag, i), r.Scores, r.Class, xs[i], e)
+			}
+
+			s := newHopStream(rng, int(e.Frames), int(e.Coeffs), hop, hops)
+			hs := e.NewHopState()
+			for i := 0; i < hops; i++ {
+				nNew := hop
+				if i == 0 {
+					nNew = int(e.Frames)
+				}
+				sc, cls := e.InferHop(hs, s.window(i), nNew)
+				check(fmt.Sprintf("%s: InferHop %d", tag, i), sc, cls, s.window(i), e)
+			}
+			hs.Release()
 		}
 	}
 }
@@ -529,30 +569,5 @@ func TestInferBatchConcurrent(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestNaiveFlagRoutesReference: the oracle flag must reach both APIs.
-func TestNaiveFlagRoutesReference(t *testing.T) {
-	e := SyntheticEngine(11, 0.3)
-	x := make([]float32, e.Frames*e.Coeffs)
-	for i := range x {
-		x[i] = float32(i%13) * 0.01
-	}
-	sc, cls := e.Infer(x)
-	scCopy := append([]int32(nil), sc...)
-	e.Naive = true
-	nSc, nCls := e.Infer(x)
-	if nCls != cls {
-		t.Fatalf("naive class %d vs sparse %d", nCls, cls)
-	}
-	for j := range scCopy {
-		if nSc[j] != scCopy[j] {
-			t.Fatalf("naive score[%d] %d vs sparse %d", j, nSc[j], scCopy[j])
-		}
-	}
-	res := e.InferBatch([][]float32{x})
-	if res[0].Err != nil || res[0].Class != cls {
-		t.Fatalf("naive batch: %v class %d, want %d", res[0].Err, res[0].Class, cls)
 	}
 }

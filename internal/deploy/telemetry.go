@@ -29,7 +29,6 @@ type Observer struct {
 	// lane pipeline, which feeds these.
 	LaneLanes  *telemetry.Counter // lane dispatches taken by InferBatch
 	LaneFrames *telemetry.Counter // frames classified on the lane path
-	Spans      *telemetry.Counter // span sweeps decoded by lane gathers
 
 	// Incremental hop-path accounting (hop.go). HopColumns is the number of
 	// conv output positions actually recomputed — against Infers·(total
@@ -40,7 +39,6 @@ type Observer struct {
 
 	tracer          *telemetry.Tracer
 	gathersPerInfer int64
-	spansPerLane    int64
 }
 
 // EnableTelemetry compiles the engine's kernels and attaches an observer
@@ -57,7 +55,6 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		ArenaBytes: reg.Gauge("engine.arena.bytes.highwater"),
 		LaneLanes:  reg.Counter("engine.lane.lanes"),
 		LaneFrames: reg.Counter("engine.lane.frames"),
-		Spans:      reg.Counter("engine.lane.spans"),
 		HopInfers:  reg.Counter("engine.hop.infers"),
 		HopFull:    reg.Counter("engine.hop.full_recomputes"),
 		HopColumns: reg.Counter("engine.hop.columns_computed"),
@@ -81,37 +78,8 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		reg.LatencyHistogram("engine.pool.ns"),
 		reg.LatencyHistogram("engine.tree.ns"))
 	o.gathersPerInfer += e.Tree.gatherVisits()
-	o.spansPerLane = e.spansPerLane()
 	e.obs = o
 	return o
-}
-
-// spansPerLane counts the span sweeps one batch lane decodes: every compiled
-// span of every row the lane path walks at the engine's current policy (the
-// int16 hidden combine under the mixed policy keeps the index gather, so its
-// wcSpan rows are excluded).
-func (e *Engine) spansPerLane() int64 {
-	countSpans := func(s *spanRows) int64 {
-		var n int64
-		for _, chs := range s.chunks {
-			for _, ch := range chs {
-				n += int64(len(ch.plus) + len(ch.minus))
-			}
-		}
-		return n
-	}
-	var n int64
-	for _, q := range e.Convs {
-		if q.Kind != kindStandard {
-			continue
-		}
-		n += countSpans(&q.wbSpan)
-		if e.Policy == PolicyInt8 {
-			n += countSpans(&q.wcSpan)
-		}
-	}
-	n += countSpans(&e.Tree.Z.wbSpan)
-	return n
 }
 
 // gatherVisits counts one inference's gather-add work through this conv:

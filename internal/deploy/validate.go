@@ -306,21 +306,3 @@ func (e *Engine) InferSafe(x []float32) (scores []int32, class int, err error) {
 	s, c := e.Infer(x)
 	return s, c, nil
 }
-
-// InferIntSafe is InferSafe pinned to the word-packed integer kernels (the
-// InferInt entry point): length-checked input, panics converted to errors,
-// zero steady-state allocations, not concurrency-safe.
-func (e *Engine) InferIntSafe(x []float32) (scores []int32, class int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.obs.fault()
-			scores, class, err = nil, -1, fmt.Errorf("deploy: inference panic: %v", r)
-		}
-	}()
-	if want := int(e.Frames) * int(e.Coeffs); len(x) != want {
-		e.obs.fault()
-		return nil, -1, fmt.Errorf("%w: input length %d, want %d", ErrShapeMismatch, len(x), want)
-	}
-	s, c := e.InferInt(x)
-	return s, c, nil
-}

@@ -166,14 +166,16 @@ func (f *TCPFront) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	w := &connWriter{conn: conn}
 
-	// Hello line.
+	// Hello line. ReadSlice bounds it to the reader's 64 KiB buffer: a peer
+	// that never sends a newline is rejected once the buffer fills, before
+	// admission, instead of growing the heap until the read deadline.
 	conn.SetReadDeadline(time.Now().Add(f.readTimeout))
-	hello, err := br.ReadString('\n')
-	if err != nil {
+	hello, err := br.ReadSlice('\n')
+	if err != nil && !errors.Is(err, bufio.ErrBufferFull) {
 		return
 	}
-	id, pri, ok := parseHello(strings.TrimSpace(hello))
-	if !ok {
+	id, pri, ok := parseHello(strings.TrimSpace(string(hello)))
+	if err != nil || !ok {
 		w.line("reject retry_ms=0 cause=bad-hello\n")
 		return
 	}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -74,6 +76,38 @@ func TestTCPReject(t *testing.T) {
 	}
 	if rej.RetryAfter <= 0 || rej.Cause == "" {
 		t.Fatalf("reject lost its hint: %+v", rej)
+	}
+}
+
+// TestTCPHelloBounded: a hello line that never ends is rejected as
+// bad-hello once the reader's buffer fills, well inside the read timeout,
+// instead of being buffered until the deadline.
+func TestTCPHelloBounded(t *testing.T) {
+	cfg := testConfig(t)
+	const readTimeout = 3 * time.Second
+	srv, _, addr := startFront(t, cfg, readTimeout)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		// 1 MiB with no newline. The server stops reading at its buffer
+		// size and closes, so this write may fail; only the reply matters.
+		conn.Write(bytes.Repeat([]byte("x"), 1<<20))
+	}()
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readTimeout / 2))
+	line, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatalf("no reply to an unbounded hello after %v: %v", time.Since(start), err)
+	}
+	if line != "reject retry_ms=0 cause=bad-hello\n" {
+		t.Fatalf("reply %q, want the bad-hello reject", line)
+	}
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("unbounded hello opened a session (%d sessions)", n)
 	}
 }
 

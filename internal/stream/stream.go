@@ -108,17 +108,17 @@ func (c *EngineClassifier) Classify(features []float32) []float32 {
 }
 
 // ClassifyHop is the incremental form of Classify: it routes the window
-// through Engine.InferHopInt, which shifts the per-session activation cache
-// by the hop stride and recomputes only the bands the shift cannot preserve.
-// InferHopInt is bit-exact with full-window InferInt, and the batch path
-// Classify uses runs the same integer kernels, so hop and full posteriors
-// are identical. The first call (or the first after InvalidateHop) allocates
+// through Engine.InferHop, which shifts the per-session activation cache by
+// the hop stride and recomputes only the bands the shift cannot preserve.
+// InferHop is bit-exact with full-window Infer, and the batch path Classify
+// uses runs the same integer kernels, so hop and full posteriors are
+// identical. The first call (or the first after InvalidateHop) allocates
 // the hop state from the engine's pool and recomputes in full.
 func (c *EngineClassifier) ClassifyHop(features []float32, nNew int) ([]float32, bool) {
 	if c.hs == nil {
 		c.hs = c.Engine.NewHopState()
 	}
-	sc, _ := c.Engine.InferHopInt(c.hs, features, nNew)
+	sc, _ := c.Engine.InferHop(c.hs, features, nNew)
 	c.probs = ScoresToProbs(sc, float64(c.Engine.Tree.WScale), c.probs)
 	return c.probs, !c.hs.LastFull()
 }
