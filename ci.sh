@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the repository's verification gauntlet: static analysis, build,
-# race-enabled tests, and a short fuzz smoke over the two hostile-input
-# parsers (the binary model loader and the WAV chunk walker).
+# race-enabled tests, and a short fuzz smoke over the three hostile-input
+# parsers (the binary model loader, the WAV chunk walker and the TCP wire).
 set -eux
 
 go vet ./...
@@ -13,10 +13,10 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 go build ./...
-# The -race pass also drives the engine's sharded sparse kernels, the
-# InferBatch worker pool, and the frame-major lane batch kernels
-# (TestSparseParallelMatchesNaive, TestInferBatchConcurrent,
-# TestInferBatchLaneMatchesPerFrame, TestInferBatchLaneConcurrent in
+# The -race pass also drives the InferBatch worker pool, the frame-major
+# lane batch kernels, and the scalar oracle running beside an engine's
+# first compile (TestInferBatchConcurrent, TestInferBatchLaneMatchesPerFrame,
+# TestInferBatchLaneConcurrent, TestOracleConcurrentWithCompile in
 # internal/deploy).
 go test -race ./...
 
@@ -72,15 +72,15 @@ go test -count=1 -short \
 #     leans on.
 go test -race -count=1 -run='TestMixedSingleBatchConcurrent' ./internal/deploy
 # (4) Multi-core batch smoke: the worker-scaling sweep must clear the
-#     kws-bench v6 gates — single-frame int8 at least 2.5x faster than the
-#     float baseline, batch ns/frame at workers=1 within 1.5x of
+#     kws-bench v7 gates — single-frame int8 at least 2.5x faster than the
+#     float baseline (paired median), batch ns/frame at workers=1 within 1.5x of
 #     single-frame (the column-lane kernels win at one worker by design),
 #     1000 frames of batch output matching the scalar NaiveInt oracle under
 #     both policies, the same oracle holding with a telemetry observer
 #     attached, 1000 consecutive hops of InferHop matching full-window
 #     Infer byte-for-byte, and the incremental streaming pipeline
 #     (featurise + infer per hop) at least 2x faster than full-window
-#     recompute — kws-bench exits nonzero on any failure.
+#     recompute (paired median) — kws-bench exits nonzero on any failure.
 BDIR="$(mktemp -d)"
 go build -o "$BDIR/kws-bench" ./cmd/kws-bench
 "$BDIR/kws-bench" -workers 1,2,4 -reps 3 -o "$BDIR/bench-engine.json"
@@ -227,3 +227,4 @@ rm -rf "$SDIR"
 # this exercises the mutation engine against fresh corpus entries.
 go test -run='^$' -fuzz=FuzzReadEngine -fuzztime=10s ./internal/deploy
 go test -run='^$' -fuzz=FuzzReadWAV -fuzztime=10s ./internal/audio
+go test -run='^$' -fuzz=FuzzTCPWire -fuzztime=10s ./internal/serve

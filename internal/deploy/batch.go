@@ -36,8 +36,7 @@ func batchLaneWorker(work chan laneJob) {
 
 // ensureBatchWorkers starts the persistent lane workers on first parallel
 // batch. Workers hold only the channel (never the engine), so once the
-// engine is garbage its finalizer closes work and the pool unwinds — the
-// same lifecycle idiom as the arena's shard workers.
+// engine is garbage its finalizer closes work and the pool unwinds.
 func (e *Engine) ensureBatchWorkers() {
 	e.batchOnce.Do(func() {
 		e.batchWork = make(chan laneJob, maxBatchWorkers)
@@ -175,14 +174,13 @@ func (e *Engine) inferOne(a *arena, x []float32, scratch []int32) (r BatchResult
 }
 
 // getArena checks a scratch arena out of the pool, building one on first
-// use. Batch arenas never start shard workers — batch parallelism is across
-// frames, not within a conv stage. Pooled arenas sized for a different
-// policy are dropped (the pool refills at the current one).
+// use. Pooled arenas sized for a different policy are dropped (the pool
+// refills at the current one).
 func (e *Engine) getArena() *arena {
 	if a, ok := e.arenas.Get().(*arena); ok && a.pol == e.Policy {
 		return a
 	}
-	a := newArena(e, false)
+	a := newArena(e)
 	e.obs.noteArena(a)
 	return a
 }

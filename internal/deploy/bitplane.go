@@ -2,14 +2,13 @@ package deploy
 
 // Word-packed ternary kernels.
 //
-// The PR 2 sparse kernels gather one activation per instruction. This file
-// processes eight int8 activations per 64-bit load instead (SWAR): a word of
-// activations is biased to unsigned bytes with one XOR, split into even and
-// odd byte lanes, and accumulated into two uint64 registers holding four
-// 16-bit partial sums each. The bias is corrected once per fold with a
-// per-plane (or per-row popcount) constant, so every intermediate quantity
-// is an exactly-represented integer and the word path stays bit-identical to
-// the scalar gathers and the naive dense reference.
+// The kernels here process eight int8 activations per 64-bit load (SWAR): a
+// word of activations is biased to unsigned bytes with one XOR, split into
+// even and odd byte lanes, and accumulated into two uint64 registers holding
+// four 16-bit partial sums each. The bias is corrected once per fold with a
+// per-chunk constant, so every intermediate quantity is an exactly
+// represented integer and the word path stays bit-identical to the scalar
+// gathers and the naive dense reference.
 //
 // Two's-complement identities the kernels rely on, per 8-bit lane:
 //
@@ -19,22 +18,16 @@ package deploy
 // so a +1 plane adds v+128 per element, a −1 plane adds 127−v, and the fold
 // subtracts 128·n₊ + 127·n₋ to recover Σ₊v − Σ₋v exactly. A 16-bit lane
 // holds at most 255 per plane, so plane accumulation folds into the int32
-// accumulators every 256 planes (256·255 < 2¹⁶) and a dense row's group
-// accumulator folds every 256 column groups.
+// accumulators every 256 planes (256·255 < 2¹⁶).
 //
-// Two weight encodings use the scheme:
-//
-//   - Convolutions keep their ±1 plane-index lists (sparseRows): each
-//     selected plane is swept eight values per load (gatherPlanesI8W, and
-//     its fused-requant twins in collane.go) — eight output columns of one
-//     frame on the single-frame and hop paths, one position of eight
-//     frames on the batch lanes. It is the only conv row form: one SWAR add
-//     per nonzero, the paper's one-add-per-nonzero cost.
-//   - Single-frame dense matvecs (the Bonsai tree) re-encode each ternary
-//     row as two bitplane words per 64 columns (bitRows): the +1 mask and
-//     the −1 mask. A mask byte expands through a 256-entry LUT into a
-//     byte-lane select, so eight activations are loaded, masked and
-//     lane-accumulated per set mask byte.
+// Convolutions keep their ±1 plane-index lists (sparseRows): each selected
+// plane is swept eight values per load (gatherPlanesI8W, and its
+// fused-requant twins in collane.go) — eight output columns of one frame on
+// the single-frame and hop paths, one position of eight frames on the batch
+// lanes. One SWAR add per nonzero is the paper's one-add-per-nonzero cost.
+// The Bonsai tree's dense maps walk the same index runs scalar (runDot in
+// kernels.go), which measured faster than a bitplane word form at every
+// density tried (DESIGN.md, "Word-packed SWAR gathers").
 
 import (
 	"encoding/binary"
@@ -51,22 +44,6 @@ const (
 	chunkPlanes8 = 256
 )
 
-// byteMaskLUT expands a bit mask over 8 columns into a byte-lane select:
-// bit i set → byte i is 0xFF.
-var byteMaskLUT [256]uint64
-
-func init() {
-	for b := 1; b < 256; b++ {
-		var m uint64
-		for i := 0; i < 8; i++ {
-			if b&(1<<i) != 0 {
-				m |= 0xFF << (8 * i)
-			}
-		}
-		byteMaskLUT[b] = m
-	}
-}
-
 // i8Bytes reinterprets an int8 slice as its underlying bytes so the word
 // kernels can issue single 64-bit loads. int8 and byte share representation;
 // the view aliases the same memory and allocates nothing.
@@ -75,11 +52,6 @@ func i8Bytes(s []int8) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s))
-}
-
-// foldLanes16 sums the four 16-bit lanes of a SWAR accumulator.
-func foldLanes16(a uint64) int32 {
-	return int32(a&0xFFFF) + int32((a>>16)&0xFFFF) + int32((a>>32)&0xFFFF) + int32(a>>48)
 }
 
 // spreadLanes writes one group's two SWAR accumulators (even/odd 16-bit
@@ -209,95 +181,4 @@ func gatherPlanesI8W(acc []int32, cols []byte, plus, minus []int32, nOut int) {
 			acc[j] = 0
 		}
 	}
-}
-
-// bitRows is a ternary matrix re-encoded for word-packed matvecs: per row,
-// ⌈cols/64⌉ words of +1 bits and the same of −1 bits, plus the bias
-// correction 128·pop(+) + 127·pop(−) the fold subtracts.
-type bitRows struct {
-	plus, minus []uint64 // [rows · nw] bitplane words, row-major
-	corr        []int32
-	nw          int // 64-bit words per row
-}
-
-// compileBitRows builds the bitplane form of a dense ternary matrix
-// [rows, cols].
-func compileBitRows(w []int8, rows, cols int) bitRows {
-	nw := (cols + 63) >> 6
-	b := bitRows{
-		plus:  make([]uint64, rows*nw),
-		minus: make([]uint64, rows*nw),
-		corr:  make([]int32, rows),
-		nw:    nw,
-	}
-	for r := 0; r < rows; r++ {
-		row := w[r*cols : (r+1)*cols]
-		var pop, mop int32
-		for c, v := range row {
-			if v > 0 {
-				b.plus[r*nw+(c>>6)] |= 1 << (c & 63)
-				pop++
-			} else if v < 0 {
-				b.minus[r*nw+(c>>6)] |= 1 << (c & 63)
-				mop++
-			}
-		}
-		b.corr[r] = 128*pop + 127*mop
-	}
-	return b
-}
-
-// stageBytes copies an int8 vector into the padded staging buffer xp so
-// matRow's 64-bit loads never run off the end. Bytes past len(x) are left as
-// they are: the bitplanes have no bits there, so the mask never selects
-// them.
-func stageBytes(xp []byte, x []int8) []byte {
-	n := (len(x) + 63) &^ 63
-	xp = xp[:n]
-	copy(xp, i8Bytes(x))
-	return xp
-}
-
-// matRow computes row r's ternary dot product against the staged activation
-// bytes xp (len ≥ nw·64). Empty mask words and bytes are skipped, so sparse
-// rows cost little more than their index-list form; dense rows touch eight
-// activations per load. Lane capacity forces a fold every 256 selected
-// column groups (In ≤ 2048 per chunk).
-func (b *bitRows) matRow(r int, xp []byte) int32 {
-	var accE, accO uint64
-	var total int32
-	groups := 0
-	off := r * b.nw
-	for wi := 0; wi < b.nw; wi++ {
-		pw := b.plus[off+wi]
-		mw := b.minus[off+wi]
-		if pw|mw == 0 {
-			continue
-		}
-		base := wi << 6
-		for k := 0; k < 8; k++ {
-			pb := byte(pw >> (k << 3))
-			mb := byte(mw >> (k << 3))
-			if pb|mb == 0 {
-				continue
-			}
-			x8 := binary.LittleEndian.Uint64(xp[base+(k<<3):])
-			if pb != 0 {
-				sel := (x8 ^ biasI8) & byteMaskLUT[pb]
-				accE += sel & laneMaskE8
-				accO += (sel >> 8) & laneMaskE8
-			}
-			if mb != 0 {
-				sel := (x8 ^ biasI8Neg) & byteMaskLUT[mb]
-				accE += sel & laneMaskE8
-				accO += (sel >> 8) & laneMaskE8
-			}
-			if groups++; groups == chunkPlanes8 {
-				total += foldLanes16(accE) + foldLanes16(accO)
-				accE, accO = 0, 0
-				groups = 0
-			}
-		}
-	}
-	return total + foldLanes16(accE) + foldLanes16(accO) - b.corr[r]
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // Conv kinds.
@@ -31,8 +32,8 @@ type QConv struct {
 	ReLU                        bool
 	InScale, HidScale, OutScale float32
 
-	wb, wc           []int8     // unpacked dense ternaries (naive reference path)
-	wbSp, wcSp       sparseRows // compiled nonzero index lists (hot path)
+	wbSp, wcSp       sparseRows // compiled nonzero index lists (standard: both; depthwise: Wb)
+	wcSign           []int8     // depthwise only: the Cin·R Wc signs, one per hidden unit
 	hidMul8, outMul8 []Mult     // PolicyInt8 requantisers, derived by deriveAct8
 
 	// Depthwise column-lane tables (collane.go compileDWCol): per-tap linear
@@ -45,20 +46,14 @@ type QConv struct {
 	dwColMin, dwColMax int32 // min/max linear tap offset (head/tail clipping)
 }
 
-// unpack materialises the ternary matrices from their packed form and
-// derives the fully-8-bit requantisers (both the naive reference and the
-// compiled kernels need them under PolicyInt8).
-func (q *QConv) unpack() {
-	k := int(q.Cin * q.KH * q.KW)
+// ternaries unpacks fresh dense copies of Wb and Wc. Kernel compilation
+// and the oracle call it; neither keeps the copies.
+func (q *QConv) ternaries() (wb, wc []int8) {
 	if q.Kind == kindDepthwise {
-		k = int(q.KH * q.KW)
-		q.wb = UnpackTernary(q.WbPacked, int(q.Cin*q.R)*k)
-		q.wc = UnpackTernary(q.WcPacked, int(q.Cin*q.R))
-	} else {
-		q.wb = UnpackTernary(q.WbPacked, int(q.R)*k)
-		q.wc = UnpackTernary(q.WcPacked, int(q.Cout)*int(q.R))
+		units := int(q.Cin * q.R)
+		return UnpackTernary(q.WbPacked, units*int(q.KH*q.KW)), UnpackTernary(q.WcPacked, units)
 	}
-	q.deriveAct8()
+	return UnpackTernary(q.WbPacked, int(q.R*q.Cin*q.KH*q.KW)), UnpackTernary(q.WcPacked, int(q.Cout*q.R))
 }
 
 // outSize returns the output spatial dims for an input of h×w.
@@ -108,19 +103,18 @@ func (q *QConv) Forward(x []int8, h, w int) ([]int8, int, int) {
 }
 
 // forwardRef is the naive dense reference path and the engine's scalar
-// oracle: it iterates every ternary entry (zeros included), accumulates in
-// int64, and allocates its scratch per call. The engine's hot path uses the
-// precompiled sparse kernels in kernels.go; forwardRef is retained as the
-// correctness oracle behind NaiveInt and the sparse-vs-naive property
-// tests. The int64 accumulators are narrowed to int32 before each
-// requantisation, so if a sum ever exceeded 32 bits the oracle would wrap
-// exactly like the int32 kernels do — the two can only diverge if the
-// reference itself overflows int64, which no representable shape
-// approaches.
+// oracle: it iterates every ternary entry (zeros included) of a Wb/Wc copy
+// it unpacks itself, accumulates in int64, and allocates its scratch per
+// call; PolicyInt8 reads the requantisers compileKernels derives. The
+// engine's hot path uses the precompiled sparse kernels in kernels.go;
+// forwardRef is retained as the correctness oracle behind NaiveInt and the
+// sparse-vs-naive property tests. The int64 accumulators are narrowed to
+// int32 before each requantisation, so if a sum ever exceeded 32 bits the
+// oracle would wrap exactly like the int32 kernels do — the two can only
+// diverge if the reference itself overflows int64, which no representable
+// shape approaches.
 func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
-	if q.wb == nil {
-		q.unpack()
-	}
+	wb, wc := q.ternaries()
 	cols, outH, outW := im2colI8(x, int(q.Cin), h, w, int(q.KH), int(q.KW), int(q.Stride), int(q.PadH), int(q.PadW))
 	nOut := outH * outW
 	out := make([]int8, int(q.Cout)*nOut)
@@ -133,7 +127,7 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 		// clamp and multiplier, not the storage width.
 		hidden := make([]int16, r*nOut)
 		for i := 0; i < r; i++ {
-			row := q.wb[i*k : (i+1)*k]
+			row := wb[i*k : (i+1)*k]
 			acc := make([]int64, nOut)
 			for p, t := range row {
 				if t == 0 {
@@ -164,7 +158,7 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 			}
 		}
 		for c := 0; c < int(q.Cout); c++ {
-			row := q.wc[c*r : (c+1)*r]
+			row := wc[c*r : (c+1)*r]
 			acc := make([]int64, nOut)
 			for i, t := range row {
 				if t == 0 {
@@ -190,7 +184,7 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 			acc := make([]int64, nOut)
 			for u := 0; u < r; u++ {
 				hu := ch*r + u
-				row := q.wb[hu*k : (hu+1)*k]
+				row := wb[hu*k : (hu+1)*k]
 				hacc := make([]int64, nOut)
 				for p, t := range row {
 					if t == 0 {
@@ -207,7 +201,7 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 						}
 					}
 				}
-				wcv := q.wc[hu]
+				wcv := wc[hu]
 				if wcv == 0 {
 					continue
 				}
@@ -282,27 +276,23 @@ type QDense struct {
 	OutMul     Mult
 	OutScale   float32
 
-	wb, wc     []int8
-	wbSp, wcSp sparseRows
-	wbBits     bitRows // word-packed Wb bitplanes (hot path, kernels.go)
+	wbSp, wcSp sparseRows // compiled nonzero index lists (hot path, kernels.go)
 }
 
-func (q *QDense) unpack() {
-	q.wb = UnpackTernary(q.WbPacked, int(q.R*q.In))
-	q.wc = UnpackTernary(q.WcPacked, int(q.Out*q.R))
+// ternaries unpacks fresh dense copies of Wb and Wc.
+func (q *QDense) ternaries() (wb, wc []int8) {
+	return UnpackTernary(q.WbPacked, int(q.R*q.In)), UnpackTernary(q.WcPacked, int(q.Out*q.R))
 }
 
 // Forward maps an int8 vector to int16 outputs at OutScale. Like
-// QConv.Forward this is the allocating dense reference; the hot path is
-// forwardInto in kernels.go.
+// QConv.Forward this is the allocating dense reference over its own
+// unpacked copy; the hot path is forwardInto in kernels.go.
 func (q *QDense) Forward(x []int8) []int16 {
-	if q.wb == nil {
-		q.unpack()
-	}
+	wb, wc := q.ternaries()
 	r, in, out := int(q.R), int(q.In), int(q.Out)
 	hidden := make([]int16, r)
 	for i := 0; i < r; i++ {
-		row := q.wb[i*in : (i+1)*in]
+		row := wb[i*in : (i+1)*in]
 		var acc int32
 		for p, t := range row {
 			if t > 0 {
@@ -315,7 +305,7 @@ func (q *QDense) Forward(x []int8) []int16 {
 	}
 	y := make([]int16, out)
 	for c := 0; c < out; c++ {
-		row := q.wc[c*r : (c+1)*r]
+		row := wc[c*r : (c+1)*r]
 		var acc int32
 		for i, t := range row {
 			if t > 0 {
@@ -561,7 +551,7 @@ func (e *Engine) Infer(x []float32) (scores []int32, class int) {
 func (e *Engine) residentArena() *arena {
 	e.ensureCompiled()
 	if e.arena == nil || e.arena.pol != e.Policy {
-		e.arena = newArena(e, true)
+		e.arena = newArena(e)
 		e.obs.noteArena(e.arena)
 	}
 	return e.arena
@@ -608,8 +598,11 @@ func (e *Engine) inferArena(a *arena, x []float32, pol Policy) ([]int32, int) {
 }
 
 // inferNaive is the retained dense reference pipeline: per-call scratch
-// allocation, every ternary zero visited, strictly single-threaded.
+// allocation, every ternary zero visited, strictly single-threaded. It
+// compiles first only for the PolicyInt8 requantisers; the weights it reads
+// are its own unpacked copies.
 func (e *Engine) inferNaive(x []float32, pol Policy) ([]int32, int) {
+	e.ensureCompiled()
 	img := e.QuantizeInput(x)
 	h, w := int(e.Frames), int(e.Coeffs)
 	for _, conv := range e.Convs {
@@ -626,31 +619,26 @@ func (e *Engine) inferNaive(x []float32, pol Policy) ([]int32, int) {
 // MeasuredDensity reports the realised nonzero fraction across every ternary
 // weight matrix in the engine (conv Wb/Wc, the tree projection and node
 // maps). Benchmarks record it next to the density that was requested at
-// sparsification time, since the two drift apart on small matrices.
+// sparsification time, since the two drift apart on small matrices. It
+// unpacks its own copy of every matrix per call.
 func (e *Engine) MeasuredDensity() float64 {
 	var nnz, total int64
-	count := func(w []int8) {
-		for _, v := range w {
-			if v != 0 {
-				nnz++
+	count := func(wb, wc []int8) {
+		for _, w := range [][]int8{wb, wc} {
+			for _, v := range w {
+				if v != 0 {
+					nnz++
+				}
 			}
+			total += int64(len(w))
 		}
-		total += int64(len(w))
 	}
 	for _, q := range e.Convs {
-		if q.wb == nil {
-			q.unpack()
-		}
-		count(q.wb)
-		count(q.wc)
+		count(q.ternaries())
 	}
 	denses := append([]*QDense{e.Tree.Z}, append(e.Tree.W, e.Tree.V...)...)
 	for _, d := range denses {
-		if d.wb == nil {
-			d.unpack()
-		}
-		count(d.wb)
-		count(d.wc)
+		count(d.ternaries())
 	}
 	if total == 0 {
 		return 0
@@ -663,6 +651,28 @@ func (e *Engine) MeasuredDensity() float64 {
 // column of the paper's footprint table. Builds the arena if needed.
 func (e *Engine) ScratchBytes() int64 {
 	return e.residentArena().bytes()
+}
+
+// WeightBytes reports the resident bytes of every weight-derived slice the
+// compiled engine keeps: packed ternaries, index runs, requantisers and
+// biases, depthwise tables, and the tree's θ and tanh tables — the model
+// column of the paper's footprint table, measured on the artefact rather
+// than the file. Compiles the kernels if needed.
+func (e *Engine) WeightBytes() int64 {
+	e.ensureCompiled()
+	mult := int64(unsafe.Sizeof(Mult{}))
+	runs := func(s sparseRows) int64 { return 4 * int64(len(s.idx)+len(s.off)) }
+	var n int64
+	for _, q := range e.Convs {
+		n += int64(len(q.WbPacked)+len(q.WcPacked)+len(q.wcSign)) + runs(q.wbSp) + runs(q.wcSp)
+		n += mult * int64(len(q.HidMul)+len(q.OutMul)+len(q.hidMul8)+len(q.outMul8))
+		n += 4*int64(len(q.OutBias)+len(q.dwColOffs)) + 8*int64(len(q.dwColMask))
+	}
+	t := e.Tree
+	for _, d := range append([]*QDense{t.Z}, append(t.W, t.V...)...) {
+		n += int64(len(d.WbPacked)+len(d.WcPacked)) + runs(d.wbSp) + runs(d.wcSp) + mult*int64(len(d.HidMul))
+	}
+	return n + 2*int64(len(t.Theta)+len(t.TanhLUT))
 }
 
 func argmax(sc []int32) int {

@@ -328,7 +328,7 @@ func (q *QConv) dwFloat(fa *floatArena, x, out []float32, h, w, outH, outW int, 
 		}
 		for u := 0; u < r; u++ {
 			hu := ch*r + u
-			wcv := q.wc[hu]
+			wcv := q.wcSign[hu]
 			if wcv == 0 {
 				continue
 			}

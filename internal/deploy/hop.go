@@ -106,7 +106,7 @@ type HopState struct {
 func newHopState(e *Engine) *HopState {
 	hs := &HopState{
 		e:    e,
-		a:    newArena(e, false),
+		a:    newArena(e),
 		pol:  e.Policy,
 		segs: make([][2]int, 0, 2),
 	}
@@ -188,7 +188,7 @@ func (e *Engine) InferHop(hs *HopState, x []float32, nNew int) (scores []int32, 
 // policy changed since the last hop (cached activations are policy-specific).
 func (hs *HopState) syncPolicy() {
 	if pol := hs.e.Policy; pol != hs.pol {
-		hs.a = newArena(hs.e, false)
+		hs.a = newArena(hs.e)
 		hs.pol = pol
 		hs.valid = false
 	}
@@ -379,29 +379,28 @@ func (hs *HopState) runBand(q *QConv, g hopGeom, x, out []int8, segs [][2]int, p
 	r, cout := int(q.R), int(q.Cout)
 	direct := len(segs) == 1
 	base0 := segs[0][0] * g.ow
+	acc := a.acc[:pb]
 	if pol == PolicyInt8 {
 		hidden8 := a.hidden8[:r*pb]
-		q.stdHiddenRows8(cols, hidden8, a.acc, nBand, pb, 0, r)
+		q.stdHiddenRows8(cols, hidden8, acc, nBand, pb)
 		if direct {
-			q.stdOutRows8(hidden8, a.acc, out[base0:], nBand, g.outStride, 0, cout)
+			q.stdOutRows8(hidden8, acc, out[base0:], nBand, g.outStride)
 			return nBand
 		}
 		hidB := i8Bytes(hidden8)
 		for c := 0; c < cout; c++ {
-			acc := a.acc[:pb]
 			q.outRowQ8(c, hs.row[:nBand], acc, hidB, pb)
 			hs.scatter(out[c*g.outStride:], segs, g.ow)
 		}
 		return nBand
 	}
 	hidden := a.hidden[:r*pb]
-	q.stdHiddenRows(cols, hidden, a.acc, nBand, pb, 0, r)
+	q.stdHiddenRows(cols, hidden, acc, nBand, pb)
 	if direct {
-		q.stdOutRows(hidden, a.acc, out[base0:], nBand, g.outStride, 0, cout)
+		q.stdOutRows(hidden, acc, out[base0:], nBand, g.outStride)
 		return nBand
 	}
 	for c := 0; c < cout; c++ {
-		acc := a.acc[:pb]
 		plus, minus := q.wcSp.row(c)
 		gatherI16(acc, hidden, plus, minus, pb)
 		q.requantChannel(hs.row[:nBand], acc, c)
@@ -441,7 +440,7 @@ func (hs *HopState) dwBand(q *QConv, g hopGeom, x, out []int8, segs [][2]int, nB
 		}
 		for u := 0; u < r; u++ {
 			hu := ch*r + u
-			wcv := q.wc[hu]
+			wcv := q.wcSign[hu]
 			if wcv == 0 {
 				continue
 			}

@@ -48,36 +48,6 @@ func TestGatherWordPackedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBitRowsMatRowMatchesDense pins the bitplane dense matvec against the
-// dense ternary row product for random shapes.
-func TestBitRowsMatRowMatchesDense(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(400 + seed))
-		rows := 1 + rng.Intn(10)
-		cols := 1 + rng.Intn(300)
-		w := make([]int8, rows*cols)
-		for i := range w {
-			w[i] = int8(rng.Intn(3) - 1)
-		}
-		b := compileBitRows(w, rows, cols)
-		x := make([]int8, cols)
-		for i := range x {
-			x[i] = int8(rng.Intn(256) - 128)
-		}
-		xp := make([]byte, (cols+63)&^63)
-		xb := stageBytes(xp, x)
-		for r := 0; r < rows; r++ {
-			var want int32
-			for c, t := range w[r*cols : (r+1)*cols] {
-				want += int32(t) * int32(x[c])
-			}
-			if got := b.matRow(r, xb); got != want {
-				t.Fatalf("seed %d row %d: matRow=%d dense=%d", seed, r, got, want)
-			}
-		}
-	}
-}
-
 // TestInferIntMatchesNaiveRandomized is the end-to-end bit-exactness
 // property: the word-packed path must agree with the int64 scalar oracle on
 // whole random engines under both activation policies.
@@ -409,5 +379,41 @@ func TestMeasuredDensity(t *testing.T) {
 	}
 	if d := SyntheticEngine(1, 0.35).MeasuredDensity(); d < 0.25 || d > 0.45 {
 		t.Fatalf("density-0.35 engine measures %v, outside [0.25,0.45]", d)
+	}
+}
+
+// TestOracleConcurrentWithCompile runs the scalar oracle and the density
+// probe on a fresh, uncompiled engine while another goroutine's InferBatch
+// compiles its kernels. Both unpack their own weight copies, so under -race
+// neither may touch state the compile writes, and the oracle must still
+// agree with the compiled path afterwards.
+func TestOracleConcurrentWithCompile(t *testing.T) {
+	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+		e := SyntheticEngine(5, 0.35)
+		e.Policy = pol
+		rng := rand.New(rand.NewSource(6))
+		xs := make([][]float32, 9)
+		for f := range xs {
+			xs[f] = make([]float32, e.Frames*e.Coeffs)
+			for i := range xs[f] {
+				xs[f][i] = float32(rng.NormFloat64())
+			}
+		}
+		done := make(chan []BatchResult)
+		go func() { done <- e.InferBatch(xs) }()
+		wantSc, wantCls := e.NaiveInt(xs[0])
+		d := e.MeasuredDensity()
+		got := <-done
+		if d < 0.25 || d > 0.45 {
+			t.Fatalf("pol %v: density %v measured during compile, outside [0.25,0.45]", pol, d)
+		}
+		if got[0].Err != nil || got[0].Class != wantCls {
+			t.Fatalf("pol %v: batch class %d (err %v), oracle %d", pol, got[0].Class, got[0].Err, wantCls)
+		}
+		for j := range wantSc {
+			if got[0].Scores[j] != wantSc[j] {
+				t.Fatalf("pol %v: score[%d]=%d, oracle %d", pol, j, got[0].Scores[j], wantSc[j])
+			}
+		}
 	}
 }

@@ -9,17 +9,17 @@ package deploy
 // entries and the columns of its −1 entries — so the inner loops become
 // gather-add / gather-sub over only the nonzeros: one add per nonzero
 // ternary entry per output position, the paper's cost model for a
-// strassenified matmul. Those index runs are the only row form the conv
-// stages execute — single-frame, batch lanes and hop bands all walk them
-// through the SWAR kernels in bitplane.go and collane.go. Integer addition
-// is exact and commutative, so the sparse kernels are bit-identical to the
-// naive dense reference retained in engine.go (NaiveInt).
+// strassenified matmul. Those index runs are the only compiled form of a
+// ternary matrix — conv rows walk them through the SWAR kernels in
+// bitplane.go and collane.go, the tree's dense maps walk them scalar.
+// Integer addition is exact and commutative, so the sparse kernels are
+// bit-identical to the naive dense reference retained in engine.go
+// (NaiveInt).
 
 // sparseRows is a compiled ternary matrix: one flat index array holding, per
 // row, the run of +1 column indices followed by the run of −1 column
 // indices. Row r's runs are idx[off[2r]:off[2r+1]] (plus) and
-// idx[off[2r+1]:off[2r+2]] (minus). len(idx) is the matrix's nonzero count,
-// which doubles as the work estimate for the parallel-sharding decision.
+// idx[off[2r+1]:off[2r+2]] (minus). len(idx) is the matrix's nonzero count.
 type sparseRows struct {
 	idx []int32
 	off []int32
@@ -61,28 +61,26 @@ func (s *sparseRows) row(r int) (plus, minus []int32) {
 	return s.idx[s.off[2*r]:s.off[2*r+1]], s.idx[s.off[2*r+1]:s.off[2*r+2]]
 }
 
-// compileKernels unpacks the ternary matrices and builds their sparse row
-// forms. Idempotent per engine via Engine.ensureCompiled.
+// compileKernels builds the sparse row forms from a transient unpacked copy
+// of the ternary matrices and derives the PolicyInt8 requantisers. Run once
+// per engine under Engine.ensureCompiled.
 func (q *QConv) compileKernels() {
-	q.unpack()
+	wb, wc := q.ternaries()
+	q.deriveAct8()
 	if q.Kind == kindDepthwise {
-		// Wc is one scalar per hidden unit; only Wb needs row compilation.
-		q.wbSp = compileRows(q.wb, int(q.Cin)*int(q.R), int(q.KH*q.KW))
+		// Wc is one sign per hidden unit; only Wb needs row compilation.
+		q.wbSp = compileRows(wb, int(q.Cin)*int(q.R), int(q.KH*q.KW))
+		q.wcSign = wc
 		return
 	}
-	q.wbSp = compileRows(q.wb, int(q.R), int(q.Cin*q.KH*q.KW))
-	q.wcSp = compileRows(q.wc, int(q.Cout), int(q.R))
+	q.wbSp = compileRows(wb, int(q.R), int(q.Cin*q.KH*q.KW))
+	q.wcSp = compileRows(wc, int(q.Cout), int(q.R))
 }
 
 func (q *QDense) compileKernels() {
-	q.unpack()
-	q.wbSp = compileRows(q.wb, int(q.R), int(q.In))
-	q.wcSp = compileRows(q.wc, int(q.Out), int(q.R))
-	// Wb reads int8 activations, so it also compiles to bitplane words for
-	// the word-packed single-frame matvec (bitplane.go); the lane projection
-	// (lane.go) walks its index runs. Wc reads the int16 hidden vector and
-	// keeps the index-gather form.
-	q.wbBits = compileBitRows(q.wb, int(q.R), int(q.In))
+	wb, wc := q.ternaries()
+	q.wbSp = compileRows(wb, int(q.R), int(q.In))
+	q.wcSp = compileRows(wc, int(q.Out), int(q.R))
 }
 
 func (t *QTree) compileKernels() {
@@ -206,36 +204,20 @@ func (q *QConv) forwardInto(a *arena, x []int8, out []int8, h, w int, pol Policy
 // hidden planes (int16 mixed, int8 under PolicyInt8), then a ternary 1×1
 // combine with per-channel requantisation. ps is the im2col plane stride,
 // outStride the output channel stride; the hidden planes always live at the
-// padded stride pad8(nOut). Both stages shard their rows across the arena's
-// workers when the gather work is large enough.
+// padded stride pad8(nOut). Rows run serially through the arena's one
+// accumulator row.
 func (q *QConv) stdSparse(a *arena, cols, out []int8, nOut, ps, outStride int, pol Policy) {
-	r, cout := int(q.R), int(q.Cout)
 	pa := pad8(nOut)
+	acc := a.acc[:pa]
 	if pol == PolicyInt8 {
-		hidden8 := a.hidden8[:r*pa]
-		if a.workers > 0 && len(q.wbSp.idx)*nOut >= parallelThreshold {
-			a.runShards(shardJob{q: q, stage: stageHidden8, cols: cols, hidden8: hidden8, acc: a.acc, nOut: nOut, ps: ps}, r)
-		} else {
-			q.stdHiddenRows8(cols, hidden8, a.acc, nOut, ps, 0, r)
-		}
-		if a.workers > 0 && len(q.wcSp.idx)*nOut >= parallelThreshold {
-			a.runShards(shardJob{q: q, stage: stageOut8, hidden8: hidden8, acc: a.acc, out: out, nOut: nOut, os: outStride}, cout)
-		} else {
-			q.stdOutRows8(hidden8, a.acc, out, nOut, outStride, 0, cout)
-		}
+		hidden8 := a.hidden8[:int(q.R)*pa]
+		q.stdHiddenRows8(cols, hidden8, acc, nOut, ps)
+		q.stdOutRows8(hidden8, acc, out, nOut, outStride)
 		return
 	}
-	hidden := a.hidden[:r*pa]
-	if a.workers > 0 && len(q.wbSp.idx)*nOut >= parallelThreshold {
-		a.runShards(shardJob{q: q, stage: stageHidden, cols: cols, hidden: hidden, acc: a.acc, nOut: nOut, ps: ps}, r)
-	} else {
-		q.stdHiddenRows(cols, hidden, a.acc, nOut, ps, 0, r)
-	}
-	if a.workers > 0 && len(q.wcSp.idx)*nOut >= parallelThreshold {
-		a.runShards(shardJob{q: q, stage: stageOut, hidden: hidden, acc: a.acc, out: out, nOut: nOut, os: outStride}, cout)
-	} else {
-		q.stdOutRows(hidden, a.acc, out, nOut, outStride, 0, cout)
-	}
+	hidden := a.hidden[:int(q.R)*pa]
+	q.stdHiddenRows(cols, hidden, acc, nOut, ps)
+	q.stdOutRows(hidden, acc, out, nOut, outStride)
 }
 
 // gatherI8 accumulates the ternary combination of int8 planes selected by
@@ -407,54 +389,49 @@ func addPlanesI16(acc []int32, planes []int16, idx []int32, nOut int, sign int32
 	}
 }
 
-// stdHiddenRows computes hidden rows [lo,hi): each row gathers its +/−
-// im2col planes (at plane stride ps) and rescales them to int16 through the
-// per-hidden-unit fixed-point multiplier (hidRowQ16), with a private int32
-// accumulator slot as scratch. Accumulator slots and hidden planes are
-// indexed by row at the padded stride, so sharded workers never touch the
-// same slots.
-func (q *QConv) stdHiddenRows(cols []int8, hidden []int16, accBuf []int32, nOut, ps, lo, hi int) {
+// stdHiddenRows computes every hidden row: each row gathers its +/− im2col
+// planes (at plane stride ps) and rescales them to int16 through the
+// per-hidden-unit fixed-point multiplier (hidRowQ16), reusing the one
+// pad8(nOut) accumulator row acc as scratch. Hidden planes are indexed by
+// row at the padded stride.
+func (q *QConv) stdHiddenRows(cols []int8, hidden []int16, acc []int32, nOut, ps int) {
 	colsB := i8Bytes(cols)
 	pa := pad8(nOut)
-	for i := lo; i < hi; i++ {
-		acc := accBuf[i*pa:][:pa]
+	for i := 0; i < int(q.R); i++ {
 		q.hidRowQ16(i, hidden[i*pa:][:nOut], acc, colsB, ps)
 	}
 }
 
 // stdHiddenRows8 is stdHiddenRows under PolicyInt8: the hidden planes are
 // stored int8 through the derived hidMul8 requantiser.
-func (q *QConv) stdHiddenRows8(cols []int8, hidden8 []int8, accBuf []int32, nOut, ps, lo, hi int) {
+func (q *QConv) stdHiddenRows8(cols []int8, hidden8 []int8, acc []int32, nOut, ps int) {
 	colsB := i8Bytes(cols)
 	pa := pad8(nOut)
-	for i := lo; i < hi; i++ {
-		acc := accBuf[i*pa:][:pa]
+	for i := 0; i < int(q.R); i++ {
 		q.hidRowQ8(i, hidden8[i*pa:][:nOut], acc, colsB, ps)
 	}
 }
 
-// stdOutRows computes output channels [lo,hi) from the int16 hidden planes
+// stdOutRows computes every output channel from the int16 hidden planes
 // (mixed policy). int16 planes gain little from byte-lane packing at these
 // widths, so this stage keeps the unrolled index gather — at the padded
 // hidden stride, so the pad columns ride along as inert garbage.
-func (q *QConv) stdOutRows(hidden []int16, accBuf []int32, out []int8, nOut, os, lo, hi int) {
+func (q *QConv) stdOutRows(hidden []int16, acc []int32, out []int8, nOut, os int) {
 	pa := pad8(nOut)
-	for c := lo; c < hi; c++ {
-		acc := accBuf[c*pa:][:pa]
+	for c := 0; c < int(q.Cout); c++ {
 		plus, minus := q.wcSp.row(c)
 		gatherI16(acc, hidden, plus, minus, pa)
 		q.requantChannel(out[c*os:][:nOut], acc, c)
 	}
 }
 
-// stdOutRows8 computes output channels [lo,hi) from int8 hidden planes
+// stdOutRows8 computes every output channel from int8 hidden planes
 // (PolicyInt8) through the fused index-run kernel; only the real nOut
 // columns are written to out.
-func (q *QConv) stdOutRows8(hidden8 []int8, accBuf []int32, out []int8, nOut, os, lo, hi int) {
+func (q *QConv) stdOutRows8(hidden8 []int8, acc []int32, out []int8, nOut, os int) {
 	hidB := i8Bytes(hidden8)
 	pa := pad8(nOut)
-	for c := lo; c < hi; c++ {
-		acc := accBuf[c*pa:][:pa]
+	for c := 0; c < int(q.Cout); c++ {
 		q.outRowQ8(c, out[c*os:][:nOut], acc, hidB, pa)
 	}
 }
@@ -528,7 +505,7 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 			}
 			if !satMult(hm) && !satMult(om) {
 				dst := out[ch*outStride:][:nOut]
-				if wcv := q.wc[ch]; wcv == 0 {
+				if wcv := q.wcSign[ch]; wcv == 0 {
 					// The unit is pruned: the channel requantises a zero
 					// accumulator, a constant.
 					var lo int32 = -128
@@ -566,7 +543,7 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 		}
 		for u := 0; u < r; u++ {
 			hu := ch*r + u
-			wcv := q.wc[hu]
+			wcv := q.wcSign[hu]
 			if wcv == 0 {
 				continue
 			}
@@ -608,28 +585,32 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 	}
 }
 
-// forwardInto is the word-packed, zero-allocation QDense forward: y and hid
-// are caller-owned (y of length Out, hid of at least R), xp is the staging
-// buffer for the bitplane matvec (at least ⌈In/64⌉·64 bytes). The int8
-// input stage runs through the Wb bitplanes; the int16 hidden stage keeps
-// the index gather.
-func (q *QDense) forwardInto(x []int8, y []int16, hid []int16, xp []byte) {
-	xb := stageBytes(xp, x)
-	r := int(q.R)
-	for i := 0; i < r; i++ {
-		hid[i] = clampI16(q.HidMul[i].Apply(q.wbBits.matRow(i, xb)))
+// forwardInto is the zero-allocation QDense forward: y and hid are
+// caller-owned (y of length Out, hid of at least R). Both stages walk their
+// index runs — the int8 input through Wb, the int16 hidden vector through
+// Wc.
+func (q *QDense) forwardInto(x []int8, y []int16, hid []int16) {
+	for i := 0; i < int(q.R); i++ {
+		plus, minus := q.wbSp.row(i)
+		hid[i] = clampI16(q.HidMul[i].Apply(runDot(x, plus, minus)))
 	}
 	for c := 0; c < int(q.Out); c++ {
-		var acc int32
 		plus, minus := q.wcSp.row(c)
-		for _, i := range plus {
-			acc += int32(hid[i])
-		}
-		for _, i := range minus {
-			acc -= int32(hid[i])
-		}
-		y[c] = clampI16(q.OutMul.Apply(acc))
+		y[c] = clampI16(q.OutMul.Apply(runDot(hid, plus, minus)))
 	}
+}
+
+// runDot is one ternary row's dot product with v through its index runs:
+// Σ v[plus] − Σ v[minus].
+func runDot[T int8 | int16](v []T, plus, minus []int32) int32 {
+	var acc int32
+	for _, i := range plus {
+		acc += int32(v[i])
+	}
+	for _, i := range minus {
+		acc -= int32(v[i])
+	}
+	return acc
 }
 
 // forwardInto walks the tree through the sparse dense kernels using the
@@ -638,7 +619,7 @@ func (t *QTree) forwardInto(a *arena, x []int8) []int32 {
 	L := int(t.NumClasses)
 	d := int(t.ProjDim)
 	z16 := a.z16[:int(t.Z.Out)]
-	t.Z.forwardInto(x, z16, a.denseHid, a.xPad)
+	t.Z.forwardInto(x, z16, a.denseHid)
 	z := a.z8[:len(z16)]
 	for i, v := range z16 {
 		z[i] = clampI8(t.ZQ.Apply(int32(v)))
@@ -652,8 +633,8 @@ func (t *QTree) forwardInto(a *arena, x []int8) []int32 {
 	nInt := t.numInternal()
 	node := 1 // 1-based
 	for {
-		t.W[node-1].forwardInto(z, wbuf, a.denseHid, a.xPad)
-		t.V[node-1].forwardInto(z, vbuf, a.denseHid, a.xPad)
+		t.W[node-1].forwardInto(z, wbuf, a.denseHid)
+		t.V[node-1].forwardInto(z, vbuf, a.denseHid)
 		for j := 0; j < L; j++ {
 			scores[j] += int64(wbuf[j]) * int64(t.lookupTanh(vbuf[j]))
 		}

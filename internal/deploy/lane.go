@@ -64,7 +64,6 @@ type laneArena struct {
 	scores     []int64 // class score accumulators
 	out        []int32 // per-frame score scratch
 	denseHid   []int16 // QDense hidden scratch for the node walk
-	xPad       []byte  // QDense bitplane staging for the node walk
 }
 
 // newLaneArena sizes the lane buffers by the same conv-chain walk as
@@ -109,19 +108,12 @@ func newLaneArena(e *Engine) *laneArena {
 	t := e.Tree
 	L := int(t.NumClasses)
 	maxR := int(t.Z.R)
-	maxIn := int(t.Z.In)
 	for k := range t.W {
 		if r := int(t.W[k].R); r > maxR {
 			maxR = r
 		}
 		if r := int(t.V[k].R); r > maxR {
 			maxR = r
-		}
-		if in := int(t.W[k].In); in > maxIn {
-			maxIn = in
-		}
-		if in := int(t.V[k].In); in > maxIn {
-			maxIn = in
 		}
 	}
 
@@ -139,7 +131,6 @@ func newLaneArena(e *Engine) *laneArena {
 		scores:   make([]int64, L),
 		out:      make([]int32, L),
 		denseHid: make([]int16, maxR),
-		xPad:     make([]byte, (maxIn+63)&^63),
 	}
 	if e.Policy == PolicyInt8 {
 		a.hidden8 = make([]int8, maxHidden*laneFrames)
@@ -152,7 +143,7 @@ func newLaneArena(e *Engine) *laneArena {
 // bytes reports the lane arena's scratch footprint.
 func (a *laneArena) bytes() int64 {
 	n := len(a.imgA) + len(a.imgB) + len(a.cols) + len(a.hidden8) +
-		len(a.pooled) + len(a.z8L) + len(a.zf) + len(a.xPad)
+		len(a.pooled) + len(a.z8L) + len(a.zf)
 	n += 2 * (len(a.hidden) + len(a.hidL) + len(a.wv) + len(a.denseHid))
 	n += 4 * (len(a.acc) + len(a.out))
 	n += 8 * len(a.scores)
@@ -354,7 +345,7 @@ func (q *QConv) dwLane(a *laneArena, x, out []int8, h, w, outH, outW int, pol Po
 		}
 		for u := 0; u < r; u++ {
 			hu := ch*r + u
-			wcv := q.wc[hu]
+			wcv := q.wcSign[hu]
 			if wcv == 0 {
 				continue
 			}
@@ -483,8 +474,8 @@ func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult
 		vbuf := a.wv[L : 2*L]
 		node := 1 // 1-based
 		for {
-			t.W[node-1].forwardInto(z, wbuf, a.denseHid, a.xPad)
-			t.V[node-1].forwardInto(z, vbuf, a.denseHid, a.xPad)
+			t.W[node-1].forwardInto(z, wbuf, a.denseHid)
+			t.V[node-1].forwardInto(z, vbuf, a.denseHid)
 			for j := 0; j < L; j++ {
 				scores[j] += int64(wbuf[j]) * int64(t.lookupTanh(vbuf[j]))
 			}

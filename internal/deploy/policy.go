@@ -82,9 +82,6 @@ const (
 )
 
 func (q *QConv) deriveAct8() {
-	if q.hidMul8 != nil {
-		return
-	}
 	q.hidMul8 = make([]Mult, len(q.HidMul))
 	for i, m := range q.HidMul {
 		q.hidMul8[i] = NewMult(m.Float() * hidToI8)

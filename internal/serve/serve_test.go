@@ -30,7 +30,7 @@ func faultConfigForTest() faultinject.StreamConfig {
 
 // testConfig returns a serving config sized for fast tests: a paper-shape
 // synthetic engine, short timeouts, a hair-trigger breaker.
-func testConfig(t *testing.T) Config {
+func testConfig(t testing.TB) Config {
 	t.Helper()
 	return Config{
 		Engine:          deploy.SyntheticEngine(1, 0.35),
@@ -49,7 +49,7 @@ func testConfig(t *testing.T) Config {
 	}
 }
 
-func mustServer(t *testing.T, cfg Config) *Server {
+func mustServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {

@@ -284,11 +284,14 @@ func (f *TCPFront) push(w *connWriter, sess *Session, samples []float64, gap int
 	}
 }
 
+// parseHello parses "open pri=<int> id=<string>". The first field must be
+// exactly "open"; both keys are optional and any other field rejects.
 func parseHello(line string) (id string, pri int, ok bool) {
-	if !strings.HasPrefix(line, "open") {
+	fields := strings.Fields(line)
+	if len(fields) == 0 || fields[0] != "open" {
 		return "", 0, false
 	}
-	for _, f := range strings.Fields(line)[1:] {
+	for _, f := range fields[1:] {
 		switch {
 		case strings.HasPrefix(f, "pri="):
 			v, err := strconv.Atoi(f[4:])

@@ -229,3 +229,29 @@ func TestRunLoadTCP(t *testing.T) {
 		t.Fatalf("sustained %d of %d TCP sessions: %+v", rep.SessionsSustained, rep.Sessions, rep)
 	}
 }
+
+// TestParseHello: the first field must be exactly "open"; a word that only
+// starts with it is not a hello.
+func TestParseHello(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		id   string
+		pri  int
+		ok   bool
+	}{
+		{"open pri=2 id=a", "a", 2, true},
+		{"open id=b", "b", 0, true},
+		{"open", "", 0, true},
+		{"openXYZ id=a", "", 0, false},
+		{"opener pri=1", "", 0, false},
+		{"", "", 0, false},
+		{"open pri=x", "", 0, false},
+		{"open id=a extra", "", 0, false},
+	} {
+		id, pri, ok := parseHello(tc.line)
+		if id != tc.id || pri != tc.pri || ok != tc.ok {
+			t.Errorf("parseHello(%q) = (%q, %d, %v), want (%q, %d, %v)",
+				tc.line, id, pri, ok, tc.id, tc.pri, tc.ok)
+		}
+	}
+}
