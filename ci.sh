@@ -4,7 +4,12 @@
 # parsers (the binary model loader, the WAV chunk walker and the TCP wire).
 set -eux
 
+# go vet's asmdecl pass also checks internal/deploy/walk_amd64.s against its
+# Go declarations: argument frame offsets, sizes and the frame size.
 go vet ./...
+# Portable-path build check: a non-amd64 build compiles the Go row walk and
+# the assembly stubs (walk_other.go), so neither can break unnoticed.
+GOARCH=arm64 go vet ./internal/deploy
 # Formatting gate: every tracked Go file must already be gofmt-clean.
 UNFORMATTED="$(gofmt -l $(git ls-files '*.go'))"
 if [ -n "$UNFORMATTED" ]; then
@@ -40,16 +45,21 @@ echo "$BENCH_INT"
 # (2) Bit-exactness smoke: Infer must agree byte-for-byte with the
 #     FakeQuant-equivalent float simulation and the int64 scalar oracle on a
 #     synthetic paper-shape engine under both policies, and the column-lane
-#     row kernels (index-run gathers, fused requant rows, depthwise
-#     edge-shifted word loads, padded-stride round trip) must match their
-#     scalar oracles property-wise.
+#     row kernels (both ternary row walks — AVX2 where the host runs it, and
+#     the portable Go walk — the walk-then-requant conv rows, a short plane
+#     buffer panicking, depthwise edge-shifted word loads, padded-stride
+#     round trip) must match their scalar oracles property-wise.
 go test -count=1 -short \
     -run='TestInferIntMatchesFloatSimulation|TestInferIntMatchesNaiveRandomized|TestInferIntZeroAllocs' \
     ./internal/deploy
 go test -count=1 \
-    -run='TestGatherRowProperty|TestFusedRowKernelsMatchTwoPhase|TestDWTapWord|TestBatchLanePathWithTelemetry|TestPadColsRoundTrip' \
+    -run='TestGatherRowProperty|TestRowWalksMatchOracle|TestRowWalkShortPlanesPanics|TestConvRowsMatchOracle|TestDWTapWord|TestBatchLanePathWithTelemetry|TestPadColsRoundTrip' \
     ./internal/deploy ./internal/tensor
-# (3) Serialization round-trip matrix: a PolicyInt8 engine written as .thnt
+# (3) The portable row walk end to end: the whole package under -tags
+#     purego, where every row takes the Go walk, so each parity and 0-alloc
+#     gate in it also holds on hosts without AVX2 and off amd64.
+go test -count=1 -tags purego ./internal/deploy
+# (4) Serialization round-trip matrix: a PolicyInt8 engine written as .thnt
 #     v1, v2 and v3 must read back and score identically (v3 additionally
 #     preserving the policy byte and calibration table).
 go test -count=1 -run='TestWriteToVersionMatrix|TestV1ArtifactsStillReadable' ./internal/deploy

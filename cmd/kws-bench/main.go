@@ -13,7 +13,9 @@
 // runtime.GOMAXPROCS(workers), with EngineInferBatchFloat (serial per-frame
 // InferFloat over the same batch) as the float baseline — and the
 // incremental hop path per policy (InferHop) next to the whole
-// streaming per-hop pipeline. It also records the measured weight density,
+// streaming per-hop pipeline. It also records the ternary row walk the
+// standard-conv rows ran (row_walk: the AVX2 assembly walk or the portable
+// Go walk — every integer timing depends on it), the measured weight density,
 // the model file size, the resident weight bytes of the compiled engine and
 // the per-policy activation scratch footprints.
 // Parity cross-checks: integer/float on 1000 random frames, 1000 frames of
@@ -96,6 +98,7 @@ type report struct {
 	GOARCH            string             `json:"goarch"`
 	GOMAXPROCS        int                `json:"gomaxprocs"`
 	NumCPU            int                `json:"num_cpu"`
+	RowWalk           string             `json:"row_walk"` // ternary row walk the std-conv rows ran: "avx2" or "go"
 	Shape             string             `json:"shape"`
 	Density           float64            `json:"density"`
 	DensityMeasured   float64            `json:"density_measured"`
@@ -298,11 +301,12 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	rep := report{
-		Schema:    "kws-bench/v7",
+		Schema:    "kws-bench/v8",
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
+		RowWalk:   deploy.RowWalk(),
 		Shape: fmt.Sprintf("%dx%d in, %d convs, %d classes",
 			e.Frames, e.Coeffs, len(e.Convs), e.Tree.NumClasses),
 		Density:         density,
@@ -313,9 +317,11 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		Reps:            reps,
 		ModelFileBytes:  e.Size(),
 		WeightBytes:     e.WeightBytes(),
-		Note: "schema v7 gates both speedups on paired_* (41 interleaved pairs of " +
-			"60-call bursts in one process, median of per-pair ratios; quartiles recorded) " +
-			"instead of the best-of-reps rows, and adds weight_bytes_resident " +
+		Note: "schema v8 adds row_walk: the ternary row walk every standard-conv row ran " +
+			"(\"avx2\": the amd64 assembly walk; \"go\": the portable walk, off amd64, " +
+			"without AVX2 or under -tags purego). v7 gates both speedups on paired_* (41 " +
+			"interleaved pairs of 60-call bursts in one process, median of per-pair ratios; " +
+			"quartiles recorded) instead of the best-of-reps rows, and adds weight_bytes_resident " +
 			"(Engine.WeightBytes: packed ternaries, index runs, requantisers, depthwise " +
 			"and tree tables). v6 dropped the layout audit (layer_layouts, " +
 			"speedup_int8_vs_float_by_layout, EngineInferInt8Forced*) and the float hop " +

@@ -21,10 +21,12 @@ package deploy
 // accumulators every 256 planes (256·255 < 2¹⁶).
 //
 // Convolutions keep their ±1 plane-index lists (sparseRows): each selected
-// plane is swept eight values per load (gatherPlanesI8W, and its
-// fused-requant twins in collane.go) — eight output columns of one frame on
-// the single-frame and hop paths, one position of eight frames on the batch
-// lanes. One SWAR add per nonzero is the paper's one-add-per-nonzero cost.
+// plane is swept eight values per load (gatherPlanesI8W) — eight output
+// columns of one frame on the single-frame and hop paths, one position of
+// eight frames on the batch lanes. One SWAR add per nonzero is the paper's
+// one-add-per-nonzero cost. gatherPlanesI8W is the portable Go walk: where
+// the CPU runs AVX2, rows with a column count divisible by 8 take the
+// assembly walk instead (walk.go), and this kernel is its oracle.
 // The Bonsai tree's dense maps walk the same index runs scalar (runDot in
 // kernels.go), which measured faster than a bitplane word form at every
 // density tried (DESIGN.md, "Word-packed SWAR gathers").

@@ -22,12 +22,13 @@ package deploy
 // pad column can never contaminate a real one. The ~2% of extra arithmetic
 // on pad columns buys branch-free full-width loads everywhere.
 //
-// Every standard-conv row walks its ±1 index runs — one SWAR add per nonzero
-// tap per group, the paper's one-add-per-nonzero cost — fused with its
-// requantisation (gatherPlanesQ8/Q16 below). It is the only row form:
-// coalesced spans and two-bit-packed weight words, once chosen per row by a
-// cost model, measured no faster beyond noise at any density from 0.05 to
-// 1.0 (DESIGN.md, "One row walk").
+// Every standard-conv row walks its ±1 index runs — one add per nonzero tap
+// per column, the paper's one-add-per-nonzero cost — into an int32 row
+// (walk.go: the AVX2 walk, or the Go walk as fallback), then requantises it
+// (hidRowQ8/hidRowQ16/outRowQ8 below). It is the only row form: coalesced
+// spans and two-bit-packed weight words, once chosen per row by a cost
+// model, measured no faster beyond noise at any density from 0.05 to 1.0
+// (DESIGN.md, "One row walk").
 
 import "encoding/binary"
 
@@ -461,7 +462,8 @@ func foldRowI16(acc, hacc []int32, m Mult, s int32) {
 }
 
 // q8 requantises one lane sum — the identity round, bias, floor and ceiling
-// of requantRowI8 as an inlinable single-value step for the fused kernels.
+// of requantRowI8 as an inlinable single-value step for the fused depthwise
+// kernels.
 func q8(v int32, mant, half int64, shift uint8, b, lo int32) int8 {
 	prod := int64(v) * mant
 	o := int32((prod+half+(prod>>63))>>shift) + b
@@ -487,309 +489,24 @@ func q16(v int32, mant, half int64, shift uint8) int16 {
 	return int16(o)
 }
 
-// gatherPlanesQ8 runs one row end to end: the ±1 index-list gather and the
-// int8 requantisation in one pass, each column's sum requantised straight
-// out of the lane registers, so the int32 accumulator round-trip (spread
-// store plus requant reload per column) disappears. Rows the single pass
-// cannot represent — more nonzeros than one 16-bit fold budget, whose tile
-// sums are not final until the last chunk, or the saturated multiplier —
-// fall back to the two-phase pair this fuses; acc is scratch for that
-// fallback. laneW must be a multiple of 8 (the column-lane stride
-// contract).
-func gatherPlanesQ8(dst []int8, acc []int32, cols []byte, plus, minus []int32, laneW int, m Mult, b int32, relu bool) {
-	if len(plus)+len(minus) > chunkPlanes8 || (m.Shift == 0 && m.Mant != 0) {
-		gatherPlanesI8W(acc, cols, plus, minus, laneW)
-		requantRowI8(dst, acc, m, b, relu)
-		return
-	}
-	corr := int32(128*len(plus) + 127*len(minus))
-	mant := int64(m.Mant)
-	shift := m.Shift
-	half := int64(1) << (shift - 1)
-	var lo int32 = -128
-	if relu {
-		lo = 0
-	}
-	nG := laneW >> 3
-	g := 0
-	for ; g+4 <= nG; g += 4 {
-		base := g << 3
-		var e0, o0, e1, o1, e2, o2, e3, o3 uint64
-		for _, pi := range plus {
-			src := cols[int(pi)*laneW+base:][:32]
-			w0 := binary.LittleEndian.Uint64(src) ^ biasI8
-			w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8
-			w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8
-			w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8
-			e0 += w0 & laneMaskE8
-			o0 += (w0 >> 8) & laneMaskE8
-			e1 += w1 & laneMaskE8
-			o1 += (w1 >> 8) & laneMaskE8
-			e2 += w2 & laneMaskE8
-			o2 += (w2 >> 8) & laneMaskE8
-			e3 += w3 & laneMaskE8
-			o3 += (w3 >> 8) & laneMaskE8
-		}
-		for _, mi := range minus {
-			src := cols[int(mi)*laneW+base:][:32]
-			w0 := binary.LittleEndian.Uint64(src) ^ biasI8Neg
-			w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8Neg
-			w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8Neg
-			w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8Neg
-			e0 += w0 & laneMaskE8
-			o0 += (w0 >> 8) & laneMaskE8
-			e1 += w1 & laneMaskE8
-			o1 += (w1 >> 8) & laneMaskE8
-			e2 += w2 & laneMaskE8
-			o2 += (w2 >> 8) & laneMaskE8
-			e3 += w3 & laneMaskE8
-			o3 += (w3 >> 8) & laneMaskE8
-		}
-		if base+32 <= len(dst) {
-			requantLanes8((*[32]int8)(dst[base:]), e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift, b, lo)
-		} else {
-			// Partial last tile: the pad columns rode along in the gather;
-			// requantise the full tile into a stack staging array and copy
-			// only the columns dst still needs.
-			var tmp [32]int8
-			requantLanes8(&tmp, e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift, b, lo)
-			copy(dst[base:], tmp[:])
-		}
-	}
-	for ; g < nG; g++ {
-		base := g << 3
-		var ev, od uint64
-		for _, pi := range plus {
-			w := binary.LittleEndian.Uint64(cols[int(pi)*laneW+base:][:8]) ^ biasI8
-			ev += w & laneMaskE8
-			od += (w >> 8) & laneMaskE8
-		}
-		for _, mi := range minus {
-			w := binary.LittleEndian.Uint64(cols[int(mi)*laneW+base:][:8]) ^ biasI8Neg
-			ev += w & laneMaskE8
-			od += (w >> 8) & laneMaskE8
-		}
-		var tmp [8]int8
-		requantLaneG8(tmp[:], ev, od, corr, mant, half, shift, b, lo)
-		if base >= len(dst) {
-			continue
-		}
-		copy(dst[base:], tmp[:])
-	}
-}
-
-// gatherPlanesQ16 is gatherPlanesQ8 at the mixed policy's int16 hidden
-// width (no bias, no ReLU — requantRowHid16 semantics).
-func gatherPlanesQ16(dst []int16, acc []int32, cols []byte, plus, minus []int32, laneW int, m Mult) {
-	if len(plus)+len(minus) > chunkPlanes8 || (m.Shift == 0 && m.Mant != 0) {
-		gatherPlanesI8W(acc, cols, plus, minus, laneW)
-		requantRowHid16(dst, acc, m)
-		return
-	}
-	corr := int32(128*len(plus) + 127*len(minus))
-	mant := int64(m.Mant)
-	shift := m.Shift
-	half := int64(1) << (shift - 1)
-	nG := laneW >> 3
-	g := 0
-	for ; g+4 <= nG; g += 4 {
-		base := g << 3
-		var e0, o0, e1, o1, e2, o2, e3, o3 uint64
-		for _, pi := range plus {
-			src := cols[int(pi)*laneW+base:][:32]
-			w0 := binary.LittleEndian.Uint64(src) ^ biasI8
-			w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8
-			w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8
-			w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8
-			e0 += w0 & laneMaskE8
-			o0 += (w0 >> 8) & laneMaskE8
-			e1 += w1 & laneMaskE8
-			o1 += (w1 >> 8) & laneMaskE8
-			e2 += w2 & laneMaskE8
-			o2 += (w2 >> 8) & laneMaskE8
-			e3 += w3 & laneMaskE8
-			o3 += (w3 >> 8) & laneMaskE8
-		}
-		for _, mi := range minus {
-			src := cols[int(mi)*laneW+base:][:32]
-			w0 := binary.LittleEndian.Uint64(src) ^ biasI8Neg
-			w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8Neg
-			w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8Neg
-			w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8Neg
-			e0 += w0 & laneMaskE8
-			o0 += (w0 >> 8) & laneMaskE8
-			e1 += w1 & laneMaskE8
-			o1 += (w1 >> 8) & laneMaskE8
-			e2 += w2 & laneMaskE8
-			o2 += (w2 >> 8) & laneMaskE8
-			e3 += w3 & laneMaskE8
-			o3 += (w3 >> 8) & laneMaskE8
-		}
-		if base+32 <= len(dst) {
-			requantLanes16((*[32]int16)(dst[base:]), e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift)
-		} else {
-			var tmp [32]int16
-			requantLanes16(&tmp, e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift)
-			copy(dst[base:], tmp[:])
-		}
-	}
-	for ; g < nG; g++ {
-		base := g << 3
-		var ev, od uint64
-		for _, pi := range plus {
-			w := binary.LittleEndian.Uint64(cols[int(pi)*laneW+base:][:8]) ^ biasI8
-			ev += w & laneMaskE8
-			od += (w >> 8) & laneMaskE8
-		}
-		for _, mi := range minus {
-			w := binary.LittleEndian.Uint64(cols[int(mi)*laneW+base:][:8]) ^ biasI8Neg
-			ev += w & laneMaskE8
-			od += (w >> 8) & laneMaskE8
-		}
-		var tmp [8]int16
-		requantLaneG16(tmp[:], ev, od, corr, mant, half, shift)
-		if base >= len(dst) {
-			continue
-		}
-		copy(dst[base:], tmp[:])
-	}
-}
-
-// hidRowQ8 produces hidden plane i under PolicyInt8 through the fused
-// index-run kernel. A stride off the SWAR group width (dense callers) takes
-// the tailed two-phase pair instead — the fused kernel has no scalar tail.
+// hidRowQ8 produces hidden plane i under PolicyInt8: the row walk over the
+// im2col planes at stride, then the int8 rescale of the real columns.
 func (q *QConv) hidRowQ8(i int, dst []int8, acc []int32, cols []byte, stride int) {
-	plus, minus := q.wbSp.row(i)
-	if stride&7 == 0 {
-		gatherPlanesQ8(dst, acc, cols, plus, minus, stride, q.hidMul8[i], 0, false)
-		return
-	}
-	gatherPlanesI8W(acc, cols, plus, minus, stride)
+	q.wbSp.walkI8(i, acc, cols, stride)
 	requantRowHid8(dst, acc, q.hidMul8[i])
 }
 
 // hidRowQ16 is hidRowQ8 at the mixed policy's int16 hidden width.
 func (q *QConv) hidRowQ16(i int, dst []int16, acc []int32, cols []byte, stride int) {
-	plus, minus := q.wbSp.row(i)
-	if stride&7 == 0 {
-		gatherPlanesQ16(dst, acc, cols, plus, minus, stride, q.HidMul[i])
-		return
-	}
-	gatherPlanesI8W(acc, cols, plus, minus, stride)
+	q.wbSp.walkI8(i, acc, cols, stride)
 	requantRowHid16(dst, acc, q.HidMul[i])
 }
 
 // outRowQ8 produces output channel c from int8 hidden planes (PolicyInt8),
-// the Wc counterpart of hidRowQ8. Hidden planes always live at a padded
-// stride, so there is no dense-stride fallback.
-func (q *QConv) outRowQ8(c int, dst []int8, acc []int32, cols []byte, stride int) {
-	plus, minus := q.wcSp.row(c)
-	gatherPlanesQ8(dst, acc, cols, plus, minus, stride, q.outMul8[c], q.OutBias[c], q.ReLU)
-}
-
-// requantLanes8 requantises one fused tile: the four even/odd lane
-// accumulator pairs of a 32-column tile, straight to int8. Deliberately a
-// separate (never-inlined) function: keeping the requant chains out of the
-// gather body preserves the tap loops' register allocation — inlining this
-// into the tile epilogue costs ~30% on the whole kernel in spills.
-func requantLanes8(d *[32]int8, e0, o0, e1, o1, e2, o2, e3, o3 uint64, corr int32, mant int64, shift uint8, b, lo int32) {
-	half := int64(1) << (shift - 1)
-	d[0] = q8(int32(e0&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[1] = q8(int32(o0&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[2] = q8(int32((e0>>16)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[3] = q8(int32((o0>>16)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[4] = q8(int32((e0>>32)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[5] = q8(int32((o0>>32)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[6] = q8(int32(e0>>48)-corr, mant, half, shift, b, lo)
-	d[7] = q8(int32(o0>>48)-corr, mant, half, shift, b, lo)
-	d[8] = q8(int32(e1&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[9] = q8(int32(o1&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[10] = q8(int32((e1>>16)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[11] = q8(int32((o1>>16)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[12] = q8(int32((e1>>32)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[13] = q8(int32((o1>>32)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[14] = q8(int32(e1>>48)-corr, mant, half, shift, b, lo)
-	d[15] = q8(int32(o1>>48)-corr, mant, half, shift, b, lo)
-	d[16] = q8(int32(e2&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[17] = q8(int32(o2&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[18] = q8(int32((e2>>16)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[19] = q8(int32((o2>>16)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[20] = q8(int32((e2>>32)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[21] = q8(int32((o2>>32)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[22] = q8(int32(e2>>48)-corr, mant, half, shift, b, lo)
-	d[23] = q8(int32(o2>>48)-corr, mant, half, shift, b, lo)
-	d[24] = q8(int32(e3&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[25] = q8(int32(o3&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[26] = q8(int32((e3>>16)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[27] = q8(int32((o3>>16)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[28] = q8(int32((e3>>32)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[29] = q8(int32((o3>>32)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[30] = q8(int32(e3>>48)-corr, mant, half, shift, b, lo)
-	d[31] = q8(int32(o3>>48)-corr, mant, half, shift, b, lo)
-}
-
-// requantLanes16 is requantLanes8 at the mixed policy's int16 hidden width.
-func requantLanes16(d *[32]int16, e0, o0, e1, o1, e2, o2, e3, o3 uint64, corr int32, mant int64, shift uint8) {
-	half := int64(1) << (shift - 1)
-	d[0] = q16(int32(e0&0xFFFF)-corr, mant, half, shift)
-	d[1] = q16(int32(o0&0xFFFF)-corr, mant, half, shift)
-	d[2] = q16(int32((e0>>16)&0xFFFF)-corr, mant, half, shift)
-	d[3] = q16(int32((o0>>16)&0xFFFF)-corr, mant, half, shift)
-	d[4] = q16(int32((e0>>32)&0xFFFF)-corr, mant, half, shift)
-	d[5] = q16(int32((o0>>32)&0xFFFF)-corr, mant, half, shift)
-	d[6] = q16(int32(e0>>48)-corr, mant, half, shift)
-	d[7] = q16(int32(o0>>48)-corr, mant, half, shift)
-	d[8] = q16(int32(e1&0xFFFF)-corr, mant, half, shift)
-	d[9] = q16(int32(o1&0xFFFF)-corr, mant, half, shift)
-	d[10] = q16(int32((e1>>16)&0xFFFF)-corr, mant, half, shift)
-	d[11] = q16(int32((o1>>16)&0xFFFF)-corr, mant, half, shift)
-	d[12] = q16(int32((e1>>32)&0xFFFF)-corr, mant, half, shift)
-	d[13] = q16(int32((o1>>32)&0xFFFF)-corr, mant, half, shift)
-	d[14] = q16(int32(e1>>48)-corr, mant, half, shift)
-	d[15] = q16(int32(o1>>48)-corr, mant, half, shift)
-	d[16] = q16(int32(e2&0xFFFF)-corr, mant, half, shift)
-	d[17] = q16(int32(o2&0xFFFF)-corr, mant, half, shift)
-	d[18] = q16(int32((e2>>16)&0xFFFF)-corr, mant, half, shift)
-	d[19] = q16(int32((o2>>16)&0xFFFF)-corr, mant, half, shift)
-	d[20] = q16(int32((e2>>32)&0xFFFF)-corr, mant, half, shift)
-	d[21] = q16(int32((o2>>32)&0xFFFF)-corr, mant, half, shift)
-	d[22] = q16(int32(e2>>48)-corr, mant, half, shift)
-	d[23] = q16(int32(o2>>48)-corr, mant, half, shift)
-	d[24] = q16(int32(e3&0xFFFF)-corr, mant, half, shift)
-	d[25] = q16(int32(o3&0xFFFF)-corr, mant, half, shift)
-	d[26] = q16(int32((e3>>16)&0xFFFF)-corr, mant, half, shift)
-	d[27] = q16(int32((o3>>16)&0xFFFF)-corr, mant, half, shift)
-	d[28] = q16(int32((e3>>32)&0xFFFF)-corr, mant, half, shift)
-	d[29] = q16(int32((o3>>32)&0xFFFF)-corr, mant, half, shift)
-	d[30] = q16(int32(e3>>48)-corr, mant, half, shift)
-	d[31] = q16(int32(o3>>48)-corr, mant, half, shift)
-}
-
-// requantLaneG8 requantises one 8-column group's even/odd lane pair — the
-// fused epilogue for laneW remainders off the 32-column tile width.
-func requantLaneG8(d []int8, ev, od uint64, corr int32, mant, half int64, shift uint8, b, lo int32) {
-	d = d[:8]
-	d[0] = q8(int32(ev&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[1] = q8(int32(od&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[2] = q8(int32((ev>>16)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[3] = q8(int32((od>>16)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[4] = q8(int32((ev>>32)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[5] = q8(int32((od>>32)&0xFFFF)-corr, mant, half, shift, b, lo)
-	d[6] = q8(int32(ev>>48)-corr, mant, half, shift, b, lo)
-	d[7] = q8(int32(od>>48)-corr, mant, half, shift, b, lo)
-}
-
-// requantLaneG16 is requantLaneG8 at the mixed policy's int16 hidden width.
-func requantLaneG16(d []int16, ev, od uint64, corr int32, mant, half int64, shift uint8) {
-	d = d[:8]
-	d[0] = q16(int32(ev&0xFFFF)-corr, mant, half, shift)
-	d[1] = q16(int32(od&0xFFFF)-corr, mant, half, shift)
-	d[2] = q16(int32((ev>>16)&0xFFFF)-corr, mant, half, shift)
-	d[3] = q16(int32((od>>16)&0xFFFF)-corr, mant, half, shift)
-	d[4] = q16(int32((ev>>32)&0xFFFF)-corr, mant, half, shift)
-	d[5] = q16(int32((od>>32)&0xFFFF)-corr, mant, half, shift)
-	d[6] = q16(int32(ev>>48)-corr, mant, half, shift)
-	d[7] = q16(int32(od>>48)-corr, mant, half, shift)
+// the Wc counterpart of hidRowQ8.
+func (q *QConv) outRowQ8(c int, dst []int8, acc []int32, hid []byte, stride int) {
+	q.wcSp.walkI8(c, acc, hid, stride)
+	requantRowI8(dst, acc, q.outMul8[c], q.OutBias[c], q.ReLU)
 }
 
 // satMult reports the one multiplier shape the branch-free requant identity
@@ -924,7 +641,8 @@ func (q *QConv) dwColQ16(dst []int8, img []byte, plus, minus []int32, hm Mult, s
 
 // foldQ8Lanes is the fused depthwise epilogue for one 8-column group under
 // PolicyInt8: hidden requant (q8 at ±int8), signed fold, output requant.
-// Out of line for the same register-allocation reason as requantLanes8.
+// Deliberately out of line: keeping the requant chains out of the tap loop
+// preserves its register allocation.
 func foldQ8Lanes(d []int8, ev, od uint64, corr int32, hmant, hhalf int64, hshift uint8, s int32, omant, ohalf int64, oshift uint8, b, lo int32) {
 	d = d[:8]
 	d[0] = q8(s*int32(q8(int32(ev&0xFFFF)-corr, hmant, hhalf, hshift, 0, -128)), omant, ohalf, oshift, b, lo)

@@ -86,23 +86,25 @@ func TestGatherRowProperty(t *testing.T) {
 	}
 }
 
-// TestFusedRowKernelsMatchTwoPhase pins the fused gather+requant kernels
-// against the scalar gather followed by the requant row they fuse, across
-// random multipliers, biases, ReLU cuts, dst lengths off the 32-column tile
-// width, multi-chunk rows (which must take the fallback) and the
-// saturated-multiplier guard.
-func TestFusedRowKernelsMatchTwoPhase(t *testing.T) {
+// TestConvRowsMatchOracle pins the three standard-conv row functions —
+// hidRowQ8, hidRowQ16 and outRowQ8, each the row walk followed by its
+// requant row — against oracleGather followed by a per-element Mult.Apply,
+// bias, ReLU and clamp. The sweep crosses random multipliers, biases and
+// ReLU cuts, column counts off both walks' tile widths, dense strides that
+// are not a multiple of 8 (the Go walk's scalar tail), rows past the
+// 256-plane SWAR chunk and the saturated multiplier.
+func TestConvRowsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	tapCases := []int{1, 12, 40, 300} // 300 > chunkPlanes8: two chunks
-	colCases := []int{5, 8, 29, 32, 96, 125, 128}
+	tapCases := []int{1, 12, 40, 300} // 300 > chunkPlanes8: two SWAR chunks
+	colCases := []int{5, 8, 29, 32, 72, 96, 125, 128}
 	for trial := 0; trial < 80; trial++ {
 		taps := tapCases[rng.Intn(len(tapCases))]
 		nOut := colCases[rng.Intn(len(colCases))]
 		stride := pad8(nOut)
+		if trial%3 == 0 {
+			stride = nOut // a dense caller's stride
+		}
 		w := ternaryRows(rng, 1, taps, 0.1+0.8*rng.Float64())
-		sp := compileRows(w, 1, taps)
-		plus, minus := sp.row(0)
-
 		cols := make([]int8, taps*stride)
 		for i := range cols {
 			cols[i] = int8(rng.Intn(256) - 128)
@@ -111,32 +113,34 @@ func TestFusedRowKernelsMatchTwoPhase(t *testing.T) {
 
 		m := NewMult(0.001 + rng.Float64()*0.9)
 		if trial%17 == 0 {
-			m = Mult{Mant: 1 << 30, Shift: 0} // saturated: must take the guard
+			m = Mult{Mant: 1 << 30, Shift: 0} // saturated: the requant rows' guard
 		}
 		b := int32(rng.Intn(81) - 40)
 		relu := rng.Intn(2) == 0
-		acc := make([]int32, stride)
-		wantAcc := oracleGather(cols, plus, minus, stride)
-
-		gotQ8 := make([]int8, nOut)
-		gatherPlanesQ8(gotQ8, acc, colsB, plus, minus, stride, m, b, relu)
-		wantQ8 := make([]int8, nOut)
-		requantRowI8(wantQ8, wantAcc, m, b, relu)
-		for j := range wantQ8 {
-			if gotQ8[j] != wantQ8[j] {
-				t.Fatalf("trial %d (taps=%d cols=%d m=%+v b=%d relu=%v): q8[%d]=%d, want %d",
-					trial, taps, nOut, m, b, relu, j, gotQ8[j], wantQ8[j])
-			}
+		q := &QConv{
+			wbSp: compileRows(w, 1, taps), wcSp: compileRows(w, 1, taps),
+			HidMul: []Mult{m}, hidMul8: []Mult{m}, outMul8: []Mult{m},
+			OutBias: []int32{b}, ReLU: relu,
 		}
+		plus, minus := q.wbSp.row(0)
+		sum := oracleGather(cols, plus, minus, stride)
 
-		gotQ16 := make([]int16, nOut)
-		gatherPlanesQ16(gotQ16, acc, colsB, plus, minus, stride, m)
-		wantQ16 := make([]int16, nOut)
-		requantRowHid16(wantQ16, wantAcc, m)
-		for j := range wantQ16 {
-			if gotQ16[j] != wantQ16[j] {
-				t.Fatalf("trial %d (taps=%d cols=%d m=%+v): q16[%d]=%d, want %d",
-					trial, taps, nOut, m, j, gotQ16[j], wantQ16[j])
+		acc := make([]int32, stride)
+		hid8 := make([]int8, nOut)
+		q.hidRowQ8(0, hid8, acc, colsB, stride)
+		hid16 := make([]int16, nOut)
+		q.hidRowQ16(0, hid16, acc, colsB, stride)
+		out8 := make([]int8, nOut)
+		q.outRowQ8(0, out8, acc, colsB, stride)
+		for j := 0; j < nOut; j++ {
+			v := m.Apply(sum[j])
+			o := v + b
+			if relu && o < 0 {
+				o = 0
+			}
+			if hid8[j] != clampI8(v) || hid16[j] != clampI16(v) || out8[j] != clampI8(o) {
+				t.Fatalf("trial %d (taps=%d cols=%d stride=%d m=%+v b=%d relu=%v) col %d: hid8 %d hid16 %d out8 %d, want %d %d %d",
+					trial, taps, nOut, stride, m, b, relu, j, hid8[j], hid16[j], out8[j], clampI8(v), clampI16(v), clampI8(o))
 			}
 		}
 	}

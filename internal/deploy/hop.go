@@ -401,8 +401,7 @@ func (hs *HopState) runBand(q *QConv, g hopGeom, x, out []int8, segs [][2]int, p
 		return nBand
 	}
 	for c := 0; c < cout; c++ {
-		plus, minus := q.wcSp.row(c)
-		gatherI16(acc, hidden, plus, minus, pb)
+		q.wcSp.walkI16(c, acc, hidden, pb)
 		q.requantChannel(hs.row[:nBand], acc, c)
 		hs.scatter(out[c*g.outStride:], segs, g.ow)
 	}

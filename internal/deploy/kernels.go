@@ -19,10 +19,13 @@ package deploy
 // sparseRows is a compiled ternary matrix: one flat index array holding, per
 // row, the run of +1 column indices followed by the run of −1 column
 // indices. Row r's runs are idx[off[2r]:off[2r+1]] (plus) and
-// idx[off[2r+1]:off[2r+2]] (minus). len(idx) is the matrix's nonzero count.
+// idx[off[2r+1]:off[2r+2]] (minus). len(idx) is the matrix's nonzero count;
+// planes is its column count, so every index is below it — the bound the
+// assembly row walk's O(1) bounds proof rests on (walk.go).
 type sparseRows struct {
-	idx []int32
-	off []int32
+	idx    []int32
+	off    []int32
+	planes int
 }
 
 // compileRows converts a dense ternary matrix [rows, cols] into its sparse
@@ -35,8 +38,9 @@ func compileRows(w []int8, rows, cols int) sparseRows {
 		}
 	}
 	s := sparseRows{
-		idx: make([]int32, 0, nnz),
-		off: make([]int32, 2*rows+1),
+		idx:    make([]int32, 0, nnz),
+		off:    make([]int32, 2*rows+1),
+		planes: cols,
 	}
 	for r := 0; r < rows; r++ {
 		row := w[r*cols : (r+1)*cols]
@@ -310,8 +314,10 @@ func addPlanesI8(acc []int32, cols []int8, idx []int32, nOut int, sign int32) {
 	}
 }
 
-// gatherI16 is gatherI8 over int16 planes (the hidden layer); eight int16
-// values likewise cannot wrap an int32 partial sum.
+// gatherI16 is gatherI8 over int16 planes (the mixed policy's hidden
+// layer); eight int16 values likewise cannot wrap an int32 partial sum. It
+// is the portable Go walk for int16 rows (walk.go dispatches to it wherever
+// the AVX2 walk does not run) and the AVX2 walk's oracle.
 func gatherI16(acc []int32, planes []int16, plus, minus []int32, nOut int) {
 	acc = acc[:nOut]
 	switch {
@@ -413,21 +419,19 @@ func (q *QConv) stdHiddenRows8(cols []int8, hidden8 []int8, acc []int32, nOut, p
 }
 
 // stdOutRows computes every output channel from the int16 hidden planes
-// (mixed policy). int16 planes gain little from byte-lane packing at these
-// widths, so this stage keeps the unrolled index gather — at the padded
-// hidden stride, so the pad columns ride along as inert garbage.
+// (mixed policy) through the int16 row walk at the padded hidden stride, so
+// the pad columns ride along as inert garbage.
 func (q *QConv) stdOutRows(hidden []int16, acc []int32, out []int8, nOut, os int) {
 	pa := pad8(nOut)
 	for c := 0; c < int(q.Cout); c++ {
-		plus, minus := q.wcSp.row(c)
-		gatherI16(acc, hidden, plus, minus, pa)
+		q.wcSp.walkI16(c, acc, hidden, pa)
 		q.requantChannel(out[c*os:][:nOut], acc, c)
 	}
 }
 
 // stdOutRows8 computes every output channel from int8 hidden planes
-// (PolicyInt8) through the fused index-run kernel; only the real nOut
-// columns are written to out.
+// (PolicyInt8) through outRowQ8; only the real nOut columns are written to
+// out.
 func (q *QConv) stdOutRows8(hidden8 []int8, acc []int32, out []int8, nOut, os int) {
 	hidB := i8Bytes(hidden8)
 	pa := pad8(nOut)

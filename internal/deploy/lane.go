@@ -7,8 +7,8 @@ package deploy
 // every plane base once per frame. The lane kernels flip the layout: element
 // i of frame f lives at i·8+f, so one 64-bit word carries the *same*
 // activation index across 8 frames and each decoded index is amortised over
-// the whole lane. The gathers are the single-frame index-run kernels
-// (gatherPlanesI8W) run at plane stride laneW.
+// the whole lane. The gathers are the single-frame row walks (walk.go) run
+// at plane stride laneW.
 //
 // The lane pipeline is the single-frame pipeline with every spatial position
 // widened 8×: a conv stage over nOut positions becomes the same kernel over
@@ -23,11 +23,11 @@ package deploy
 // node walk is data-dependent per frame, so after a lane-wide projection the
 // walk runs per real frame on scalars.
 //
-// Exactness therefore reduces to the SWAR fold argument in bitplane.go
-// (≤ 256 planes of ≤ 255 per 16-bit lane between folds, int32 addition
-// commutes mod 2³²), which is why the lane path is bit-identical to
-// Infer and to the int64 scalar oracle — pinned by the property tests in
-// lane_test.go.
+// Exactness therefore reduces to the row walks' own: the SWAR fold argument
+// in bitplane.go (≤ 256 planes of ≤ 255 per 16-bit lane between folds) and
+// the AVX2 walk's exact sign extension, with int32 addition commuting mod
+// 2³² in both — which is why the lane path is bit-identical to Infer and to
+// the int64 scalar oracle, pinned by the property tests in lane_test.go.
 
 import (
 	"math"
@@ -241,45 +241,23 @@ func (q *QConv) forwardLane(a *laneArena, x, out []int8, h, w int, pol Policy) (
 	return outH, outW
 }
 
-// stdLane is the standard-conv lane kernel: the index-run SWAR gather into
-// the lane hidden planes, then the 1×1 combine with per-channel
-// requantisation. Rows run serially — batch parallelism is across lanes, not
-// within a stage — and the row accumulator is reused, so the working set is
-// one laneW strip of int32 plus the lane planes.
+// stdLane is the standard-conv lane kernel. Standard-conv rows are
+// position-wise, so a lane runs the single-frame row stages as one frame of
+// laneW = nOut·8 columns. Rows run serially — batch parallelism is across
+// lanes, not within a stage — and the row accumulator is reused, so the
+// working set is one laneW strip of int32 plus the lane planes.
 func (q *QConv) stdLane(a *laneArena, cols, out []int8, nOut int, pol Policy) {
-	r, cout := int(q.R), int(q.Cout)
 	laneW := nOut * laneFrames
-	colsB := i8Bytes(cols)
 	acc := a.acc[:laneW]
 	if pol == PolicyInt8 {
-		hidden8 := a.hidden8[:r*laneW]
-		for i := 0; i < r; i++ {
-			plus, minus := q.wbSp.row(i)
-			gatherPlanesI8W(acc, colsB, plus, minus, laneW)
-			requantRowHid8(hidden8[i*laneW:][:laneW], acc, q.hidMul8[i])
-		}
-		hidB := i8Bytes(hidden8)
-		for c := 0; c < cout; c++ {
-			plus, minus := q.wcSp.row(c)
-			gatherPlanesI8W(acc, hidB, plus, minus, laneW)
-			q.requantChannel8(out[c*laneW:][:laneW], acc, c)
-		}
+		hidden8 := a.hidden8[:int(q.R)*laneW]
+		q.stdHiddenRows8(cols, hidden8, acc, laneW, laneW)
+		q.stdOutRows8(hidden8, acc, out, laneW, laneW)
 		return
 	}
-	hidden := a.hidden[:r*laneW]
-	for i := 0; i < r; i++ {
-		plus, minus := q.wbSp.row(i)
-		gatherPlanesI8W(acc, colsB, plus, minus, laneW)
-		requantRowHid16(hidden[i*laneW:][:laneW], acc, q.HidMul[i])
-	}
-	// The int16 hidden combine keeps the unrolled index gather (as the
-	// single-frame path does): the planes are int16, so byte-lane packing
-	// does not apply, but each plane visit now covers 8 frames.
-	for c := 0; c < cout; c++ {
-		plus, minus := q.wcSp.row(c)
-		gatherI16(acc, hidden, plus, minus, laneW)
-		q.requantChannel(out[c*laneW:][:laneW], acc, c)
-	}
+	hidden := a.hidden[:int(q.R)*laneW]
+	q.stdHiddenRows(cols, hidden, acc, laneW, laneW)
+	q.stdOutRows(hidden, acc, out, laneW, laneW)
 }
 
 // dwGatherTapLane adds (sign +1) or subtracts (sign −1) one kernel tap's
@@ -445,8 +423,7 @@ func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult
 	accL := a.acc[:laneFrames]
 	hidL := a.hidL[:r*laneFrames]
 	for i := 0; i < r; i++ {
-		plus, minus := t.Z.wbSp.row(i)
-		gatherPlanesI8W(accL, xB, plus, minus, laneFrames)
+		t.Z.wbSp.walkI8(i, accL, xB, laneFrames)
 		m := t.Z.HidMul[i]
 		dstH := hidL[i*laneFrames:][:laneFrames]
 		for f, v := range accL {
@@ -455,8 +432,7 @@ func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult
 	}
 	z8L := a.z8L[:zOut*laneFrames]
 	for c := 0; c < zOut; c++ {
-		plus, minus := t.Z.wcSp.row(c)
-		gatherI16(accL, hidL, plus, minus, laneFrames)
+		t.Z.wcSp.walkI16(c, accL, hidL, laneFrames)
 		dstZ := z8L[c*laneFrames:][:laneFrames]
 		for f, v := range accL {
 			dstZ[f] = clampI8(t.ZQ.Apply(int32(clampI16(t.Z.OutMul.Apply(v)))))
