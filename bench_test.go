@@ -287,11 +287,11 @@ func BenchmarkEngineInferBatch(b *testing.B) {
 	}
 }
 
-// benchEngineBatch drives the frame-major lane batch path at one policy
-// with a reused result slice (InferBatchInto), the steady-state serving
-// shape: it must report 0 allocs/op — pinned by TestInferBatchZeroAllocs
-// and gated in ci.sh — and its ns/frame must beat the single-frame ns/op
-// above (gated by kws-bench).
+// benchEngineBatch drives the batch path at one policy with a reused result
+// slice (InferBatchInto), the steady-state serving shape: it must report 0
+// allocs/op — pinned by TestInferBatchZeroAllocs and gated in ci.sh — and,
+// since every frame runs Infer's pipeline, its ns/frame must stay within
+// 1.5x of the single-frame ns/op above (gated by kws-bench).
 func benchEngineBatch(b *testing.B, pol deploy.Policy) {
 	const batch = 64
 	e := deploy.SyntheticEngine(9, 0.35)
@@ -300,7 +300,7 @@ func benchEngineBatch(b *testing.B, pol deploy.Policy) {
 	for i := range xs {
 		xs[i] = benchEngineInput(e, int64(11+i))
 	}
-	dst := e.InferBatchInto(nil, xs) // warm up: compile, lane arena, result storage
+	dst := e.InferBatchInto(nil, xs) // warm up: compile, pooled arena, result storage
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

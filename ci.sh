@@ -18,11 +18,10 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 go build ./...
-# The -race pass also drives the InferBatch worker pool, the frame-major
-# lane batch kernels, and the scalar oracle running beside an engine's
-# first compile (TestInferBatchConcurrent, TestInferBatchLaneMatchesPerFrame,
-# TestInferBatchLaneConcurrent, TestOracleConcurrentWithCompile in
-# internal/deploy).
+# The -race pass also drives the InferBatch worker pool and its pooled
+# arenas, and the scalar oracle running beside an engine's first compile
+# (TestInferBatchConcurrent, TestInferBatchMatchesInfer,
+# TestOracleConcurrentWithCompile in internal/deploy).
 go test -race ./...
 
 # Engine benchmark smoke: one iteration of each packed-engine benchmark, so
@@ -47,14 +46,15 @@ echo "$BENCH_INT"
 #     synthetic paper-shape engine under both policies, and the column-lane
 #     row kernels (both ternary row walks — AVX2 where the host runs it, and
 #     the portable Go walk — the walk-then-requant conv rows, a short plane
-#     buffer panicking, depthwise edge-shifted word loads, padded-stride
-#     round trip) must match their scalar oracles property-wise.
+#     buffer panicking, depthwise edge-shifted word loads) must match their
+#     scalar oracles property-wise, and an observer attached to a batch
+#     must change no result.
 go test -count=1 -short \
     -run='TestInferIntMatchesFloatSimulation|TestInferIntMatchesNaiveRandomized|TestInferIntZeroAllocs' \
     ./internal/deploy
 go test -count=1 \
-    -run='TestGatherRowProperty|TestRowWalksMatchOracle|TestRowWalkShortPlanesPanics|TestConvRowsMatchOracle|TestDWTapWord|TestBatchLanePathWithTelemetry|TestPadColsRoundTrip' \
-    ./internal/deploy ./internal/tensor
+    -run='TestGatherRowProperty|TestRowWalksMatchOracle|TestRowWalkShortPlanesPanics|TestConvRowsMatchOracle|TestDWTapWord|TestBatchLanePathWithTelemetry' \
+    ./internal/deploy
 # (3) The portable row walk end to end: the whole package under -tags
 #     purego, where every row takes the Go walk, so each parity and 0-alloc
 #     gate in it also holds on hosts without AVX2 and off amd64.
@@ -64,27 +64,28 @@ go test -count=1 -tags purego ./internal/deploy
 #     preserving the policy byte and calibration table).
 go test -count=1 -run='TestWriteToVersionMatrix|TestV1ArtifactsStillReadable' ./internal/deploy
 
-# Batch-lane gauntlet.
-# (1) 0-alloc gate for the frame-major lane batch path: both activation
-#     policies with a reused result slice must run without allocating.
+# Batch gauntlet (InferBatch: every frame through Infer's pipeline).
+# (1) 0-alloc gate for the batch path: both activation policies with a
+#     reused result slice must run without allocating.
 BENCH_BATCH="$(go test -run='^$' -bench='^BenchmarkEngineInferBatch(Mixed|Int8)$' -benchmem -benchtime=10x .)"
 echo "$BENCH_BATCH"
 [ "$(echo "$BENCH_BATCH" | grep -c ' 0 allocs/op')" -eq 2 ]
-# (2) Lane exactness/alloc/concurrency properties without the race detector
-#     (the alloc-count gate skips under -race, where sync.Pool drops items
-#     by design), plus the lane transpose round-trip.
+# (2) Batch exactness/alloc/concurrency properties without the race
+#     detector (the alloc-count gate skips under -race, where sync.Pool
+#     drops items by design).
 go test -count=1 -short \
-    -run='TestGatherLaneMatchesScalar|TestInferBatchLaneMatchesPerFrame|TestInferBatchZeroAllocs|TestInferBatchLaneConcurrent|TestLanePack' \
-    ./internal/deploy ./internal/tensor
+    -run='TestInferBatchMatchesInfer|TestInferBatchZeroAllocs|TestInferBatchConcurrent' \
+    ./internal/deploy
 # (3) Mixed single-frame/batch concurrency under the race detector: one
 #     goroutine hammering the resident-arena Infer path while three more
 #     drive InferBatch on the same engine — the contract the serving daemon
 #     leans on.
 go test -race -count=1 -run='TestMixedSingleBatchConcurrent' ./internal/deploy
-# (4) Multi-core batch smoke: the worker-scaling sweep must clear the
-#     kws-bench v7 gates — single-frame int8 at least 2.5x faster than the
-#     float baseline (paired median), batch ns/frame at workers=1 within 1.5x of
-#     single-frame (the column-lane kernels win at one worker by design),
+# (4) Multi-core batch smoke: the worker-scaling sweep (counts above the
+#     host's CPUs are skipped) must clear the kws-bench gates — single-frame
+#     int8 at least 2.5x faster than the float baseline (paired median),
+#     batch ns/frame at workers=1 within 1.5x of single-frame (batch runs
+#     the same per-frame pipeline, so this bounds its dispatch overhead),
 #     1000 frames of batch output matching the scalar NaiveInt oracle under
 #     both policies, the same oracle holding with a telemetry observer
 #     attached, 1000 consecutive hops of InferHop matching full-window

@@ -64,10 +64,9 @@ type serveReport struct {
 	DrainElapsedMs int64 `json:"drain_elapsed_ms"`
 
 	// TelemetryOverhead compares a fully observed serving run (registry +
-	// flight recorder + hop tracing + engine lane counters) against a
-	// detached run of the same load. The gate: attached throughput within
-	// 10% of detached, and the engine must still take the SWAR lane path
-	// (attaching telemetry must not demote batches to scalar).
+	// flight recorder + hop tracing + engine telemetry) against a detached
+	// run of the same load. The gate: attached throughput within 10% of
+	// detached.
 	TelemetryOverhead overheadReport `json:"telemetry_overhead"`
 
 	// Incremental reruns a fault-injected load with Config.Incremental —
@@ -86,14 +85,10 @@ type overheadReport struct {
 	AttachedSamplesPerSec float64 `json:"attached_samples_per_sec"`
 	// OverheadFrac = 1 - attached/detached, clamped at 0.
 	OverheadFrac float64 `json:"overhead_frac"`
-	// LaneBatches counts lane dispatches the serve layer coalesced;
-	// EngineLaneFrames counts frames the engine classified on the SWAR lane
-	// path. LanePathRetained requires frames on the lane path whenever
-	// batches were dispatched.
-	LaneBatches      int64 `json:"lane_batches"`
-	EngineLaneFrames int64 `json:"engine_lane_frames"`
-	LanePathRetained bool  `json:"lane_path_retained"`
-	// Pass gates the row: overhead <= 10% and the lane path retained.
+	// LaneBatches counts the InferBatch calls the serve lanes coalesced in
+	// the attached run.
+	LaneBatches int64 `json:"lane_batches"`
+	// Pass gates the row: overhead <= 10%.
 	Pass bool `json:"pass"`
 }
 
@@ -250,7 +245,7 @@ func benchServe(out string, seed int64, density float64, sessions int, faultFrac
 	hop := reg.LatencyHistogram("stream.hop.ns").Snapshot(false)
 	hopE2E := reg.LatencyHistogram("serve.hop.e2e.ns").Snapshot(false)
 	rep := serveReport{
-		Schema:         "kws-serve-bench/v3",
+		Schema:         "kws-serve-bench/v4",
 		Generated:      time.Now().UTC().Format(time.RFC3339),
 		GoVersion:      runtime.Version(),
 		GOOS:           runtime.GOOS,
@@ -302,8 +297,8 @@ func benchServe(out string, seed int64, density float64, sessions int, faultFrac
 			load.SessionsSustained, sessions)
 	}
 	if !rep.TelemetryOverhead.Pass {
-		fmt.Fprintf(os.Stderr, "kws-bench: REGRESSION: telemetry overhead %.1f%% (gate 10%%), lane path retained=%v\n",
-			rep.TelemetryOverhead.OverheadFrac*100, rep.TelemetryOverhead.LanePathRetained)
+		fmt.Fprintf(os.Stderr, "kws-bench: REGRESSION: telemetry overhead %.1f%% (gate 10%%)\n",
+			rep.TelemetryOverhead.OverheadFrac*100)
 	}
 	if !rep.Incremental.Pass {
 		fmt.Fprintf(os.Stderr, "kws-bench: REGRESSION: incremental serving hit rate %.0f%% (gate 50%%), clean lost %d\n",
@@ -324,41 +319,38 @@ const overheadSessions = 200
 // benchTelemetryOverhead measures what the full observability stack costs:
 // an identical clean load is slammed through the serving core detached (no
 // registry, no flight recorder, no tracing) and attached (all of it, plus
-// engine lane counters), best of two runs each, and the throughput delta is
-// the overhead. The attached run also proves the engine still took the SWAR
-// lane path — attaching telemetry must not demote batches to scalar.
+// engine telemetry), best of two runs each, and the throughput delta is the
+// overhead.
 func benchTelemetryOverhead(seed int64, density float64) overheadReport {
-	best := func(attached bool) (sps float64, batches, frames int64) {
+	best := func(attached bool) (sps float64, batches int64) {
 		for i := 0; i < 2; i++ {
-			s, b, f := overheadRun(seed+int64(i), density, attached)
+			s, b := overheadRun(seed+int64(i), density, attached)
 			if s > sps {
-				sps, batches, frames = s, b, f
+				sps, batches = s, b
 			}
 		}
 		return
 	}
-	detached, _, _ := best(false)
-	attached, laneBatches, laneFrames := best(true)
+	detached, _ := best(false)
+	attached, laneBatches := best(true)
 
 	rep := overheadReport{
 		Sessions:              overheadSessions,
 		DetachedSamplesPerSec: detached,
 		AttachedSamplesPerSec: attached,
 		LaneBatches:           laneBatches,
-		EngineLaneFrames:      laneFrames,
-		LanePathRetained:      laneBatches == 0 || laneFrames > 0,
 	}
 	if detached > 0 && attached < detached {
 		rep.OverheadFrac = 1 - attached/detached
 	}
-	rep.Pass = rep.OverheadFrac <= 0.10 && rep.LanePathRetained
+	rep.Pass = rep.OverheadFrac <= 0.10
 	return rep
 }
 
 // overheadRun drives one clean in-process load and reports its sustained
 // sample throughput. Attached runs carry the registry, flight recorder, hop
 // tracing, and engine telemetry; detached runs none of it.
-func overheadRun(seed int64, density float64, attached bool) (samplesPerSec float64, laneBatches, laneFrames int64) {
+func overheadRun(seed int64, density float64, attached bool) (samplesPerSec float64, laneBatches int64) {
 	eng := deploy.SyntheticEngine(seed, density)
 	lanes := runtime.NumCPU() / 2
 	if lanes < 1 {
@@ -400,7 +392,6 @@ func overheadRun(seed int64, density float64, attached bool) (samplesPerSec floa
 	cancel()
 	if attached {
 		laneBatches = reg.Histogram("serve.lane.batch_frames", nil).Snapshot(false).Count
-		laneFrames = reg.Counter("engine.lane.frames").Value()
 	}
-	return load.SamplesPerSec, laneBatches, laneFrames
+	return load.SamplesPerSec, laneBatches
 }

@@ -14,44 +14,49 @@ type BatchResult struct {
 
 // maxBatchWorkers caps the engine's persistent batch worker pool. The pool
 // is fixed-size (started once, lazily) so GOMAXPROCS changes between calls
-// never strand it undersized; the per-call worker cap bounds how many lanes
+// never strand it undersized; the per-call worker cap bounds how many chunks
 // are actually in flight.
 const maxBatchWorkers = 16
 
-// laneJob is one lane of a batch, passed by value to the persistent worker
+// chunkFrames is the batch dispatch unit: a worker takes this many frames at
+// a time and runs them one after another on one pooled arena, so hand-off
+// and arena checkout are paid once per chunk rather than once per frame.
+const chunkFrames = 8
+
+// chunkJob is one chunk of a batch, passed by value to the persistent worker
 // pool; done is the caller's completion channel.
-type laneJob struct {
+type chunkJob struct {
 	e    *Engine
 	xs   [][]float32
 	dst  []BatchResult
 	done chan struct{}
 }
 
-func batchLaneWorker(work chan laneJob) {
+func batchWorker(work chan chunkJob) {
 	for j := range work {
-		j.e.runLane(j.xs, j.dst)
+		j.e.runChunk(j.xs, j.dst)
 		j.done <- struct{}{}
 	}
 }
 
-// ensureBatchWorkers starts the persistent lane workers on first parallel
+// ensureBatchWorkers starts the persistent batch workers on first parallel
 // batch. Workers hold only the channel (never the engine), so once the
 // engine is garbage its finalizer closes work and the pool unwinds.
 func (e *Engine) ensureBatchWorkers() {
 	e.batchOnce.Do(func() {
-		e.batchWork = make(chan laneJob, maxBatchWorkers)
+		e.batchWork = make(chan chunkJob, maxBatchWorkers)
 		e.batchDone.New = func() any { return make(chan struct{}, maxBatchWorkers) }
 		for i := 0; i < maxBatchWorkers; i++ {
-			go batchLaneWorker(e.batchWork)
+			go batchWorker(e.batchWork)
 		}
 		runtime.SetFinalizer(e, func(e *Engine) { close(e.batchWork) })
 	})
 }
 
 // InferBatch classifies many MFCC frames, amortising dispatch for streaming
-// and serving callers. Frames are packed eight per frame-major lane (see
-// lane.go) so each decoded ±1 index covers the whole lane; lanes are spread
-// over up to GOMAXPROCS workers from a persistent pool.
+// and serving callers. Every frame runs Infer's single-frame pipeline, so
+// batch results equal Infer's; chunks of eight frames are spread over up to
+// GOMAXPROCS workers from a persistent pool.
 // Per-frame faults (wrong input length, a recovered panic) land in that
 // frame's Err instead of failing the batch. Unlike Infer, the returned score
 // slices are caller-owned copies.
@@ -81,10 +86,10 @@ func (e *Engine) InferBatchCapped(xs [][]float32, maxWorkers int) []BatchResult 
 
 // InferBatchCappedInto combines InferBatchInto and InferBatchCapped: results
 // go into the reused dst, and at most maxWorkers goroutines (including the
-// caller) process lanes. When the effective worker count is one the whole
+// caller) process chunks. When the effective worker count is one the whole
 // batch runs on the calling goroutine with no dispatch at all; otherwise
-// lanes are handed to the persistent worker pool, the caller keeps up to
-// maxWorkers−1 lanes in flight and runs the overflow itself, so a full pool
+// chunks are handed to the persistent worker pool, the caller keeps up to
+// maxWorkers−1 chunks in flight and runs the overflow itself, so a full pool
 // degrades to inline work instead of blocking.
 func (e *Engine) InferBatchCappedInto(dst []BatchResult, xs [][]float32, maxWorkers int) []BatchResult {
 	if cap(dst) >= len(xs) {
@@ -98,29 +103,29 @@ func (e *Engine) InferBatchCappedInto(dst []BatchResult, xs [][]float32, maxWork
 		return dst
 	}
 	e.ensureCompiled()
-	nLanes := (len(xs) + laneFrames - 1) / laneFrames
+	nChunks := (len(xs) + chunkFrames - 1) / chunkFrames
 	workers := runtime.GOMAXPROCS(0)
 	if maxWorkers > 0 && workers > maxWorkers {
 		workers = maxWorkers
 	}
-	if workers > nLanes {
-		workers = nLanes
+	if workers > nChunks {
+		workers = nChunks
 	}
 	if workers <= 1 {
-		for lo := 0; lo < len(xs); lo += laneFrames {
-			hi := lo + laneFrames
+		for lo := 0; lo < len(xs); lo += chunkFrames {
+			hi := lo + chunkFrames
 			if hi > len(xs) {
 				hi = len(xs)
 			}
-			e.runLane(xs[lo:hi], dst[lo:hi])
+			e.runChunk(xs[lo:hi], dst[lo:hi])
 		}
 		return dst
 	}
 	e.ensureBatchWorkers()
 	done := e.batchDone.Get().(chan struct{})
 	inflight := 0
-	for lo := 0; lo < len(xs); lo += laneFrames {
-		hi := lo + laneFrames
+	for lo := 0; lo < len(xs); lo += chunkFrames {
+		hi := lo + chunkFrames
 		if hi > len(xs) {
 			hi = len(xs)
 		}
@@ -135,20 +140,30 @@ func (e *Engine) InferBatchCappedInto(dst []BatchResult, xs [][]float32, maxWork
 		}
 		if inflight < workers-1 {
 			select {
-			case e.batchWork <- laneJob{e: e, xs: xs[lo:hi], dst: dst[lo:hi], done: done}:
+			case e.batchWork <- chunkJob{e: e, xs: xs[lo:hi], dst: dst[lo:hi], done: done}:
 				inflight++
 				continue
 			default:
-				// Pool saturated by concurrent batches; run this lane inline.
+				// Pool saturated by concurrent batches; run this chunk inline.
 			}
 		}
-		e.runLane(xs[lo:hi], dst[lo:hi])
+		e.runChunk(xs[lo:hi], dst[lo:hi])
 	}
 	for ; inflight > 0; inflight-- {
 		<-done
 	}
 	e.batchDone.Put(done)
 	return dst
+}
+
+// runChunk classifies one chunk's frames into dst on one pooled arena,
+// reusing each slot's Scores storage.
+func (e *Engine) runChunk(xs [][]float32, dst []BatchResult) {
+	a := e.getArena()
+	for i, x := range xs {
+		dst[i] = e.inferOne(a, x, dst[i].Scores)
+	}
+	e.putArena(a)
 }
 
 // inferOne classifies one frame on the given arena with InferSafe semantics:
@@ -168,7 +183,7 @@ func (e *Engine) inferOne(a *arena, x []float32, scratch []int32) (r BatchResult
 	}
 	// Run at the arena's policy, not e.Policy: the kernels must match the
 	// buffers the arena was sized with, even if Policy was flipped after
-	// this worker checked its arena out.
+	// this chunk checked its arena out.
 	sc, cls := e.inferArena(a, x, a.pol)
 	return BatchResult{Scores: append(scratch[:0], sc...), Class: cls}
 }

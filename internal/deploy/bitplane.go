@@ -22,9 +22,8 @@ package deploy
 //
 // Convolutions keep their ±1 plane-index lists (sparseRows): each selected
 // plane is swept eight values per load (gatherPlanesI8W) — eight output
-// columns of one frame on the single-frame and hop paths, one position of
-// eight frames on the batch lanes. One SWAR add per nonzero is the paper's
-// one-add-per-nonzero cost. gatherPlanesI8W is the portable Go walk: where
+// columns of one frame, on the single-frame and hop paths alike. One SWAR
+// add per nonzero is the paper's one-add-per-nonzero cost. gatherPlanesI8W is the portable Go walk: where
 // the CPU runs AVX2, rows with a column count divisible by 8 take the
 // assembly walk instead (walk.go), and this kernel is its oracle.
 // The Bonsai tree's dense maps walk the same index runs scalar (runDot in

@@ -2,18 +2,16 @@ package deploy
 
 // Single-frame column-lane execution.
 //
-// The batch lane kernels (lane.go) get their throughput from two properties:
-// every SWAR load is full (laneW = nOut·8 is always a multiple of the group
-// width, so there is no scalar tail) and every decoded ±1 index is amortised
-// over eight values. The single-frame path used to have neither — nOut is
-// rarely a multiple of 8, so gatherPlanesI8W ran a scalar tail every row.
-// This file turns the same lane machinery 90°: instead of 8 frames per
-// 64-bit word, one frame's planes are stored at a *padded column stride*
-// (tensor.PadStride: nOut rounded up to the next multiple of 8), so a word
-// carries 8 adjacent output columns of one frame and each index decode
-// amortises over 8 outputs exactly as the batch lanes amortise over 8
-// frames. The same index-run kernels serve both, with laneW = the padded
-// stride here.
+// A SWAR row walk gets its throughput from two properties: every load is
+// full (no scalar tail) and every decoded ±1 index is amortised over eight
+// values. nOut is rarely a multiple of 8, so a walk at the dense stride
+// would run a scalar tail every row. Instead one frame's planes are stored
+// at a *padded column stride* (pad8: nOut rounded up to the next multiple
+// of 8), so a word carries 8 adjacent output columns and each index decode
+// amortises over 8 outputs. Batches get no second layout: InferBatch runs
+// every frame through this path, since the AVX2 walk already sweeps 64
+// columns per decoded index and interleaving frames measured no faster
+// (DESIGN.md, "Batch execution model").
 //
 // Pad columns hold garbage and that is fine: every stage between
 // quantisation and the tree is either position-wise (output column j reads
@@ -41,8 +39,7 @@ import "encoding/binary"
 // requant stages retire no data-dependent branches at all.
 
 // pad8 rounds a column count up to the SWAR group width — the single-frame
-// column-lane stride (alias of tensor.PadStride, local so the hot path does
-// not cross a package boundary).
+// column-lane stride.
 func pad8(n int) int { return (n + 7) &^ 7 }
 
 // --- depthwise column-lane walk ---

@@ -170,10 +170,10 @@ func TestDWTapWord(t *testing.T) {
 	}
 }
 
-// TestBatchLanePathWithTelemetry is the regression test for the batch
-// telemetry demotion: attaching an observer must keep InferBatch on the lane
-// path (counted lanes and frames) and stay bit-identical to the unobserved
-// engine.
+// TestBatchLanePathWithTelemetry pins that an observer changes nothing on
+// the batch path serve lanes take: with an observer attached, InferBatch over
+// one full chunk plus a short one must stay bit-identical to the unobserved
+// engine, and engine.infers must count every frame.
 func TestBatchLanePathWithTelemetry(t *testing.T) {
 	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 		e := deployTestEngine(53)
@@ -184,7 +184,7 @@ func TestBatchLanePathWithTelemetry(t *testing.T) {
 		obs := e.EnableTelemetry(reg, nil)
 
 		rng := rand.New(rand.NewSource(7))
-		const n = laneFrames + 3 // one full lane plus a short one
+		const n = chunkFrames + 3 // one full chunk plus a short one
 		xs := make([][]float32, n)
 		for i := range xs {
 			x := make([]float32, e.Frames*e.Coeffs)
@@ -210,11 +210,8 @@ func TestBatchLanePathWithTelemetry(t *testing.T) {
 			}
 		}
 
-		if got := obs.LaneLanes.Value(); got < 1 {
-			t.Fatalf("pol %v: observed engine took %d lane dispatches — batch demoted to scalar", pol, got)
-		}
-		if got := obs.LaneFrames.Value(); got != laneFrames {
-			t.Fatalf("pol %v: %d frames on the lane path, want %d", pol, got, laneFrames)
+		if got := obs.Infers.Value(); got != n {
+			t.Fatalf("pol %v: engine.infers = %d, want %d", pol, got, n)
 		}
 	}
 }
@@ -222,7 +219,7 @@ func TestBatchLanePathWithTelemetry(t *testing.T) {
 // TestMixedSingleBatchConcurrent shares one engine between a single-frame
 // caller (Infer's documented single-goroutine contract) and concurrent
 // InferBatch callers, validating under -race that the resident arena and
-// the batch lane arenas never alias. Every caller checks its classes
+// the pooled batch arenas never alias. Every caller checks its classes
 // against a reference engine.
 func TestMixedSingleBatchConcurrent(t *testing.T) {
 	e := deployTestEngine(67)

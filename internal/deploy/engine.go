@@ -408,7 +408,7 @@ func (t *QTree) Forward(x []int8) []int32 {
 //
 // Infer and InferSafe run on a resident scratch arena and are therefore not
 // safe for concurrent use on one engine; concurrent callers use InferBatch,
-// which checks a private arena out per worker. The scores slice they return
+// which checks a private arena out per chunk. The scores slice they return
 // is arena-owned and valid until the next Infer/InferSafe call on the same
 // engine — copy it to retain it.
 type Engine struct {
@@ -432,21 +432,20 @@ type Engine struct {
 
 	compileOnce sync.Once   // guards kernel compilation
 	arena       *arena      // resident arena for Infer/InferSafe
-	arenas      sync.Pool   // spare arenas for the per-frame batch fallback
-	laneArenas  sync.Pool   // spare frame-major lane arenas (lane.go)
+	arenas      sync.Pool   // spare arenas for InferBatch chunks
 	hopStates   sync.Pool   // released HopStates for streaming sessions (hop.go)
 	farena      *floatArena // resident scratch for InferFloat
 
 	// Persistent batch worker pool (batch.go): fixed-size, started lazily on
-	// the first parallel InferBatch; lanes are dispatched to it by value so
+	// the first parallel InferBatch; chunks are dispatched to it by value so
 	// steady-state batches allocate nothing.
 	batchOnce sync.Once
-	batchWork chan laneJob
+	batchWork chan chunkJob
 	batchDone sync.Pool // pooled per-call completion channels
 
-	// obs, when set via EnableTelemetry, routes the sparse path through the
-	// instrumented variant in telemetry.go. nil (the default) costs one
-	// pointer comparison per inference.
+	// obs, when set via EnableTelemetry, times and traces every stage of
+	// inferArena (telemetry.go). nil (the default) costs one pointer
+	// comparison per stage.
 	obs *Observer
 }
 
@@ -569,31 +568,41 @@ func (e *Engine) NaiveInt(x []float32) (scores []int32, class int) {
 	return e.inferNaive(x, e.Policy)
 }
 
-// inferArena runs the sparse-kernel pipeline on the given arena. Activation
-// images between convs live at the column-lane channel stride pad8(h·w)
-// (collane.go), so every plane gather runs full SWAR width; st tracks the
-// current stride down the chain. The first conv's input is dense (Cin is 1
-// there, so its stride is never read past the slice bound).
+// inferArena runs the sparse-kernel pipeline on the given arena: the one
+// single-frame driver behind Infer, InferSafe and every InferBatch frame.
+// Activation images between convs live at the column-lane channel stride
+// pad8(h·w) (collane.go), so every plane gather runs full SWAR width; st
+// tracks the current stride down the chain. The first conv's input is dense
+// (Cin is 1 there, so its stride is never read past the slice bound). The
+// observer's stage hooks (telemetry.go) time and trace each stage when one
+// is attached and do nothing otherwise.
 func (e *Engine) inferArena(a *arena, x []float32, pol Policy) ([]int32, int) {
-	if e.obs != nil {
-		return e.inferArenaObserved(a, x, pol)
-	}
+	o := e.obs
+	root := o.openInfer()
 	e.quantizeInto(a.imgA[:len(x)], x)
 	img, next := a.imgA, a.imgB
 	h, w := int(e.Frames), int(e.Coeffs)
 	st := h * w
-	for _, conv := range e.Convs {
+	for i, conv := range e.Convs {
+		s := o.openLayer(root, i)
 		oh, ow := conv.outSize(h, w)
 		ost := pad8(oh * ow)
 		conv.forwardInto(a, img[:int(conv.Cin)*st], next, h, w, pol, st, ost)
+		o.closeLayer(s, i)
 		img, next = next, img
 		h, w = oh, ow
 		st = ost
 	}
-	c := int(e.Convs[len(e.Convs)-1].Cout)
+	n := len(e.Convs)
+	c := int(e.Convs[n-1].Cout)
+	s := o.openLayer(root, n)
 	pooled := a.pooled
 	ph, pw := poolInto(pooled, img, c, h, w, int(e.PoolK), int(e.PoolS), st)
+	o.closeLayer(s, n)
+	s = o.openLayer(root, n+1)
 	sc := e.Tree.forwardInto(a, pooled[:c*ph*pw])
+	o.closeLayer(s, n+1)
+	o.closeInfer(root)
 	return sc, argmax(sc)
 }
 

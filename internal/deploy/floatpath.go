@@ -170,7 +170,9 @@ func (e *Engine) InferFloat(x []float32) (scores []int32, class int) {
 	return sc, argmax(sc)
 }
 
-// im2colF32Into is im2colI8Into over float32 planes.
+// im2colF32Into lowers a float32 image [c,h,w] into dense [c·kh·kw, nOut]
+// columns over the whole window, zeroing the padding taps: the float
+// counterpart of im2colBandI8 over the single band [0, outH).
 func im2colF32Into(dst []float32, x []float32, c, h, w, kh, kw, stride, padH, padW int) (int, int) {
 	outH := (h+2*padH-kh)/stride + 1
 	outW := (w+2*padW-kw)/stride + 1
@@ -292,7 +294,10 @@ func (q *QConv) requantFloat(dst []float32, acc []float64, c int, pol Policy) {
 	}
 }
 
-// dwGatherTapF is dwGatherTap over float32 planes with a float64 accumulator.
+// dwGatherTapF adds (sign +1) or subtracts (sign −1) one depthwise tap's
+// sliding window of a float32 plane into the float64 accumulator hacc,
+// skipping padding positions: the float counterpart of dwGatherTapBand over
+// the single band [0, outH).
 func dwGatherTapF(hacc []float64, img []float32, ki, kj, h, w, outH, outW, stride, padH, padW int, sign float64) {
 	oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
 	ojLo, ojHi := colRuns(w, kj, stride, padW, outW)

@@ -478,8 +478,12 @@ func (hs *HopState) dwBand(q *QConv, g hopGeom, x, out []int8, segs [][2]int, nB
 	}
 }
 
-// dwGatherTapBand is dwGatherTap over a band: hacc is band-local (segment
-// rows concatenated), img is the full input plane.
+// dwGatherTapBand adds (sign +1) or subtracts (sign −1) one depthwise
+// tap's sliding window over the listed output-row segments into hacc,
+// reading the input plane img directly and skipping padding positions (they
+// contribute zero, exactly as a zero-filled im2col row would). hacc is
+// band-local: segment rows concatenated. dwSparse's scalar tap gather passes
+// the whole plane as the one segment [0, outH).
 func dwGatherTapBand(hacc []int32, img []int8, ki, kj, h, w, outH, outW, stride, padH, padW int, sign int32, segs [][2]int) {
 	oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
 	ojLo, ojHi := colRuns(w, kj, stride, padW, outW)
@@ -522,13 +526,15 @@ func dwGatherTapBand(hacc []int32, img []int8, ki, kj, h, w, outH, outW, stride,
 	}
 }
 
-// im2colBandI8 lowers the listed output-row segments into band-local column
-// storage: segment rows are concatenated, so position (oi,oj) of segment k
-// lands at segBase(k)+(oi−seg.lo)·outW+oj of each kh·kw·Cin plane. dstP is
-// the band plane stride (pad8(nBand)); dst is zeroed, pad positions
-// included, exactly as im2colI8Into zeroes the full matrix. Pointwise convs
-// route through here too (kh=kw=1): the hop path must copy their band to
-// the band stride rather than alias the image.
+// im2colBandI8 lowers the listed output-row segments of an int8 image
+// [c,h,w] into band-local column storage: segment rows are concatenated, so
+// position (oi,oj) of segment k lands at segBase(k)+(oi−seg.lo)·outW+oj of
+// each kh·kw·Cin plane. srcCh is the image's channel stride and dstP the
+// band plane stride (pad8(nBand)); dst is zeroed, pad positions included.
+// Each row's valid run is computed arithmetically, so the copy loops carry
+// no per-element bounds branches and the stride-1 case reduces to memmove.
+// The full-window path (forwardInto) lowers the whole image as the one
+// segment [0, outH).
 func im2colBandI8(dst []int8, x []int8, c, h, w, kh, kw, stride, padH, padW, srcCh, dstP, outW int, segs [][2]int) {
 	outH := (h+2*padH-kh)/stride + 1
 	for i := range dst {

@@ -117,57 +117,6 @@ func colRuns(n, k, stride, pad, outN int) (lo, hi int) {
 	return lo, hi
 }
 
-// im2colI8Into lowers an int8 image [c,h,w] into caller-owned column
-// storage, the zero-allocation variant of im2colI8. srcCh is the channel
-// stride of x and dstP the plane stride of dst (both ≥ the dense h·w /
-// outH·outW — the engine passes column-lane padded strides, dense callers
-// pass the dense sizes); dst must hold c·kh·kw·dstP entries and is zeroed,
-// pad columns included. Unlike the naive variant, the valid run of each row
-// is computed arithmetically, so the copy loops carry no per-element bounds
-// branches and the common stride-1 case reduces to memmove.
-func im2colI8Into(dst []int8, x []int8, c, h, w, kh, kw, stride, padH, padW, srcCh, dstP int) (int, int) {
-	outH := (h+2*padH-kh)/stride + 1
-	outW := (w+2*padW-kw)/stride + 1
-	nOut := outH * outW
-	for i := range dst {
-		dst[i] = 0
-	}
-	for ch := 0; ch < c; ch++ {
-		img := x[ch*srcCh:][:h*w]
-		for ki := 0; ki < kh; ki++ {
-			oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
-			for kj := 0; kj < kw; kj++ {
-				ojLo, ojHi := colRuns(w, kj, stride, padW, outW)
-				if ojHi <= ojLo {
-					continue
-				}
-				row := dst[((ch*kh+ki)*kw+kj)*dstP:][:nOut]
-				for oi := oiLo; oi < oiHi; oi++ {
-					si := oi*stride + ki - padH
-					sj := ojLo*stride + kj - padW
-					drow := row[oi*outW+ojLo : oi*outW+ojHi]
-					if stride == 1 {
-						copy(drow, img[si*w+sj:])
-					} else {
-						src := img[si*w:]
-						j := 0
-						for ; j+1 < len(drow); j += 2 {
-							drow[j] = src[sj]
-							drow[j+1] = src[sj+stride]
-							sj += 2 * stride
-						}
-						for ; j < len(drow); j++ {
-							drow[j] = src[sj]
-							sj += stride
-						}
-					}
-				}
-			}
-		}
-	}
-	return outH, outW
-}
-
 // forwardInto runs the convolution through the sparse kernels using the
 // arena's scratch memory, writing the int8 output image into out. pol picks
 // the activation layout for the hidden planes; the arena must have been
@@ -198,7 +147,7 @@ func (q *QConv) forwardInto(a *arena, x []int8, out []int8, h, w int, pol Policy
 		ps = inStride
 	} else {
 		cols = a.cols[:int(q.Cin)*kh*kw*pa]
-		im2colI8Into(cols, x, int(q.Cin), h, w, kh, kw, stride, padH, padW, inStride, pa)
+		im2colBandI8(cols, x, int(q.Cin), h, w, kh, kw, stride, padH, padW, inStride, pa, outW, [][2]int{{0, outH}})
 	}
 	q.stdSparse(a, cols, out, nOut, ps, outStride, pol)
 	return outH, outW
@@ -440,41 +389,6 @@ func (q *QConv) stdOutRows8(hidden8 []int8, acc []int32, out []int8, nOut, os in
 	}
 }
 
-// dwGatherTap adds (sign +1) or subtracts (sign −1) one kernel tap's sliding
-// window of img into hacc, reading the image directly: hacc[oi,oj] += img at
-// (oi·stride+ki−padH, oj·stride+kj−padW), skipping padding positions (they
-// contribute zero, exactly as the zero-filled im2col row would).
-func dwGatherTap(hacc []int32, img []int8, ki, kj, h, w, outH, outW, stride, padH, padW int, sign int32) {
-	oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
-	ojLo, ojHi := colRuns(w, kj, stride, padW, outW)
-	if ojHi <= ojLo {
-		return
-	}
-	for oi := oiLo; oi < oiHi; oi++ {
-		si := oi*stride + ki - padH
-		sj := ojLo*stride + kj - padW
-		dst := hacc[oi*outW+ojLo : oi*outW+ojHi]
-		if stride == 1 {
-			src := img[si*w+sj:][:len(dst)]
-			if sign > 0 {
-				for j, v := range src {
-					dst[j] += int32(v)
-				}
-			} else {
-				for j, v := range src {
-					dst[j] -= int32(v)
-				}
-			}
-		} else {
-			src := img[si*w:]
-			for j := range dst {
-				dst[j] += sign * int32(src[sj])
-				sj += stride
-			}
-		}
-	}
-}
-
 // dwSparse is the depthwise kernel. It skips im2col entirely — each Wb
 // nonzero is one sliding-window tap gathered straight off the input image —
 // and skips hidden units whose Wc entry is zero before their gathers run
@@ -496,6 +410,7 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 	// edge-shifted loads of the fused path need one full word per plane.
 	useCol := q.dwCol && outStride == q.dwColNG<<3
 	fuse1 := useCol && r == 1 && h*w >= 8
+	whole := [][2]int{{0, outH}} // the scalar tap gather's one band: every row
 	for ch := 0; ch < int(q.Cin); ch++ {
 		img := x[ch*inStride:]
 		if fuse1 {
@@ -565,10 +480,10 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 					hacc[j] = 0
 				}
 				for _, p := range plus {
-					dwGatherTap(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, 1)
+					dwGatherTapBand(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, 1, whole)
 				}
 				for _, p := range minus {
-					dwGatherTap(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, -1)
+					dwGatherTapBand(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, -1, whole)
 				}
 			}
 			s := int32(1)

@@ -11,10 +11,9 @@ import (
 // histograms, inference and fault counters, a gather-add work counter, the
 // scratch-arena high-water gauge, and engine→layer trace spans.
 //
-// An engine with a nil observer pays one pointer comparison per inference —
-// the sparse path is otherwise byte-for-byte the PR 2 code, so disabled
-// telemetry keeps Infer at 0 allocs/op (pinned by TestEngineInferZeroAllocs
-// and the ci.sh bench gate).
+// An engine with a nil observer pays one pointer comparison per stage hook,
+// so disabled telemetry keeps Infer at 0 allocs/op (pinned by
+// TestEngineInferZeroAllocs and the ci.sh bench gate).
 type Observer struct {
 	Infers     *telemetry.Counter   // completed sparse inferences
 	Faults     *telemetry.Counter   // InferSafe/InferBatch per-frame failures
@@ -23,12 +22,6 @@ type Observer struct {
 	LayerNames []string           // conv0..convN-1, "pool", "tree"
 	Gathers    *telemetry.Counter // gather-add visits (compiled nonzero work)
 	ArenaBytes *telemetry.Gauge   // high-water scratch bytes across all arenas
-
-	// Batch lane-path accounting (lane.go): attaching an observer no longer
-	// demotes lanes to the scalar path, it routes them through the observed
-	// lane pipeline, which feeds these.
-	LaneLanes  *telemetry.Counter // lane dispatches taken by InferBatch
-	LaneFrames *telemetry.Counter // frames classified on the lane path
 
 	// Incremental hop-path accounting (hop.go). HopColumns is the number of
 	// conv output positions actually recomputed — against Infers·(total
@@ -53,8 +46,6 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		InferNs:    reg.LatencyHistogram("engine.infer.ns"),
 		Gathers:    reg.Counter("engine.gather.visits"),
 		ArenaBytes: reg.Gauge("engine.arena.bytes.highwater"),
-		LaneLanes:  reg.Counter("engine.lane.lanes"),
-		LaneFrames: reg.Counter("engine.lane.frames"),
 		HopInfers:  reg.Counter("engine.hop.infers"),
 		HopFull:    reg.Counter("engine.hop.full_recomputes"),
 		HopColumns: reg.Counter("engine.hop.columns_computed"),
@@ -120,47 +111,46 @@ func (o *Observer) noteArena(a *arena) {
 	o.ArenaBytes.SetMax(a.bytes())
 }
 
-// inferArenaObserved is inferArena with per-layer attribution: a span and a
-// latency observation around every stage, plus the whole-pipeline histogram
-// and work counters. It is a separate function so the unobserved path keeps
-// its exact instruction stream — the integer word-packed loop is what gets
-// observed, at whichever policy the arena was built for.
-func (e *Engine) inferArenaObserved(a *arena, x []float32, pol Policy) ([]int32, int) {
-	o := e.obs
-	root := o.tracer.Span("engine.infer")
-	t0 := time.Now()
-	e.quantizeInto(a.imgA[:len(x)], x)
-	img, next := a.imgA, a.imgB
-	h, w := int(e.Frames), int(e.Coeffs)
-	st := h * w
-	for i, conv := range e.Convs {
-		sp := root.Child(o.LayerNames[i])
-		tl := time.Now()
-		oh, ow := conv.outSize(h, w)
-		ost := pad8(oh * ow)
-		conv.forwardInto(a, img[:int(conv.Cin)*st], next, h, w, pol, st, ost)
-		o.LayerNs[i].ObserveSince(tl)
-		sp.End()
-		img, next = next, img
-		h, w = oh, ow
-		st = ost
+// obsStage is one open pipeline stage: its trace span and start time. A
+// nil observer opens the zero stage and its close hooks record nothing.
+type obsStage struct {
+	span telemetry.Span
+	t0   time.Time
+}
+
+// openInfer opens the whole-pipeline stage, the engine.infer root span.
+func (o *Observer) openInfer() obsStage {
+	if o == nil {
+		return obsStage{}
 	}
-	nLayers := len(e.Convs)
-	c := int(e.Convs[nLayers-1].Cout)
-	sp := root.Child("pool")
-	tl := time.Now()
-	pooled := a.pooled
-	ph, pw := poolInto(pooled, img, c, h, w, int(e.PoolK), int(e.PoolS), st)
-	o.LayerNs[nLayers].ObserveSince(tl)
-	sp.End()
-	sp = root.Child("tree")
-	tl = time.Now()
-	sc := e.Tree.forwardInto(a, pooled[:c*ph*pw])
-	o.LayerNs[nLayers+1].ObserveSince(tl)
-	sp.End()
-	o.InferNs.ObserveSince(t0)
+	return obsStage{span: o.tracer.Span("engine.infer"), t0: time.Now()}
+}
+
+// closeInfer closes the whole-pipeline stage and counts one inference and
+// its gather work.
+func (o *Observer) closeInfer(root obsStage) {
+	if o == nil {
+		return
+	}
+	o.InferNs.ObserveSince(root.t0)
 	o.Infers.Inc()
 	o.Gathers.Add(o.gathersPerInfer)
-	root.End()
-	return sc, argmax(sc)
+	root.span.End()
+}
+
+// openLayer opens stage i (LayerNames[i]) as a child of root.
+func (o *Observer) openLayer(root obsStage, i int) obsStage {
+	if o == nil {
+		return obsStage{}
+	}
+	return obsStage{span: root.span.Child(o.LayerNames[i]), t0: time.Now()}
+}
+
+// closeLayer closes stage i into its latency histogram and span.
+func (o *Observer) closeLayer(s obsStage, i int) {
+	if o == nil {
+		return
+	}
+	o.LayerNs[i].ObserveSince(s.t0)
+	s.span.End()
 }

@@ -2,9 +2,9 @@ package deploy
 
 // Row walk dispatch.
 //
-// Every standard-conv row — single-frame Wb and Wc, batch lanes, hop bands
-// and the lane tree's Z projection — runs one of two walks over its ±1
-// index runs. On amd64 with AVX2 (checked once at init) a row whose column
+// Every standard-conv row — single-frame Wb and Wc (which every InferBatch
+// frame runs too) and hop bands — runs one of two walks over its ±1 index
+// runs. On amd64 with AVX2 (checked once at init) a row whose column
 // count is a multiple of 8 takes the assembly walk in walk_amd64.s; every
 // other row, every row on other architectures and every row under
 // -tags purego takes the portable Go walk (gatherPlanesI8W, gatherI16),

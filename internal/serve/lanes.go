@@ -69,9 +69,9 @@ func newLanes(eng *deploy.Engine, count, batch, queue, workersPer int, obs *obsS
 // run is one lane: block for a frame, opportunistically coalesce whatever
 // else is already queued (up to the batch cap), infer, reply. The lane owns
 // a result slice reused across calls (Engine.InferBatchCappedInto), so the
-// engine's frame-major lane kernels run without per-call allocation; each
-// requester's scores are copied into its own dst buffer before the reply,
-// because the shared result slots are overwritten by the next batch.
+// engine's batch path runs without per-call allocation; each requester's
+// scores are copied into its own dst buffer before the reply, because the
+// shared result slots are overwritten by the next batch.
 func (l *lanes) run() {
 	defer l.wg.Done()
 	reqs := make([]inferReq, 0, l.batch)

@@ -695,10 +695,13 @@ func (s *Server) shedOne() {
 	if victim == nil {
 		return
 	}
-	victim.terminate(ReasonShed)
+	// Count and record the shed before terminating: the victim's pump may
+	// close Done as soon as its intake closes, and a watcher of Done must
+	// already see the shed in the counter and the flight recorder.
 	s.obs.shed.Inc()
 	s.flight.Record(telemetry.FlightShed, victim.id, 0, int64(victim.priority), 0, "memory-pressure")
 	s.flight.SnapshotIncident(telemetry.FlightShed, victim.id)
+	victim.terminate(ReasonShed)
 	s.log.Warn("session shed under memory pressure", "id", victim.id, "priority", victim.priority)
 }
 
