@@ -20,8 +20,9 @@ fi
 go build ./...
 # The -race pass also drives the InferBatch worker pool and its pooled
 # arenas, and the scalar oracle running beside an engine's first compile
-# (TestInferBatchConcurrent, TestInferBatchMatchesInfer,
-# TestOracleConcurrentWithCompile in internal/deploy).
+# (TestInferBatchConcurrent, TestInferBatchLaneMatchesPerFrame,
+# TestInferBatchLaneConcurrent, TestOracleConcurrentWithCompile in
+# internal/deploy).
 go test -race ./...
 
 # Engine benchmark smoke: one iteration of each packed-engine benchmark, so
@@ -74,7 +75,7 @@ echo "$BENCH_BATCH"
 #     detector (the alloc-count gate skips under -race, where sync.Pool
 #     drops items by design).
 go test -count=1 -short \
-    -run='TestInferBatchMatchesInfer|TestInferBatchZeroAllocs|TestInferBatchConcurrent' \
+    -run='TestInferBatchMatchesInfer|TestInferBatchLaneMatchesPerFrame|TestInferBatchZeroAllocs|TestInferBatchConcurrent|TestInferBatchLaneConcurrent' \
     ./internal/deploy
 # (3) Mixed single-frame/batch concurrency under the race detector: one
 #     goroutine hammering the resident-arena Infer path while three more

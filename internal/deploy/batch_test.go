@@ -20,46 +20,53 @@ func randFrames(rng *rand.Rand, e *Engine, n int) [][]float32 {
 	return xs
 }
 
-// TestInferBatchMatchesInfer is the batch-path exactness property: on the
-// paper-shape synthetic engine and on randomized small engine shapes and
-// densities, at every batch size (ragged chunks included) and both
-// activation policies, InferBatch must be bit-identical per frame to Infer
-// and to the int64 scalar oracle.
-func TestInferBatchMatchesInfer(t *testing.T) {
-	check := func(tag string, e *Engine, xs [][]float32, res []BatchResult) {
-		t.Helper()
-		if len(res) != len(xs) {
-			t.Fatalf("%s: got %d results, want %d", tag, len(res), len(xs))
+// checkBatchExact fails t unless res holds one error-free result per frame
+// of xs, each bit-identical to Infer and to the int64 scalar oracle.
+func checkBatchExact(t *testing.T, tag string, e *Engine, xs [][]float32, res []BatchResult) {
+	t.Helper()
+	if len(res) != len(xs) {
+		t.Fatalf("%s: got %d results, want %d", tag, len(res), len(xs))
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("%s frame %d: unexpected error %v", tag, i, r.Err)
 		}
-		for i, r := range res {
-			if r.Err != nil {
-				t.Fatalf("%s frame %d: unexpected error %v", tag, i, r.Err)
+		sc, cls := e.Infer(xs[i])
+		if r.Class != cls {
+			t.Fatalf("%s frame %d: class %d, Infer %d", tag, i, r.Class, cls)
+		}
+		for j := range sc {
+			if r.Scores[j] != sc[j] {
+				t.Fatalf("%s frame %d: score[%d]=%d, Infer %d", tag, i, j, r.Scores[j], sc[j])
 			}
-			sc, cls := e.Infer(xs[i])
-			if r.Class != cls {
-				t.Fatalf("%s frame %d: class %d, Infer %d", tag, i, r.Class, cls)
-			}
-			for j := range sc {
-				if r.Scores[j] != sc[j] {
-					t.Fatalf("%s frame %d: score[%d]=%d, Infer %d", tag, i, j, r.Scores[j], sc[j])
-				}
-			}
-			nsc, ncls := e.NaiveInt(xs[i])
-			if r.Class != ncls {
-				t.Fatalf("%s frame %d: class %d, NaiveInt %d", tag, i, r.Class, ncls)
-			}
-			for j := range nsc {
-				if r.Scores[j] != nsc[j] {
-					t.Fatalf("%s frame %d: score[%d]=%d, NaiveInt %d", tag, i, j, r.Scores[j], nsc[j])
-				}
+		}
+		nsc, ncls := e.NaiveInt(xs[i])
+		if r.Class != ncls {
+			t.Fatalf("%s frame %d: class %d, NaiveInt %d", tag, i, r.Class, ncls)
+		}
+		for j := range nsc {
+			if r.Scores[j] != nsc[j] {
+				t.Fatalf("%s frame %d: score[%d]=%d, NaiveInt %d", tag, i, j, r.Scores[j], nsc[j])
 			}
 		}
 	}
+}
 
+// TestInferBatchMatchesInfer checks one InferBatch call over 16 frames on
+// the paper-shape synthetic engine: every frame must be bit-identical to
+// Infer and to the int64 scalar oracle.
+func TestInferBatchMatchesInfer(t *testing.T) {
 	e := SyntheticEngine(5, 0.3)
 	xs := randFrames(rand.New(rand.NewSource(6)), e, 16)
-	check("synthetic", e, xs, e.InferBatch(xs))
+	checkBatchExact(t, "synthetic", e, xs, e.InferBatch(xs))
+}
 
+// TestInferBatchLaneMatchesPerFrame is the batch-path exactness property
+// for the path serve lanes drive: for randomized engine shapes and
+// densities, every batch size (ragged chunks included) and both activation
+// policies, InferBatchInto with a reused result slice must be bit-identical
+// per frame to Infer and to the int64 scalar oracle.
+func TestInferBatchLaneMatchesPerFrame(t *testing.T) {
 	sizes := []int{1, 3, 5, 7, 8, 9, 16, 23}
 	if testing.Short() {
 		sizes = []int{3, 7, 8, 23}
@@ -73,7 +80,7 @@ func TestInferBatchMatchesInfer(t *testing.T) {
 			for _, n := range sizes {
 				xs := randFrames(rng, e, n)
 				dst = e.InferBatchInto(dst, xs)
-				check(fmt.Sprintf("seed %d pol %v n=%d", seed, pol, n), e, xs, dst)
+				checkBatchExact(t, fmt.Sprintf("seed %d pol %v n=%d", seed, pol, n), e, xs, dst)
 			}
 		}
 	}
@@ -107,28 +114,19 @@ func TestInferBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestInferBatchConcurrent hammers one shared engine's InferBatch from
-// several goroutines (the ci.sh -race pass covers this) to pin down the
-// worker pool's and the arena pool's thread safety: concurrent calls over
-// full and ragged chunks, with caller-owned results reused across calls,
-// must stay bit-identical to the scalar oracle.
-func TestInferBatchConcurrent(t *testing.T) {
-	e := SyntheticEngine(9, 0.3)
-	const n = 23
-	xs := randFrames(rand.New(rand.NewSource(10)), e, n)
-	exp := make([][]int32, n)
-	expCls := make([]int, n)
-	for i, x := range xs {
-		exp[i], expCls[i] = e.inferNaive(x, PolicyMixed)
-	}
+// hammerBatch runs batch from 4 goroutines, iters times each, on one shared
+// engine; each goroutine passes its previous results back in, and every
+// result must match exp/expCls exactly.
+func hammerBatch(t *testing.T, iters int, exp [][]int32, expCls []int, batch func(dst []BatchResult) []BatchResult) {
+	t.Helper()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var dst []BatchResult
-			for it := 0; it < 5; it++ {
-				dst = e.InferBatchInto(dst, xs)
+			for it := 0; it < iters; it++ {
+				dst = batch(dst)
 				for i, r := range dst {
 					if r.Err != nil {
 						t.Errorf("frame %d: %v", i, r.Err)
@@ -149,4 +147,42 @@ func TestInferBatchConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestInferBatchConcurrent hammers one shared engine's InferBatch from
+// several goroutines (the ci.sh -race pass covers this) to pin down the
+// worker pool's and the arena pool's thread safety: concurrent calls over
+// full and ragged chunks must stay bit-identical to the scalar oracle.
+func TestInferBatchConcurrent(t *testing.T) {
+	e := SyntheticEngine(9, 0.3)
+	const n = 23
+	xs := randFrames(rand.New(rand.NewSource(10)), e, n)
+	exp := make([][]int32, n)
+	expCls := make([]int, n)
+	for i, x := range xs {
+		exp[i], expCls[i] = e.inferNaive(x, PolicyMixed)
+	}
+	hammerBatch(t, 5, exp, expCls, func([]BatchResult) []BatchResult {
+		return e.InferBatch(xs)
+	})
+}
+
+// TestInferBatchLaneConcurrent drives InferBatchInto the way serve lanes
+// do, from several goroutines on one shared engine under -race: concurrent
+// calls (full and ragged chunks) with caller-owned results reused across
+// calls must stay bit-identical to the single-frame path.
+func TestInferBatchLaneConcurrent(t *testing.T) {
+	e := SyntheticEngine(5, 0.35)
+	const n = 23
+	xs := randFrames(rand.New(rand.NewSource(55)), e, n)
+	exp := make([][]int32, n)
+	expCls := make([]int, n)
+	for i, x := range xs {
+		sc, cls := e.Infer(x)
+		exp[i] = append([]int32(nil), sc...)
+		expCls[i] = cls
+	}
+	hammerBatch(t, 3, exp, expCls, func(dst []BatchResult) []BatchResult {
+		return e.InferBatchInto(dst, xs)
+	})
 }
