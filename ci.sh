@@ -4,11 +4,13 @@
 # parsers (the binary model loader, the WAV chunk walker and the TCP wire).
 set -eux
 
-# go vet's asmdecl pass also checks internal/deploy/walk_amd64.s against its
-# Go declarations: argument frame offsets, sizes and the frame size.
+# go vet's asmdecl pass also checks internal/deploy/walk_amd64.s and
+# requant_amd64.s against their Go declarations: argument frame offsets,
+# sizes and the frame size.
 go vet ./...
-# Portable-path build check: a non-amd64 build compiles the Go row walk and
-# the assembly stubs (walk_other.go), so neither can break unnoticed.
+# Portable-path build check: a non-amd64 build compiles the Go row walk, the
+# Go requant loops and the assembly stubs (walk_other.go), so none of them
+# can break unnoticed.
 GOARCH=arm64 go vet ./internal/deploy
 # Formatting gate: every tracked Go file must already be gofmt-clean.
 UNFORMATTED="$(gofmt -l $(git ls-files '*.go'))"
@@ -26,8 +28,10 @@ go build ./...
 go test -race ./...
 
 # Engine benchmark smoke: one iteration of each packed-engine benchmark, so
-# a broken hot path fails CI even when nobody reads BENCH_engine.json.
+# a broken hot path fails CI even when nobody reads BENCH_engine.json, and of
+# the paper-shape row benchmarks (row walks, requant rows) on both kernels.
 go test -run='^$' -bench='Engine' -benchtime=1x .
+go test -run='^$' -bench='BenchmarkRowWalk|BenchmarkRequantRow' -benchtime=1x ./internal/deploy
 
 # Disabled-telemetry overhead gate: the single-frame inference hot path must
 # stay allocation-free when no observer is attached — the telemetry
@@ -48,17 +52,21 @@ echo "$BENCH_INT"
 #     row kernels (both ternary row walks — AVX2 where the host runs it, and
 #     the portable Go walk — the walk-then-requant conv rows, a short plane
 #     buffer panicking, depthwise edge-shifted word loads) must match their
-#     scalar oracles property-wise, and an observer attached to a batch
-#     must change no result.
+#     scalar oracles property-wise, as must the requant rows (the AVX2
+#     kernels, the Go loops and their dispatch against a per-element Apply
+#     over every shift 1–62) and the depthwise column kernels (tap sums and
+#     the fused R = 1 chain against the scalar position walk), and an
+#     observer attached to a batch must change no result.
 go test -count=1 -short \
     -run='TestInferIntMatchesFloatSimulation|TestInferIntMatchesNaiveRandomized|TestInferIntZeroAllocs' \
     ./internal/deploy
 go test -count=1 \
-    -run='TestGatherRowProperty|TestRowWalksMatchOracle|TestRowWalkShortPlanesPanics|TestConvRowsMatchOracle|TestDWTapWord|TestBatchLanePathWithTelemetry' \
+    -run='TestGatherRowProperty|TestRowWalksMatchOracle|TestRowWalkShortPlanesPanics|TestConvRowsMatchOracle|TestRequantRowsMatchOracle|TestDWColMatchesScalar|TestDWTapWord|TestBatchLanePathWithTelemetry' \
     ./internal/deploy
-# (3) The portable row walk end to end: the whole package under -tags
-#     purego, where every row takes the Go walk, so each parity and 0-alloc
-#     gate in it also holds on hosts without AVX2 and off amd64.
+# (3) The portable row kernels end to end: the whole package under -tags
+#     purego, where every row takes the Go walk and the Go requant loops, so
+#     each parity and 0-alloc gate in it also holds on hosts without AVX2
+#     and off amd64.
 go test -count=1 -tags purego ./internal/deploy
 # (4) Serialization round-trip matrix: a PolicyInt8 engine written as .thnt
 #     v1, v2 and v3 must read back and score identically (v3 additionally

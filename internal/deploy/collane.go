@@ -23,10 +23,11 @@ package deploy
 // Every standard-conv row walks its ±1 index runs — one add per nonzero tap
 // per column, the paper's one-add-per-nonzero cost — into an int32 row
 // (walk.go: the AVX2 walk, or the Go walk as fallback), then requantises it
-// (hidRowQ8/hidRowQ16/outRowQ8 below). It is the only row form: coalesced
-// spans and two-bit-packed weight words, once chosen per row by a cost
-// model, measured no faster beyond noise at any density from 0.05 to 1.0
-// (DESIGN.md, "One row walk").
+// (hidRowQ8/hidRowQ16/outRowQ8 below: the AVX2 requant kernels of
+// requant_amd64.s, or the Go requant loops as fallback). It is the only row
+// form: coalesced spans and two-bit-packed weight words, once chosen per row
+// by a cost model, measured no faster beyond noise at any density from 0.05
+// to 1.0 (DESIGN.md, "One row walk").
 
 import "encoding/binary"
 
@@ -205,7 +206,8 @@ func dwColScalarPos(img []int8, plus, minus []int32, h, w, ow, kw, padH, padW, L
 // is a saturated multiplier (|m| ≥ 2³¹: Shift 0 with Mant ≠ 0, where Apply's
 // wrapped half = 0 makes it the identity map); no requant scale in this
 // engine is ≥ 1, so the loops guard it with one cold branch to a scalar
-// Apply fallback rather than pay for it per element.
+// Apply fallback rather than pay for it per element. Shifts above maxShift
+// (62) would let p + half wrap; Validate rejects them.
 //
 // The ReLU and saturation cuts are written as two-sided compares — the
 // compiler lowers them to CMOVs, which measure ~3× faster per element than
@@ -214,18 +216,66 @@ func dwColScalarPos(img []int8, plus, minus []int32, h, w, ow, kw, padH, padW, L
 // the layer cuts, −128 otherwise. Each loop runs two elements per
 // iteration: the 64-bit multiplies pipeline past each other and the loop
 // overhead halves, worth ~17% per row on the paper shape.
+//
+// The AVX2 kernels (requant_amd64.s) compute the same identity eight
+// columns at a time. The rows below are their dispatch: whole 8-column
+// groups go to the kernel when requantCols admits the row, and the Go loop
+// (requantRowI8Go and its twins) runs the tail and every row the kernels
+// cannot take. The Go loops are also the kernels' oracle.
 
-// requantRowI8 is requantChannel/requantChannel8 with the constants hoisted
-// and the round, ReLU and clamp free of unpredictable branches:
+// requantRowI8 is requantChannel/requantChannel8:
 // dst[j] = clampI8(relu(m.Apply(acc[j])+b)).
 func requantRowI8(dst []int8, acc []int32, m Mult, b int32, relu bool) {
-	mant := int64(m.Mant)
-	shift := m.Shift
-	half := int64(1) << (shift - 1)
 	var lo int32 = -128
 	if relu {
 		lo = 0
 	}
+	if n := requantCols(len(dst), m); n > 0 {
+		requantI8AVX2(dst[:n], acc[:n], m.Mant, m.Shift, b, lo)
+		dst, acc = dst[n:], acc[n:]
+	}
+	requantRowI8Go(dst, acc, m, b, lo)
+}
+
+// requantRowHid8 rescales one hidden row to int8 (PolicyInt8's â rescale):
+// dst[j] = clampI8(m.Apply(acc[j])). Its kernel is requantRowI8's with no
+// bias and the floor at −128.
+func requantRowHid8(dst []int8, acc []int32, m Mult) {
+	if n := requantCols(len(dst), m); n > 0 {
+		requantI8AVX2(dst[:n], acc[:n], m.Mant, m.Shift, 0, -128)
+		dst, acc = dst[n:], acc[n:]
+	}
+	requantRowHid8Go(dst, acc, m)
+}
+
+// requantRowHid16 rescales one hidden row to int16 (the mixed policy's â
+// rescale): dst[j] = clampI16(m.Apply(acc[j])).
+func requantRowHid16(dst []int16, acc []int32, m Mult) {
+	if n := requantCols(len(dst), m); n > 0 {
+		requantHid16AVX2(dst[:n], acc[:n], m.Mant, m.Shift)
+		dst, acc = dst[n:], acc[n:]
+	}
+	requantRowHid16Go(dst, acc, m)
+}
+
+// requantCols is how many leading columns of an n-column requant row the
+// AVX2 kernels take: every whole 8-column group, when the host runs AVX2
+// and m lies in the kernels' exact domain, Shift 1–maxShift. The zero and
+// the saturated Mult (Shift 0) stay on the Go loops.
+func requantCols(n int, m Mult) int {
+	if !rowWalkAVX2 || m.Shift < 1 || m.Shift > maxShift {
+		return 0
+	}
+	return n &^ 7
+}
+
+// requantRowI8Go is requantRowI8's portable loop with the constants hoisted
+// and the round, floor (lo: 0 under ReLU, else −128) and clamp free of
+// unpredictable branches.
+func requantRowI8Go(dst []int8, acc []int32, m Mult, b, lo int32) {
+	mant := int64(m.Mant)
+	shift := m.Shift
+	half := int64(1) << (shift - 1)
 	if shift == 0 && mant != 0 { // saturated multiplier: cold scalar path
 		for j := range dst {
 			o := m.Apply(acc[j]) + b
@@ -271,9 +321,8 @@ func requantRowI8(dst []int8, acc []int32, m Mult, b int32, relu bool) {
 	}
 }
 
-// requantRowHid8 rescales one hidden row to int8 (PolicyInt8's â rescale):
-// dst[j] = clampI8(m.Apply(acc[j])).
-func requantRowHid8(dst []int8, acc []int32, m Mult) {
+// requantRowHid8Go is requantRowHid8's portable loop.
+func requantRowHid8Go(dst []int8, acc []int32, m Mult) {
 	mant := int64(m.Mant)
 	shift := m.Shift
 	half := int64(1) << (shift - 1)
@@ -318,9 +367,8 @@ func requantRowHid8(dst []int8, acc []int32, m Mult) {
 	}
 }
 
-// requantRowHid16 rescales one hidden row to int16 (the mixed policy's â
-// rescale): dst[j] = clampI16(m.Apply(acc[j])).
-func requantRowHid16(dst []int16, acc []int32, m Mult) {
+// requantRowHid16Go is requantRowHid16's portable loop.
+func requantRowHid16Go(dst []int16, acc []int32, m Mult) {
 	mant := int64(m.Mant)
 	shift := m.Shift
 	half := int64(1) << (shift - 1)

@@ -170,6 +170,151 @@ func TestDWTapWord(t *testing.T) {
 	}
 }
 
+// dwChain is the scalar oracle of the depthwise R = 1 chain at one output
+// position: tap sum hv, hidden requant hm clamped at int8 (act8) or int16,
+// fold sign s (0 for a pruned unit), output requant om, bias b, ReLU floor
+// and the int8 clamp.
+func dwChain(hv int32, hm Mult, s int32, om Mult, b int32, relu, act8 bool) int8 {
+	hid := hm.Apply(hv)
+	if act8 {
+		hid = int32(clampI8(hid))
+	} else {
+		hid = int32(clampI16(hid))
+	}
+	o := om.Apply(s*hid) + b
+	if relu && o < 0 {
+		o = 0
+	}
+	return clampI8(o)
+}
+
+// TestDWColMatchesScalar pins the depthwise column-lane kernels against
+// dwColScalarPos followed by the scalar Apply chain (dwChain): dwColUnit's
+// tap sums on the groups it claims (pad lanes must come out zero), the fused
+// R = 1 chains dwColQ8 and dwColQ16 at both fold signs, and dwSparse's fused
+// dispatch over whole layers whose pruned units (wcSign 0) requantise a zero
+// accumulator. Plane sizes are random with h·w ≥ 8; odd kernels with same
+// column padding and random row padding make head groups (a tap before the
+// plane) and tail groups (a load past the last plane), which dwColUnit leaves
+// to the scalar path; the planes' pad bytes hold garbage.
+func TestDWColMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	var heads, tails, pruned int
+	for trial := 0; trial < 120; trial++ {
+		kh, kw := 1+2*rng.Intn(3), 1+2*rng.Intn(3)
+		padH, padW := rng.Intn(kh/2+1), kw/2
+		h, w := 0, 1+rng.Intn(12)
+		for h*w < 8 || h+2*padH < kh {
+			h = 1 + rng.Intn(12)
+		}
+		cin := 1 + rng.Intn(4)
+		q := &QConv{
+			Kind: kindDepthwise, Cin: int32(cin), Cout: int32(cin),
+			KH: int32(kh), KW: int32(kw), Stride: 1, PadH: int32(padH), PadW: int32(padW), R: 1,
+			WbPacked: randTernaryPacked(rng, cin*kh*kw, 0.2+0.8*rng.Float64()),
+			WcPacked: randTernaryPacked(rng, cin, 0.6),
+			OutBias:  make([]int32, cin),
+			ReLU:     rng.Intn(2) == 0,
+		}
+		for ch := 0; ch < cin; ch++ {
+			q.HidMul = append(q.HidMul, NewMult(0.02+3*rng.Float64()))
+			q.OutMul = append(q.OutMul, NewMult(0.0005+0.05*rng.Float64()))
+			q.OutBias[ch] = int32(rng.Intn(81) - 40)
+		}
+		q.compileKernels()
+		q.compileDWCol(h, w)
+		if !q.dwCol {
+			t.Fatalf("trial %d: stride-1 same-width geometry %dx%d k=%dx%d rejected", trial, h, w, kh, kw)
+		}
+		oh, ow := q.outSize(h, w)
+		nOut := oh * ow
+		inStride, outStride := pad8(h*w), pad8(nOut)
+		x := make([]int8, cin*inStride)
+		for i := range x {
+			x[i] = int8(rng.Intn(256) - 128)
+		}
+		pos := func(ch, j int) int32 {
+			plus, minus := q.wbSp.row(ch)
+			return dwColScalarPos(x[ch*inStride:], plus, minus, h, w, ow, kw, padH, padW, j)
+		}
+		tag := fmt.Sprintf("trial %d (%dx%d k=%dx%d pad=%d,%d)", trial, h, w, kh, kw, padH, padW)
+		for ch := 0; ch < cin; ch++ {
+			plus, minus := q.wbSp.row(ch)
+			img := i8Bytes(x[ch*inStride:])
+			hacc := make([]int32, outStride)
+			for j := range hacc {
+				hacc[j] = staleAcc
+			}
+			gLo, gHi := q.dwColUnit(hacc, img, plus, minus)
+			if gLo > 0 {
+				heads++
+			}
+			if gHi < q.dwColNG {
+				tails++
+			}
+			for j := gLo << 3; j < gHi<<3; j++ {
+				want := int32(0) // a pad lane
+				if j < nOut {
+					want = pos(ch, j)
+				}
+				if hacc[j] != want {
+					t.Fatalf("%s ch %d: dwColUnit hacc[%d]=%d, want %d", tag, ch, j, hacc[j], want)
+				}
+			}
+			for _, act8 := range []bool{false, true} {
+				hm, om := q.HidMul[ch], q.OutMul[ch]
+				if act8 {
+					hm, om = q.hidMul8[ch], q.outMul8[ch]
+				}
+				for _, s := range []int32{-1, 1} {
+					dst := make([]int8, nOut+8)
+					for j := range dst {
+						dst[j] = canaryI8
+					}
+					if act8 {
+						q.dwColQ8(dst[:nOut], img, plus, minus, hm, s, om, q.OutBias[ch], q.ReLU)
+					} else {
+						q.dwColQ16(dst[:nOut], img, plus, minus, hm, s, om, q.OutBias[ch], q.ReLU)
+					}
+					for j := range dst {
+						want := canaryI8
+						if j < nOut {
+							want = dwChain(pos(ch, j), hm, s, om, q.OutBias[ch], q.ReLU, act8)
+						}
+						if dst[j] != want {
+							t.Fatalf("%s ch %d act8=%v s=%d: fused dst[%d]=%d, want %d", tag, ch, act8, s, j, dst[j], want)
+						}
+					}
+				}
+			}
+		}
+		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+			act8 := pol == PolicyInt8
+			out := make([]int8, cin*outStride)
+			q.dwSparse(arenaForConv(q, h, w), x, out, h, w, oh, ow, pol, inStride, outStride)
+			for ch := 0; ch < cin; ch++ {
+				hm, om := q.HidMul[ch], q.OutMul[ch]
+				if act8 {
+					hm, om = q.hidMul8[ch], q.outMul8[ch]
+				}
+				s := int32(q.wcSign[ch])
+				if s == 0 && !act8 {
+					pruned++
+				}
+				for j := 0; j < nOut; j++ {
+					want := dwChain(pos(ch, j), hm, s, om, q.OutBias[ch], q.ReLU, act8)
+					if got := out[ch*outStride+j]; got != want {
+						t.Fatalf("%s pol %v ch %d (wc %d): dwSparse out[%d]=%d, want %d", tag, pol, ch, s, j, got, want)
+					}
+				}
+			}
+		}
+	}
+	if heads == 0 || tails == 0 || pruned == 0 {
+		t.Fatalf("sweep missed a case: %d head-group channels, %d tail-group channels, %d pruned units", heads, tails, pruned)
+	}
+}
+
 // TestBatchLanePathWithTelemetry pins that an observer changes nothing on
 // the batch path serve lanes take: with an observer attached, InferBatch over
 // one full chunk plus a short one must stay bit-identical to the unobserved

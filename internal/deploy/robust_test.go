@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -229,6 +230,58 @@ func TestValidateCatchesStructuralFaults(t *testing.T) {
 				t.Fatalf("Validate() = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestReadEngineRejectsOversizedShift patches one multiplier's shift byte
+// in a serialized engine — conv HidMul and OutMul, dense HidMul and OutMul,
+// the tree's ZQ — and re-seals the CRC, so only Validate's bound can catch
+// it: Shift 62 must load, anything above must fail with ErrCorrupt. Past 62
+// the Go requant rows disagree with Mult.Apply, and the AVX2 requant
+// kernels' shift emulation is defined only on 1–62.
+func TestReadEngineRejectsOversizedShift(t *testing.T) {
+	sites := []struct {
+		name string
+		mult func(e *Engine) *Mult
+	}{
+		{"conv HidMul", func(e *Engine) *Mult { return &e.Convs[0].HidMul[1] }},
+		{"conv OutMul", func(e *Engine) *Mult { return &e.Convs[0].OutMul[0] }},
+		{"dense HidMul", func(e *Engine) *Mult { return &e.Tree.Z.HidMul[0] }},
+		{"dense OutMul", func(e *Engine) *Mult { return &e.Tree.W[2].OutMul }},
+		{"tree ZQ", func(e *Engine) *Mult { return &e.Tree.ZQ }},
+	}
+	data := tinyEngineBytes(t)
+	for _, site := range sites {
+		// The site's shift byte is the one body byte that moves when only
+		// that shift does.
+		e := makeTinyEngine()
+		site.mult(e).Shift ^= 1
+		var moved bytes.Buffer
+		if _, err := e.WriteTo(&moved); err != nil {
+			t.Fatal(err)
+		}
+		off := -1
+		for i := 0; i < len(data)-4; i++ {
+			if data[i] != moved.Bytes()[i] {
+				off = i
+				break
+			}
+		}
+		if off < 0 || data[off]^moved.Bytes()[off] != 1 {
+			t.Fatalf("%s: no single shift byte found (offset %d)", site.name, off)
+		}
+		for _, shift := range []byte{maxShift, maxShift + 1, 64, 65, 255} {
+			bad := append([]byte(nil), data...)
+			bad[off] = shift
+			binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[8:len(bad)-4]))
+			_, err := ReadEngine(bytes.NewReader(bad))
+			switch {
+			case shift <= maxShift && err != nil:
+				t.Fatalf("%s: shift %d rejected: %v", site.name, shift, err)
+			case shift > maxShift && !errors.Is(err, ErrCorrupt):
+				t.Fatalf("%s: shift %d: got %v, want ErrCorrupt", site.name, shift, err)
+			}
+		}
 	}
 }
 

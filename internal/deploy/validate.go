@@ -34,7 +34,23 @@ const (
 	maxTreeDepth    = 12
 	maxCalibEntries = 4096 // v3 calibration table rows
 	maxCalibSite    = 64   // bytes per calibration site name
+	// maxShift bounds Mult.Shift. NewMult never emits more; past it the
+	// requant rows' rounding add p + 2^(Shift−1) can wrap int64, so the rows
+	// would disagree with Mult.Apply, and the AVX2 requant kernels' shift
+	// emulation is exact only on Shift 1–62.
+	maxShift = 62
 )
+
+// checkShifts rejects any multiplier of name's field whose Shift exceeds
+// maxShift.
+func checkShifts(name, field string, ms ...Mult) error {
+	for i, m := range ms {
+		if m.Shift > maxShift {
+			return fmt.Errorf("%w: %s %s[%d] shift %d exceeds %d", ErrCorrupt, name, field, i, m.Shift, maxShift)
+		}
+	}
+	return nil
+}
 
 // mulDims multiplies non-negative dimensions, failing on overflow or when the
 // product exceeds maxElems — the guard that keeps Cin·R·KH·KW from wrapping
@@ -134,7 +150,10 @@ func (q *QConv) validate(name string) error {
 	if int64(len(q.OutBias)) != int64(q.Cout) {
 		return fmt.Errorf("%w: %s has %d biases, want %d channels", ErrShapeMismatch, name, len(q.OutBias), q.Cout)
 	}
-	return nil
+	if err := checkShifts(name, "HidMul", q.HidMul...); err != nil {
+		return err
+	}
+	return checkShifts(name, "OutMul", q.OutMul...)
 }
 
 // validate cross-checks one quantised dense map.
@@ -164,7 +183,10 @@ func (q *QDense) validate(name string) error {
 	if int64(len(q.HidMul)) != int64(q.R) {
 		return fmt.Errorf("%w: %s has %d hidden multipliers, want %d", ErrShapeMismatch, name, len(q.HidMul), q.R)
 	}
-	return nil
+	if err := checkShifts(name, "HidMul", q.HidMul...); err != nil {
+		return err
+	}
+	return checkShifts(name, "OutMul", q.OutMul)
 }
 
 // Validate cross-checks the whole engine before any unpack allocation: every
@@ -231,6 +253,9 @@ func (e *Engine) Validate() error {
 	}
 	if t.Z.Out != t.ProjDim {
 		return fmt.Errorf("%w: tree.Z emits %d dims, projDim is %d", ErrShapeMismatch, t.Z.Out, t.ProjDim)
+	}
+	if err := checkShifts("tree", "ZQ", t.ZQ); err != nil {
+		return err
 	}
 	nInt := int64(t.numInternal())
 	nNodes := 2*nInt + 1 // internal nodes plus leaves, as Forward walks them

@@ -14,9 +14,9 @@ package deploy
 
 import "fmt"
 
-// RowWalk reports which ternary row walk standard-conv rows take in this
-// build on this CPU: "avx2" for the amd64 assembly walk, "go" for the
-// portable one.
+// RowWalk reports which kernels standard-conv rows take in this build on
+// this CPU: "avx2" for the amd64 assembly walk and requant rows, "go" for
+// the portable walk and requant loops.
 func RowWalk() string {
 	if rowWalkAVX2 {
 		return "avx2"

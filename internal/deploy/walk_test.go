@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -219,6 +220,196 @@ func BenchmarkRowWalkI16(b *testing.B) {
 			for r := 0; r < rows; r++ {
 				sp.walkI16(r, acc, src, cols)
 			}
+		}
+	})
+}
+
+// requantCase is one requant row: a multiplier, a bias and ReLU cut, and an
+// n-column row of accumulators of mixed magnitude, extremes included, at the
+// head of a longer accumulator.
+type requantCase struct {
+	m    Mult
+	b    int32
+	relu bool
+	n    int
+	acc  []int32
+}
+
+// requantCases draws the oracle sweep: every shift 1–62 (both sides of 32,
+// where the kernels' sign repair switches on) with positive, negative and
+// extreme mantissas — small shifts make multipliers ≥ 1, whose int32
+// truncation wraps before the clamp — plus the zero Mult, zero mantissas
+// and the saturated Mult. Row lengths cycle through 0–70; accumulators run
+// over the whole int32 range at every magnitude, ±2³¹ included, and the
+// accumulator runs up to 7 columns past the row, as a padded one does.
+func requantCases(rng *rand.Rand) []requantCase {
+	var ms []Mult
+	for shift := uint8(1); shift <= 62; shift++ {
+		for _, mant := range []int32{
+			int32(rng.Uint32()), -int32(rng.Uint32() >> 1), int32(rng.Intn(1 << 16)),
+			math.MaxInt32, math.MinInt32, 1, -1,
+		} {
+			ms = append(ms, Mult{Mant: mant, Shift: shift})
+		}
+	}
+	ms = append(ms, Mult{}, Mult{Shift: 40}, Mult{Mant: 1 << 30}, Mult{Mant: -12345})
+	extremes := []int32{math.MinInt32, math.MaxInt32, 0, 1, -1, math.MinInt32 + 1}
+	cases := make([]requantCase, len(ms))
+	for i, m := range ms {
+		n := i % 71
+		acc := make([]int32, n+rng.Intn(8))
+		for j := range acc {
+			acc[j] = int32(rng.Uint32()) >> rng.Intn(32)
+			if rng.Intn(8) == 0 {
+				acc[j] = extremes[rng.Intn(len(extremes))]
+			}
+		}
+		b := int32(rng.Intn(401) - 200)
+		if i%5 == 0 {
+			b = int32(rng.Uint32())
+		}
+		cases[i] = requantCase{m: m, b: b, relu: rng.Intn(2) == 0, n: n, acc: acc}
+	}
+	return cases
+}
+
+// Canaries past a requant row's last column: every row must leave them.
+const (
+	canaryI8  int8  = 0x5A
+	canaryI16 int16 = 0x5A5A
+)
+
+// checkRequant runs one requant row over a canary-filled n+8 buffer and
+// compares its first checked columns with want; every later element of the
+// buffer, inside the row or past it, must still hold the canary.
+func checkRequant[T int8 | int16](t *testing.T, name string, n, checked int, canary T, want []T, run func(dst []T)) {
+	t.Helper()
+	buf := make([]T, n+8)
+	for j := range buf {
+		buf[j] = canary
+	}
+	run(buf[:n])
+	for j := 0; j < checked; j++ {
+		if buf[j] != want[j] {
+			t.Fatalf("%s: dst[%d]=%d, want %d", name, j, buf[j], want[j])
+		}
+	}
+	for j := checked; j < len(buf); j++ {
+		if buf[j] != canary {
+			t.Fatalf("%s: wrote dst[%d]=%d outside the %d columns it owns", name, j, buf[j], checked)
+		}
+	}
+}
+
+// TestRequantRowsMatchOracle drives the three requant rows — the AVX2
+// kernels when the host runs them, the portable Go loops always, and the
+// dispatching rows the engine calls — against a per-element Mult.Apply,
+// bias, ReLU and clamp over requantCases. The kernels are driven only inside
+// their exact domain (Shift 1–62) and own just the whole 8-column groups of
+// a row; the Go loops and the dispatch must handle every Mult and length.
+func TestRequantRowsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for i, c := range requantCases(rng) {
+		n, m, b, relu := c.n, c.m, c.b, c.relu
+		var lo int32 = -128
+		if relu {
+			lo = 0
+		}
+		out8 := make([]int8, n)
+		hid8 := make([]int8, n)
+		hid16 := make([]int16, n)
+		for j, a := range c.acc[:n] {
+			v := m.Apply(a)
+			o := v + b
+			if o < lo {
+				o = lo
+			}
+			out8[j], hid8[j], hid16[j] = clampI8(o), clampI8(v), clampI16(v)
+		}
+		tag := fmt.Sprintf("case %d (m=%+v b=%d relu=%v n=%d)", i, m, b, relu, n)
+		checkRequant(t, "go i8 "+tag, n, n, canaryI8, out8, func(dst []int8) {
+			requantRowI8Go(dst, c.acc, m, b, lo)
+		})
+		checkRequant(t, "go hid8 "+tag, n, n, canaryI8, hid8, func(dst []int8) {
+			requantRowHid8Go(dst, c.acc, m)
+		})
+		checkRequant(t, "go hid16 "+tag, n, n, canaryI16, hid16, func(dst []int16) {
+			requantRowHid16Go(dst, c.acc, m)
+		})
+		checkRequant(t, "dispatch i8 "+tag, n, n, canaryI8, out8, func(dst []int8) {
+			requantRowI8(dst, c.acc, m, b, relu)
+		})
+		checkRequant(t, "dispatch hid8 "+tag, n, n, canaryI8, hid8, func(dst []int8) {
+			requantRowHid8(dst, c.acc, m)
+		})
+		checkRequant(t, "dispatch hid16 "+tag, n, n, canaryI16, hid16, func(dst []int16) {
+			requantRowHid16(dst, c.acc, m)
+		})
+		if !rowWalkAVX2 || m.Shift < 1 || m.Shift > maxShift {
+			continue
+		}
+		groups := n &^ 7
+		checkRequant(t, "avx2 i8 "+tag, n, groups, canaryI8, out8, func(dst []int8) {
+			requantI8AVX2(dst, c.acc, m.Mant, m.Shift, b, lo)
+		})
+		checkRequant(t, "avx2 hid8 "+tag, n, groups, canaryI8, hid8, func(dst []int8) {
+			requantI8AVX2(dst, c.acc, m.Mant, m.Shift, 0, -128)
+		})
+		checkRequant(t, "avx2 hid16 "+tag, n, groups, canaryI16, hid16, func(dst []int16) {
+			requantHid16AVX2(dst, c.acc, m.Mant, m.Shift)
+		})
+	}
+}
+
+// requantBenchRow is one paper-shape requant row: 125 real columns of a
+// 128-wide accumulator row walked from int8 planes, with the multiplier
+// NewMult gives a typical hidden scale.
+func requantBenchRow() (acc []int32, m Mult) {
+	rng := rand.New(rand.NewSource(3))
+	acc = make([]int32, 128)
+	for j := range acc {
+		acc[j] = int32(rng.Intn(1<<14) - 1<<13)
+	}
+	return acc, NewMult(0.0123)
+}
+
+// BenchmarkRequantRowI8 times one paper-shape output requant row (bias and
+// ReLU) through the Go loop and through the dispatching row, which runs the
+// AVX2 kernel on the first 120 columns and the Go loop on the last 5.
+func BenchmarkRequantRowI8(b *testing.B) {
+	acc, m := requantBenchRow()
+	dst := make([]int8, 125)
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			requantRowI8Go(dst, acc, m, 3, 0)
+		}
+	})
+	b.Run("avx2", func(b *testing.B) {
+		if !rowWalkAVX2 {
+			b.Skip("no AVX2 requant kernel in this build or on this CPU")
+		}
+		for i := 0; i < b.N; i++ {
+			requantRowI8(dst, acc, m, 3, true)
+		}
+	})
+}
+
+// BenchmarkRequantRowHid16 is BenchmarkRequantRowI8 for the mixed policy's
+// int16 hidden rescale.
+func BenchmarkRequantRowHid16(b *testing.B) {
+	acc, m := requantBenchRow()
+	dst := make([]int16, 125)
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			requantRowHid16Go(dst, acc, m)
+		}
+	})
+	b.Run("avx2", func(b *testing.B) {
+		if !rowWalkAVX2 {
+			b.Skip("no AVX2 requant kernel in this build or on this CPU")
+		}
+		for i := 0; i < b.N; i++ {
+			requantRowHid16(dst, acc, m)
 		}
 	})
 }
