@@ -1,12 +1,14 @@
 #!/bin/sh
 # ci.sh — the repository's verification gauntlet: static analysis, build,
-# race-enabled tests, and a short fuzz smoke over the three hostile-input
-# parsers (the binary model loader, the WAV chunk walker and the TCP wire).
+# race-enabled tests, and a short fuzz smoke over the four hostile-input
+# parsers (the binary model loader, the WAV chunk walker, the TCP wire and
+# the THFC feature-cache reader).
 set -eux
 
 # go vet's asmdecl pass also checks internal/deploy/walk_amd64.s and
-# requant_amd64.s against their Go declarations: argument frame offsets,
-# sizes and the frame size.
+# requant_amd64.s, internal/dsp/fft_amd64.s and internal/cpuid/cpuid_amd64.s
+# against their Go declarations: argument frame offsets, sizes and the frame
+# size.
 go vet ./...
 # Portable-path build check: a non-amd64 build compiles the Go row walk, the
 # Go requant loops and the assembly stubs (walk_other.go), so none of them
@@ -143,6 +145,18 @@ go test -race -count=10 -run='TestConcurrentConstructionMatchesSerial' ./interna
 #     (at most 2 allocations per call), and a steady-state streaming push
 #     allocates nothing.
 go test -count=1 -run='TestMFCCComputeAllocs|TestFrontendZeroAllocs' ./internal/dsp
+# (3) The portable FFT loops end to end: dsp and stream under -tags purego,
+#     where every transform takes the Go stages and split pass (the AVX2
+#     kernels' oracle), and the non-amd64 build of dsp (fft_other.go) next to
+#     deploy's.
+go test -count=1 -tags purego ./internal/dsp ./internal/stream
+GOARCH=arm64 go vet ./internal/dsp ./internal/cpuid
+# (4) The AVX2 FFT kernels against the Go loops, bit for bit, built for
+#     GOAMD64=v3: the Go oracle must match even where the compiler may use
+#     v3 instructions (it emits no FMA for dsp today), and a frame-stage
+#     benchmark smoke runs every stage on the kernels once.
+GOAMD64=v3 go test -count=1 -run='TestFFTKernelsMatchGo' ./internal/dsp
+go test -run='^$' -bench='BenchmarkFrameStages' -benchtime=1x ./internal/dsp
 
 # Observability gauntlet (unit layer).
 # (1) Prometheus text-exposition golden file: the rendered /metrics?format=prom
@@ -248,3 +262,4 @@ rm -rf "$SDIR"
 go test -run='^$' -fuzz=FuzzReadEngine -fuzztime=10s ./internal/deploy
 go test -run='^$' -fuzz=FuzzReadWAV -fuzztime=10s ./internal/audio
 go test -run='^$' -fuzz=FuzzTCPWire -fuzztime=10s ./internal/serve
+go test -run='^$' -fuzz=FuzzLoadCache -fuzztime=10s ./internal/speechcmd

@@ -17,7 +17,8 @@
 // full-window Infer) next to the whole streaming per-hop pipeline. It also
 // records the kernels the standard-conv rows ran (row_walk: the AVX2
 // assembly walk and requant rows, or the portable Go walk and requant loops
-// — every integer timing depends on it), the measured weight density,
+// — every integer timing depends on it) and the kernels the MFCC FFT ran
+// (fft_kernel, which the streaming rows depend on), the measured weight density,
 // the model file size, the resident weight bytes of the compiled engine and
 // the per-policy activation scratch footprints.
 // Parity cross-checks: integer/float on 1000 random frames, 1000 frames of
@@ -98,7 +99,8 @@ type report struct {
 	GOARCH            string                `json:"goarch"`
 	GOMAXPROCS        int                   `json:"gomaxprocs"`
 	NumCPU            int                   `json:"num_cpu"`
-	RowWalk           string                `json:"row_walk"` // row walk and requant the std-conv rows ran: "avx2" or "go"
+	RowWalk           string                `json:"row_walk"`   // row walk and requant the std-conv rows ran: "avx2" or "go"
+	FFTKernel         string                `json:"fft_kernel"` // kernels the MFCC FFT's twiddled stages and split pass ran: "avx2" or "go"
 	Shape             string                `json:"shape"`
 	Density           float64               `json:"density"`
 	DensityMeasured   float64               `json:"density_measured"`
@@ -312,12 +314,13 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	rep := report{
-		Schema:    "kws-bench/v10",
+		Schema:    "kws-bench/v11",
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		RowWalk:   deploy.RowWalk(),
+		FFTKernel: dsp.FFTKernel(),
 		Shape: fmt.Sprintf("%dx%d in, %d convs, %d classes",
 			e.Frames, e.Coeffs, len(e.Convs), e.Tree.NumClasses),
 		Density:         density,
@@ -328,7 +331,10 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		Reps:            reps,
 		ModelFileBytes:  e.Size(),
 		WeightBytes:     e.WeightBytes(),
-		Note: "schema v10: hop_engine_speedup_by_policy is paired (full-window Infer " +
+		Note: "schema v11 adds fft_kernel: the kernels the MFCC FFT's twiddled stages and " +
+			"split pass ran (\"avx2\": the amd64 assembly; \"go\": the portable loops), which " +
+			"every streaming-pipeline row depends on. " +
+			"v10: hop_engine_speedup_by_policy is paired (full-window Infer " +
 			"against a warm InferHop over one window strip, 41 interleaved pairs of 60-call " +
 			"bursts, median and quartiles per policy; recorded, not gated) instead of a ratio " +
 			"of best-of rows, and row_walk \"avx2\" also means the AVX2 requant rows ran. " +

@@ -598,9 +598,10 @@ func dwTapWordEdge(img []byte, off int) uint64 {
 
 // dwColQ8 runs one depthwise channel end to end under PolicyInt8: tap
 // gather, hidden requantisation (hm), ±1 fold (s) and output requantisation
-// (om, bias b, optional ReLU) in a single pass. plus/minus index the
+// (om, bias b, optional ReLU) in a single pass over the 8-column groups
+// [gLo, gHi) (0 and dwColNG for the whole plane). plus/minus index the
 // compiled tap tables; dst holds the channel's nOut real columns.
-func (q *QConv) dwColQ8(dst []int8, img []byte, plus, minus []int32, hm Mult, s int32, om Mult, b int32, relu bool) {
+func (q *QConv) dwColQ8(dst []int8, img []byte, plus, minus []int32, hm Mult, s int32, om Mult, b int32, relu bool, gLo, gHi int) {
 	corr := int32(128*len(plus) + 127*len(minus))
 	hmant := int64(hm.Mant)
 	hshift := hm.Shift
@@ -614,8 +615,7 @@ func (q *QConv) dwColQ8(dst []int8, img []byte, plus, minus []int32, hm Mult, s 
 	}
 	offs := q.dwColOffs
 	nT := len(offs)
-	nG := q.dwColNG
-	for g := 0; g < nG; g++ {
+	for g := gLo; g < gHi; g++ {
 		base := g << 3
 		masks := q.dwColMask[g*nT:][:nT]
 		var ev, od uint64
@@ -643,7 +643,7 @@ func (q *QConv) dwColQ8(dst []int8, img []byte, plus, minus []int32, hm Mult, s 
 
 // dwColQ16 is dwColQ8 under the mixed policy: the hidden value clamps at
 // int16 before the fold, the output requantisation is unchanged.
-func (q *QConv) dwColQ16(dst []int8, img []byte, plus, minus []int32, hm Mult, s int32, om Mult, b int32, relu bool) {
+func (q *QConv) dwColQ16(dst []int8, img []byte, plus, minus []int32, hm Mult, s int32, om Mult, b int32, relu bool, gLo, gHi int) {
 	corr := int32(128*len(plus) + 127*len(minus))
 	hmant := int64(hm.Mant)
 	hshift := hm.Shift
@@ -657,8 +657,7 @@ func (q *QConv) dwColQ16(dst []int8, img []byte, plus, minus []int32, hm Mult, s
 	}
 	offs := q.dwColOffs
 	nT := len(offs)
-	nG := q.dwColNG
-	for g := 0; g < nG; g++ {
+	for g := gLo; g < gHi; g++ {
 		base := g << 3
 		masks := q.dwColMask[g*nT:][:nT]
 		var ev, od uint64

@@ -191,7 +191,8 @@ func dwChain(hv int32, hm Mult, s int32, om Mult, b int32, relu, act8 bool) int8
 // TestDWColMatchesScalar pins the depthwise column-lane kernels against
 // dwColScalarPos followed by the scalar Apply chain (dwChain): dwColUnit's
 // tap sums on the groups it claims (pad lanes must come out zero), the fused
-// R = 1 chains dwColQ8 and dwColQ16 at both fold signs, and dwSparse's fused
+// R = 1 chains dwColQ8 and dwColQ16 at both fold signs over the whole plane
+// or a random run of its 8-column groups, and dwSparse's fused
 // dispatch over whole layers whose pruned units (wcSign 0) requantise a zero
 // accumulator. Plane sizes are random with h·w ≥ 8; odd kernels with same
 // column padding and random row padding make head groups (a tap before the
@@ -271,14 +272,21 @@ func TestDWColMatchesScalar(t *testing.T) {
 					for j := range dst {
 						dst[j] = canaryI8
 					}
+					// The whole plane, or a random run of its groups (a
+					// hop band): only the run's columns may be written.
+					gLo, gHi := 0, q.dwColNG
+					if rng.Intn(2) == 0 {
+						gLo = rng.Intn(q.dwColNG + 1)
+						gHi = gLo + rng.Intn(q.dwColNG-gLo+1)
+					}
 					if act8 {
-						q.dwColQ8(dst[:nOut], img, plus, minus, hm, s, om, q.OutBias[ch], q.ReLU)
+						q.dwColQ8(dst[:nOut], img, plus, minus, hm, s, om, q.OutBias[ch], q.ReLU, gLo, gHi)
 					} else {
-						q.dwColQ16(dst[:nOut], img, plus, minus, hm, s, om, q.OutBias[ch], q.ReLU)
+						q.dwColQ16(dst[:nOut], img, plus, minus, hm, s, om, q.OutBias[ch], q.ReLU, gLo, gHi)
 					}
 					for j := range dst {
 						want := canaryI8
-						if j < nOut {
+						if j < nOut && j >= gLo<<3 && j < gHi<<3 {
 							want = dwChain(pos(ch, j), hm, s, om, q.OutBias[ch], q.ReLU, act8)
 						}
 						if dst[j] != want {
@@ -291,7 +299,7 @@ func TestDWColMatchesScalar(t *testing.T) {
 		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 			act8 := pol == PolicyInt8
 			out := make([]int8, cin*outStride)
-			q.dwSparse(arenaForConv(q, h, w), x, out, h, w, oh, ow, pol, inStride, outStride)
+			q.dwSparse(arenaForConv(q, h, w), x, out, h, w, oh, ow, pol, inStride, outStride, [][2]int{{0, oh}})
 			for ch := 0; ch < cin; ch++ {
 				hm, om := q.HidMul[ch], q.OutMul[ch]
 				if act8 {

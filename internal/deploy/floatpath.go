@@ -296,8 +296,7 @@ func (q *QConv) requantFloat(dst []float32, acc []float64, c int, pol Policy) {
 
 // dwGatherTapF adds (sign +1) or subtracts (sign −1) one depthwise tap's
 // sliding window of a float32 plane into the float64 accumulator hacc,
-// skipping padding positions: the float counterpart of dwGatherTapBand over
-// the single band [0, outH).
+// skipping padding positions: the float counterpart of dwGatherTap.
 func dwGatherTapF(hacc []float64, img []float32, ki, kj, h, w, outH, outW, stride, padH, padW int, sign float64) {
 	oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
 	ojLo, ojHi := colRuns(w, kj, stride, padW, outW)

@@ -38,7 +38,9 @@ import "fmt"
 //
 // Exactness. The band kernels are the same compiled row kernels the
 // full-window path runs (collane.go), fed a band-local im2col matrix at the
-// padded stride pad8(nBand). Every kernel is position-wise exact — int32
+// padded stride pad8(nBand); depthwise bands run the full path's fused
+// column kernels over the groups the band touches (dwSparse). Every kernel
+// is position-wise exact — int32
 // accumulation is associative mod 2³², and each output position's sum walks
 // the same compiled nonzero indices in the same order regardless of which
 // other positions share the dispatch — so a recomputed band row is
@@ -269,9 +271,7 @@ func (hs *HopState) infer(x []float32, nNew int) ([]int32, int) {
 				img = out
 				continue
 			}
-			if sOut > 0 && !(conv.Kind == kindDepthwise && 2*segN(hs.bandSegs(aOut, bOut, g.oh), g.ow) >= g.oh*g.ow) {
-				// A depthwise band above the half-plane heuristic is about to
-				// be recomputed in full — skip the shift it would overwrite.
+			if sOut > 0 {
 				for c := 0; c < int(conv.Cout); c++ {
 					p := out[c*g.outStride:]
 					copy(p[:(g.oh-sOut)*g.ow], p[sOut*g.ow:g.oh*g.ow])
@@ -338,16 +338,14 @@ func (hs *HopState) runBand(q *QConv, g hopGeom, x, out []int8, segs [][2]int, p
 		return 0
 	}
 	if q.Kind == kindDepthwise {
-		// The fused column-lane depthwise path beats the scalar tap gather
-		// per position by enough that recomputing the whole plane wins once
-		// the band covers about half of it. A full recompute leaves the
-		// clean rows bit-identical, so the caller's interval propagation is
-		// unaffected.
-		if 2*nBand >= g.oh*g.ow {
-			q.dwSparse(hs.a, x[:int(q.Cin)*g.inStride], out, g.h, g.w, g.oh, g.ow, pol, g.inStride, g.outStride)
-			return g.oh * g.ow
+		// The fused R = 1 column kernels recompute only the band's
+		// 8-column groups; a layer they cannot take recomputes its whole
+		// plane. Either way the clean rows come out bit-identical, so the
+		// caller's interval propagation is unaffected.
+		if !q.dwFused(g.h, g.w, g.outStride) {
+			segs, nBand = hs.bandSegs(g.oh, g.oh, g.oh), g.oh*g.ow
 		}
-		hs.dwBand(q, g, x, out, segs, nBand, pol)
+		q.dwSparse(hs.a, x[:int(q.Cin)*g.inStride], out, g.h, g.w, g.oh, g.ow, pol, g.inStride, g.outStride, segs)
 		return nBand
 	}
 	kh, kw := int(q.KH), int(q.KW)
@@ -416,113 +414,6 @@ func (hs *HopState) scatter(plane []int8, segs [][2]int, ow int) {
 		n := (s[1] - s[0]) * ow
 		copy(plane[s[0]*ow:][:n], hs.row[base:base+n])
 		base += n
-	}
-}
-
-// dwBand is the depthwise band kernel: the scalar tap gather of dwSparse
-// restricted to the band rows. The fused column-lane depthwise path is not
-// worth a band variant — depthwise is a few percent of the stack — and the
-// scalar taps are its bit-exact oracle.
-func (hs *HopState) dwBand(q *QConv, g hopGeom, x, out []int8, segs [][2]int, nBand int, pol Policy) {
-	a := hs.a
-	kw := int(q.KW)
-	stride, padH, padW := int(q.Stride), int(q.PadH), int(q.PadW)
-	r := int(q.R)
-	acc := a.acc[:nBand]
-	hacc := a.acc[pad8(nBand):][:nBand]
-	act8 := pol == PolicyInt8
-	direct := len(segs) == 1
-	for ch := 0; ch < int(q.Cin); ch++ {
-		img := x[ch*g.inStride:][:g.h*g.w]
-		for j := range acc {
-			acc[j] = 0
-		}
-		for u := 0; u < r; u++ {
-			hu := ch*r + u
-			wcv := q.wcSign[hu]
-			if wcv == 0 {
-				continue
-			}
-			for j := range hacc {
-				hacc[j] = 0
-			}
-			plus, minus := q.wbSp.row(hu)
-			for _, p := range plus {
-				dwGatherTapBand(hacc, img, int(p)/kw, int(p)%kw, g.h, g.w, g.oh, g.ow, stride, padH, padW, 1, segs)
-			}
-			for _, p := range minus {
-				dwGatherTapBand(hacc, img, int(p)/kw, int(p)%kw, g.h, g.w, g.oh, g.ow, stride, padH, padW, -1, segs)
-			}
-			s := int32(1)
-			if wcv < 0 {
-				s = -1
-			}
-			if act8 {
-				foldRowI8(acc, hacc, q.hidMul8[hu], s)
-			} else {
-				foldRowI16(acc, hacc, q.HidMul[hu], s)
-			}
-		}
-		dst := hs.row[:nBand]
-		if direct {
-			dst = out[ch*g.outStride+segs[0][0]*g.ow:][:nBand]
-		}
-		if act8 {
-			q.requantChannel8(dst, acc, ch)
-		} else {
-			q.requantChannel(dst, acc, ch)
-		}
-		if !direct {
-			hs.scatter(out[ch*g.outStride:], segs, g.ow)
-		}
-	}
-}
-
-// dwGatherTapBand adds (sign +1) or subtracts (sign −1) one depthwise
-// tap's sliding window over the listed output-row segments into hacc,
-// reading the input plane img directly and skipping padding positions (they
-// contribute zero, exactly as a zero-filled im2col row would). hacc is
-// band-local: segment rows concatenated. dwSparse's scalar tap gather passes
-// the whole plane as the one segment [0, outH).
-func dwGatherTapBand(hacc []int32, img []int8, ki, kj, h, w, outH, outW, stride, padH, padW int, sign int32, segs [][2]int) {
-	oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
-	ojLo, ojHi := colRuns(w, kj, stride, padW, outW)
-	if ojHi <= ojLo {
-		return
-	}
-	base := 0
-	for _, seg := range segs {
-		lo, hi := seg[0], seg[1]
-		if lo < oiLo {
-			lo = oiLo
-		}
-		if hi > oiHi {
-			hi = oiHi
-		}
-		for oi := lo; oi < hi; oi++ {
-			si := oi*stride + ki - padH
-			sj := ojLo*stride + kj - padW
-			dst := hacc[base+(oi-seg[0])*outW+ojLo : base+(oi-seg[0])*outW+ojHi]
-			if stride == 1 {
-				src := img[si*w+sj:][:len(dst)]
-				if sign > 0 {
-					for j, v := range src {
-						dst[j] += int32(v)
-					}
-				} else {
-					for j, v := range src {
-						dst[j] -= int32(v)
-					}
-				}
-			} else {
-				src := img[si*w:]
-				for j := range dst {
-					dst[j] += sign * int32(src[sj])
-					sj += stride
-				}
-			}
-		}
-		base += (seg[1] - seg[0]) * outW
 	}
 }
 

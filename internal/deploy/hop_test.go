@@ -89,20 +89,56 @@ func TestInferHopMatchesFullStream(t *testing.T) {
 	}
 }
 
+// liveHopEngine reshapes a randSmallEngine for the hop property: every
+// depthwise layer gets r hidden units per channel, and every conv
+// multiplier is redrawn from [0.1, 0.95). randSmallEngine's small
+// multipliers collapse most activations to the bias, where a stale cached
+// position equals a recomputed one and a band error cannot show.
+func liveHopEngine(rng *rand.Rand, e *Engine, r int) {
+	live := func(n int) []Mult {
+		ms := make([]Mult, n)
+		for i := range ms {
+			ms[i] = NewMult(0.1 + 0.85*rng.Float64())
+		}
+		return ms
+	}
+	for _, q := range e.Convs {
+		hid := len(q.HidMul)
+		if q.Kind == kindDepthwise {
+			c := int(q.Cin)
+			q.R = int32(r)
+			q.WbPacked = randTernaryPacked(rng, c*r*int(q.KH*q.KW), 0.5)
+			q.WcPacked = randTernaryPacked(rng, c*r, 0.6)
+			hid = c * r
+		}
+		q.HidMul, q.OutMul = live(hid), live(len(q.OutMul))
+	}
+}
+
 // TestInferHopProperty sweeps random engine shapes, random (including
 // ragged and oversized) hop sizes, cold restarts, invalidations and policy
 // flips: every hop must stay bit-exact with the full-window path at the
-// engine's then-current policy.
+// engine's then-current policy, in its scores and in every cached layer
+// image (the scores alone can mask a wrong position). The first engines
+// keep randSmallEngine's
+// multipliers; the rest get live ones (liveHopEngine) with one hidden unit
+// per depthwise channel, so their bands run the fused column kernels over
+// the bands' 8-column groups, or with two, which those kernels cannot take,
+// so each hop recomputes the depthwise planes whole.
 func TestInferHopProperty(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
+	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(9100 + seed))
 		e := randSmallEngine(rng)
+		if seed >= 12 {
+			liveHopEngine(rng, e, 1+int(seed%2))
+		}
 		e.Calib = e.calibTable()
 		if err := e.Validate(); err != nil {
 			t.Fatalf("seed %d: random engine invalid: %v", seed, err)
 		}
 		frames, coeffs := int(e.Frames), int(e.Coeffs)
 		hs := e.NewHopState()
+		ref := e.NewHopState() // recomputes every window in full
 		win := make([]float32, frames*coeffs)
 		for i := range win {
 			win[i] = float32(rng.NormFloat64())
@@ -141,6 +177,41 @@ func TestInferHopProperty(t *testing.T) {
 					t.Fatalf("seed %d hop %d (nNew=%d pol=%v): score[%d]=%d vs full %d",
 						seed, hop, nNew, e.Policy, j, gotSc[j], wantSc[j])
 				}
+			}
+			e.InferHop(ref, win, frames)
+			for l, g := range hs.geom {
+				for j, v := range ref.imgs[l] {
+					if j%g.outStride < g.oh*g.ow && hs.imgs[l][j] != v {
+						t.Fatalf("seed %d hop %d (nNew=%d pol=%v): layer %d image[%d]=%d vs full %d",
+							seed, hop, nNew, e.Policy, l, j, hs.imgs[l][j], v)
+					}
+				}
+			}
+		}
+		hs.Release()
+		ref.Release()
+	}
+}
+
+// TestInferHopBandColumns pins the hop's recompute count on the paper
+// shape: a warm 12-frame hop recomputes 55 + 65 + 65 + 75 + 75 = 335 output
+// positions over conv1, dw1, pw2, dw3 and pw4 — each depthwise layer only
+// its bands, counted in positions, not in the 8-column groups the fused
+// kernels run.
+func TestInferHopBandColumns(t *testing.T) {
+	const hop, want = 12, 335
+	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+		e := SyntheticEngine(9, 0.35)
+		e.Policy = pol
+		rng := rand.New(rand.NewSource(8))
+		s := newHopStream(rng, int(e.Frames), int(e.Coeffs), hop, 6)
+		hs := e.NewHopState()
+		e.InferHop(hs, s.window(0), int(e.Frames))
+		for i := 1; i < s.hops(); i++ {
+			before := hs.Stats().ColumnsComputed
+			e.InferHop(hs, s.window(i), hop)
+			if got := hs.Stats().ColumnsComputed - before; got != want {
+				t.Fatalf("pol %v hop %d: %d positions recomputed, want %d", pol, i, got, want)
 			}
 		}
 		hs.Release()

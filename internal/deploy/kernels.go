@@ -134,7 +134,7 @@ func (q *QConv) forwardInto(a *arena, x []int8, out []int8, h, w int, pol Policy
 		// Depthwise gathers straight from the image (see dwSparse): its
 		// im2col matrix would materialise kh·kw rows per channel of which
 		// only the Wb nonzeros are ever read.
-		q.dwSparse(a, x, out, h, w, outH, outW, pol, inStride, outStride)
+		q.dwSparse(a, x, out, h, w, outH, outW, pol, inStride, outStride, [][2]int{{0, outH}})
 		return outH, outW
 	}
 	pa := pad8(nOut)
@@ -395,7 +395,14 @@ func (q *QConv) stdOutRows8(hidden8 []int8, acc []int32, out []int8, nOut, os in
 // (the naive path computes them and then discards the result). Channels are
 // processed serially: per-channel work is tiny and the standard-conv stages
 // dominate.
-func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Policy, inStride, outStride int) {
+//
+// segs lists the output-row segments to write: the full-window path passes
+// the whole plane, a hop its bands. On a layer the fused R = 1 column
+// kernels take (dwFused), each channel runs only the 8-column groups its
+// segments touch; a group that overlaps rows outside them rewrites those
+// rows with the values a whole-plane pass would give, which are the values
+// they hold. Every other channel recomputes its whole plane.
+func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Policy, inStride, outStride int, segs [][2]int) {
 	kw := int(q.KW)
 	stride := int(q.Stride)
 	padH, padW := int(q.PadH), int(q.PadW)
@@ -406,11 +413,9 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 	hacc := a.acc[pa:][:pa]
 	act8 := pol == PolicyInt8
 	// The column-lane walk (collane.go) serves callers at the compiled
-	// padded stride; dense-stride callers keep the scalar tap gather. The
-	// edge-shifted loads of the fused path need one full word per plane.
+	// padded stride; dense-stride callers keep the scalar tap gather.
 	useCol := q.dwCol && outStride == q.dwColNG<<3
-	fuse1 := useCol && r == 1 && h*w >= 8
-	whole := [][2]int{{0, outH}} // the scalar tap gather's one band: every row
+	fuse1 := q.dwFused(h, w, outStride)
 	for ch := 0; ch < int(q.Cin); ch++ {
 		img := x[ch*inStride:]
 		if fuse1 {
@@ -424,7 +429,8 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 			}
 			if !satMult(hm) && !satMult(om) {
 				dst := out[ch*outStride:][:nOut]
-				if wcv := q.wcSign[ch]; wcv == 0 {
+				wcv := q.wcSign[ch]
+				if wcv == 0 {
 					// The unit is pruned: the channel requantises a zero
 					// accumulator, a constant.
 					var lo int32 = -128
@@ -433,19 +439,22 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 					}
 					half := int64(1) << (om.Shift - 1)
 					v0 := q8(0, int64(om.Mant), half, om.Shift, q.OutBias[ch], lo)
-					for j := range dst {
-						dst[j] = v0
+					for _, sg := range segs {
+						fillI8(dst[sg[0]*outW:sg[1]*outW], v0)
 					}
-				} else {
-					s := int32(1)
-					if wcv < 0 {
-						s = -1
-					}
-					plus, minus := q.wbSp.row(ch)
+					continue
+				}
+				s := int32(1)
+				if wcv < 0 {
+					s = -1
+				}
+				plus, minus := q.wbSp.row(ch)
+				for _, sg := range segs {
+					gLo, gHi := sg[0]*outW>>3, pad8(sg[1]*outW)>>3
 					if act8 {
-						q.dwColQ8(dst, i8Bytes(img), plus, minus, hm, s, om, q.OutBias[ch], q.ReLU)
+						q.dwColQ8(dst, i8Bytes(img), plus, minus, hm, s, om, q.OutBias[ch], q.ReLU, gLo, gHi)
 					} else {
-						q.dwColQ16(dst, i8Bytes(img), plus, minus, hm, s, om, q.OutBias[ch], q.ReLU)
+						q.dwColQ16(dst, i8Bytes(img), plus, minus, hm, s, om, q.OutBias[ch], q.ReLU, gLo, gHi)
 					}
 				}
 				continue
@@ -480,10 +489,10 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 					hacc[j] = 0
 				}
 				for _, p := range plus {
-					dwGatherTapBand(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, 1, whole)
+					dwGatherTap(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, 1)
 				}
 				for _, p := range minus {
-					dwGatherTapBand(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, -1, whole)
+					dwGatherTap(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, -1)
 				}
 			}
 			s := int32(1)
@@ -500,6 +509,60 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 			q.requantChannel8(out[ch*outStride:][:nOut], acc, ch)
 		} else {
 			q.requantChannel(out[ch*outStride:][:nOut], acc, ch)
+		}
+	}
+}
+
+// fillI8 sets every element of dst to v, doubling the filled prefix with
+// each copy.
+func fillI8(dst []int8, v int8) {
+	if len(dst) == 0 {
+		return
+	}
+	dst[0] = v
+	for i := 1; i < len(dst); i *= 2 {
+		copy(dst[i:], dst[:i])
+	}
+}
+
+// dwFused reports whether dwSparse runs this layer through the fused R = 1
+// column kernels at input size h×w and output channel stride outStride; the
+// edge-shifted loads of the fused path need one full word per plane.
+func (q *QConv) dwFused(h, w, outStride int) bool {
+	return q.dwCol && outStride == q.dwColNG<<3 && q.R == 1 && h*w >= 8
+}
+
+// dwGatherTap adds (sign +1) or subtracts (sign −1) one depthwise tap's
+// sliding window over the output plane into hacc, reading the input plane
+// img directly and skipping padding positions (they contribute zero,
+// exactly as a zero-filled im2col row would).
+func dwGatherTap(hacc []int32, img []int8, ki, kj, h, w, outH, outW, stride, padH, padW int, sign int32) {
+	oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
+	ojLo, ojHi := colRuns(w, kj, stride, padW, outW)
+	if ojHi <= ojLo {
+		return
+	}
+	for oi := oiLo; oi < oiHi; oi++ {
+		si := oi*stride + ki - padH
+		sj := ojLo*stride + kj - padW
+		dst := hacc[oi*outW+ojLo : oi*outW+ojHi]
+		if stride == 1 {
+			src := img[si*w+sj:][:len(dst)]
+			if sign > 0 {
+				for j, v := range src {
+					dst[j] += int32(v)
+				}
+			} else {
+				for j, v := range src {
+					dst[j] -= int32(v)
+				}
+			}
+		} else {
+			src := img[si*w:]
+			for j := range dst {
+				dst[j] += sign * int32(src[sj])
+				sj += stride
+			}
 		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"math"
 	"math/cmplx"
 	"sync"
+
+	"repro/internal/cpuid"
 )
 
 // fftPlan holds the immutable tables of an n-point radix-2 transform: the
@@ -60,7 +62,10 @@ func planFor(n int) *fftPlan {
 // butterflies runs the Danielson-Lanczos stages over x, which must hold the
 // input in bit-reversed order; len(x) is the plan size. This is the
 // package's only butterfly loop: FFT and every power spectrum run on it.
-func (p *fftPlan) butterflies(x []complex128) {
+// With avx2 set (cpuid.AVX2 everywhere but the kernels' tests), plans of
+// minStagesAVX2 points or more run their twiddled stages on the AVX2 kernel
+// (fft_amd64.s); smaller plans and the first two stages always run in Go.
+func (p *fftPlan) butterflies(x []complex128, avx2 bool) {
 	n := len(x)
 	if n == 2 {
 		x[0], x[1] = x[0]+x[1], x[0]-x[1]
@@ -73,8 +78,25 @@ func (p *fftPlan) butterflies(x []complex128) {
 		a3 = complex(imag(a3), -real(a3))
 		x[i], x[i+1], x[i+2], x[i+3] = a0+a2, a1+a3, a0-a2, a1-a3
 	}
+	if avx2 && n >= minStagesAVX2 {
+		stagesAVX2(x, p.tw[:n])
+		return
+	}
+	stagesGo(x, p.tw)
+}
+
+// Smallest plan sizes the AVX2 kernels take: the stage kernel needs a
+// twiddled stage (h = 4 < n), the split kernel a whole pair of bins k, k+1
+// ≤ n/2.
+const minStagesAVX2, minSplitAVX2 = 8, 4
+
+// stagesGo runs the twiddled stages h = 4, 8, …, n/2 of the n-point
+// transform over x (n = len(x)) with the plan's twiddles tw: the portable
+// path and the AVX2 kernel's oracle.
+func stagesGo(x, tw []complex128) {
+	n := len(x)
 	for h := 4; h < n; h <<= 1 {
-		w := p.tw[h : 2*h]
+		w := tw[h : 2*h]
 		for i := 0; i < n; i += 2 * h {
 			a := x[i : i+h]
 			b := x[i+h : i+2*h]
@@ -96,7 +118,10 @@ func (p *fftPlan) butterflies(x []complex128) {
 // W = e^{-iπ/n},
 //
 //	X[k] = ½(Z[k] + Z*[n−k]) − ½i·W^k·(Z[k] − Z*[n−k]).
-func (p *fftPlan) realPower(dst []float64, buf []complex128, x []float64) {
+//
+// avx2 picks the kernels as in butterflies; plans of minSplitAVX2 points or
+// more also run the split pass on the AVX2 kernel.
+func (p *fftPlan) realPower(dst []float64, buf []complex128, x []float64, avx2 bool) {
 	n := len(buf)
 	if len(x) > 2*n {
 		x = x[:2*n]
@@ -113,15 +138,27 @@ func (p *fftPlan) realPower(dst []float64, buf []complex128, x []float64) {
 	for ; i < n; i++ {
 		buf[p.rev[i]] = 0
 	}
-	p.butterflies(buf)
+	p.butterflies(buf, avx2)
 
 	re, im := real(buf[0]), imag(buf[0])
 	dst[0] = (re + im) * (re + im)
 	dst[n] = (re - im) * (re - im)
-	// Bins k and n−k share their two inputs, and W^(n−k) = −conj(W^k), so
-	// with e = Z[k]+Z*[n−k] and o = W^k·(Z[k]−Z*[n−k]) one pass yields
-	// X[k] = ½(e − i·o) and X[n−k] = ½(e* − i·o*).
-	w := p.tw[n : 2*n]
+	if avx2 && n >= minSplitAVX2 {
+		splitAVX2(dst[:n], buf, p.tw[n:2*n])
+		return
+	}
+	splitGo(dst, buf, p.tw[n:2*n])
+}
+
+// splitGo writes bins 1..n−1 of realPower's spectrum from the packed
+// transform buf (n = len(buf)) and the twiddles w[k] = W^k: the portable
+// path and the AVX2 kernel's oracle. Bins k and n−k share their two inputs,
+// and W^(n−k) = −conj(W^k), so with e = Z[k]+Z*[n−k] and
+// o = W^k·(Z[k]−Z*[n−k]) one pass yields X[k] = ½(e − i·o) and
+// X[n−k] = ½(e* − i·o*). At k = n/2 both writes land on one bin, and the
+// second stands.
+func splitGo(dst []float64, buf, w []complex128) {
+	n := len(buf)
 	for k := 1; k <= n/2; k++ {
 		a, b := buf[k], buf[n-k]
 		b = complex(real(b), -imag(b))
@@ -136,8 +173,9 @@ func (p *fftPlan) realPower(dst []float64, buf []complex128, x []float64) {
 
 // powerSpectrum is the one-sided power spectrum of frame zero-padded to
 // fftSize (a power of two) into dst (len fftSize/2+1), with buf
-// (len fftSize/2) as FFT workspace and p = planFor(fftSize/2).
-func powerSpectrum(dst []float64, buf []complex128, p *fftPlan, frame []float64) {
+// (len fftSize/2) as FFT workspace and p = planFor(fftSize/2); avx2 picks
+// the kernels as in realPower.
+func powerSpectrum(dst []float64, buf []complex128, p *fftPlan, frame []float64, avx2 bool) {
 	if len(dst) == 1 { // fftSize 1: the spectrum is the lone sample's power
 		dst[0] = 0
 		if len(frame) > 0 {
@@ -145,7 +183,7 @@ func powerSpectrum(dst []float64, buf []complex128, p *fftPlan, frame []float64)
 		}
 		return
 	}
-	p.realPower(dst, buf[:len(dst)-1], frame)
+	p.realPower(dst, buf[:len(dst)-1], frame, avx2)
 }
 
 // FFT computes the in-place radix-2 Cooley-Tukey FFT of x. The length of x
@@ -161,7 +199,7 @@ func FFT(x []complex128) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	p.butterflies(x)
+	p.butterflies(x, cpuid.AVX2)
 }
 
 // IFFT computes the inverse FFT of x in place (normalised by 1/n).
@@ -174,6 +212,16 @@ func IFFT(x []complex128) {
 	for i := range x {
 		x[i] = cmplx.Conj(x[i]) / n
 	}
+}
+
+// FFTKernel reports which kernels the real-input transform's twiddled
+// stages and split pass take in this build on this CPU: "avx2" for the
+// amd64 assembly (fft_amd64.s), "go" for the portable loops.
+func FFTKernel() string {
+	if cpuid.AVX2 {
+		return "avx2"
+	}
+	return "go"
 }
 
 // NextPow2 returns the smallest power of two >= n (and at least 1).
@@ -193,7 +241,7 @@ func PowerSpectrum(frame []float64, fftSize int) []float64 {
 		panic(fmt.Sprintf("dsp: FFT length %d is not a power of two", fftSize))
 	}
 	out := make([]float64, fftSize/2+1)
-	powerSpectrum(out, make([]complex128, fftSize/2), planFor(fftSize/2), frame)
+	powerSpectrum(out, make([]complex128, fftSize/2), planFor(fftSize/2), frame, cpuid.AVX2)
 	return out
 }
 

@@ -52,28 +52,24 @@ func (f *Frontend) Config() MFCCConfig { return f.k.t.cfg }
 // WindowFrames returns the feature ring's capacity in frames.
 func (f *Frontend) WindowFrames() int { return f.winFrames }
 
-// PushSample consumes one sample and reports whether it completed a frame
-// (whose features are now the newest ring entry).
-func (f *Frontend) PushSample(s float64) bool {
-	f.ring[f.rpos] = s
-	f.rpos++
-	if f.rpos == len(f.ring) {
-		f.rpos = 0
-	}
-	f.untilFrame--
-	if f.untilFrame > 0 {
-		return false
-	}
-	f.untilFrame = f.k.t.cfg.Stride()
-	f.completeFrame()
-	return true
-}
-
-// Push consumes a chunk of samples and returns how many frames it completed.
+// Push consumes a chunk of samples and returns how many frames it
+// completed. It copies the chunk into the sample ring in runs that end at
+// frame boundaries, featurising each frame as its last sample lands.
 func (f *Frontend) Push(samples []float64) int {
 	n := 0
-	for _, s := range samples {
-		if f.PushSample(s) {
+	for len(samples) > 0 {
+		run := samples[:min(len(samples), f.untilFrame)]
+		samples = samples[len(run):]
+		c := copy(f.ring[f.rpos:], run)
+		f.rpos += copy(f.ring, run[c:]) + c
+		if f.rpos >= len(f.ring) {
+			f.rpos -= len(f.ring)
+		}
+		f.untilFrame -= len(run)
+		if f.untilFrame == 0 {
+			// A stride under one sample completes a frame every sample.
+			f.untilFrame = max(f.k.t.cfg.Stride(), 1)
+			f.completeFrame()
 			n++
 		}
 	}

@@ -8,10 +8,14 @@ import (
 // TestFrontendMatchesBatch pins the streaming frontend bit-exactly against
 // batch MFCC.Compute: after any prefix of the stream, the frontend's frame
 // count and every feature of its window ring must equal the batch pipeline's
-// over the same samples — regardless of how the stream was chunked.
+// over the same samples — regardless of how the stream was chunked. The
+// third configuration's 25 ms frame is no multiple of its 10 ms stride, so
+// the sample ring also wraps inside the runs Push copies.
 func TestFrontendMatchesBatch(t *testing.T) {
-	for _, rate := range []int{16000, 4000} {
-		cfg := DefaultMFCCConfig(rate)
+	odd := DefaultMFCCConfig(16000)
+	odd.FrameMs, odd.StrideMs = 25, 10
+	for _, cfg := range []MFCCConfig{DefaultMFCCConfig(16000), DefaultMFCCConfig(4000), odd} {
+		rate := cfg.SampleRate
 		m := NewMFCC(cfg)
 		const winFrames = 49
 		f := NewFrontend(cfg, winFrames)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/cpuid"
 	"repro/internal/tensor"
 )
 
@@ -248,7 +249,7 @@ func (k *kernel) windowFrame(a, b []float64) {
 	}
 }
 
-func (k *kernel) spectrum() { powerSpectrum(k.spec, k.buf, k.t.plan, k.frame) }
+func (k *kernel) spectrum() { powerSpectrum(k.spec, k.buf, k.t.plan, k.frame, cpuid.AVX2) }
 
 func (k *kernel) melSums() {
 	for m, band := range k.t.bands {

@@ -197,6 +197,13 @@ func LoadCache(path string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseCache(raw)
+}
+
+// parseCache decodes the bytes of a THFC cache. Every rejection wraps
+// ErrCacheCorrupt, and no count is trusted before it is checked against
+// the bytes that remain (FuzzLoadCache).
+func parseCache(raw []byte) (*Dataset, error) {
 	headerLen := len(CacheMagic) + 4
 	if len(raw) < headerLen+4 {
 		return nil, fmt.Errorf("%w: file too short (%d bytes)", ErrCacheCorrupt, len(raw))

@@ -3,9 +3,12 @@ package speechcmd
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 func tinyConfig() Config {
@@ -195,4 +198,73 @@ func TestGenerateCachedRewritesOldVersion(t *testing.T) {
 	if _, warm, _ := GenerateCached(cfg, path); !warm {
 		t.Fatal("the rewritten cache must serve warm")
 	}
+}
+
+// smallCacheBytes is a real SaveCache output for a hand-built three-sample
+// dataset, small enough for the fuzzer to mutate quickly.
+func smallCacheBytes(f *testing.F) []byte {
+	feats := []float32{0.5, -1, 2, 0, 3.25, -0.125, 1, 1, 1, -2, 4, 8, 0.75, 0.5, -0.25, 9, 7, 5}
+	sample := func(i, label int, word string) Sample {
+		return Sample{Features: tensor.FromSlice(feats[i*6:(i+1)*6], 2, 3), Label: label, Word: word}
+	}
+	ds := &Dataset{
+		Config:      tinyConfig(),
+		InputFrames: 2,
+		InputCoeffs: 3,
+		FeatMean:    0.25,
+		FeatStd:     1.5,
+		Train:       []Sample{sample(0, 2, "yes")},
+		Val:         []Sample{sample(1, 0, "")},
+		Test:        []Sample{sample(2, NumClasses-1, "go")},
+	}
+	path := filepath.Join(f.TempDir(), "seed.thfc")
+	if err := ds.SaveCache(path); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return raw
+}
+
+// FuzzLoadCache feeds hostile bytes to the THFC reader. It must never
+// panic, and every rejection must wrap ErrCacheCorrupt. Each input is also
+// tried with its CRC trailer repaired, so mutations reach the structural
+// checks behind the checksum; a cache the reader accepts must hold whole
+// samples with in-range labels.
+func FuzzLoadCache(f *testing.F) {
+	raw := smallCacheBytes(f)
+	f.Add(raw)
+	for _, cut := range []int{0, 3, 8, 12, 40, len(raw) / 2, len(raw) - 1} {
+		f.Add(raw[:cut])
+	}
+	for _, at := range []int{2, 6, 12, 60, 66, 70, len(raw) - 30, len(raw) - 2} {
+		flipped := append([]byte(nil), raw...)
+		flipped[at] ^= 0x41
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		repaired := append([]byte(nil), data...)
+		if n := len(repaired); n >= len(CacheMagic)+8 {
+			binary.LittleEndian.PutUint32(repaired[n-4:], crc32.ChecksumIEEE(repaired[len(CacheMagic)+4:n-4]))
+		}
+		for _, b := range [][]byte{data, repaired} {
+			d, err := parseCache(b)
+			if err != nil {
+				if !errors.Is(err, ErrCacheCorrupt) {
+					t.Fatalf("rejection %v does not wrap ErrCacheCorrupt", err)
+				}
+				continue
+			}
+			dim := d.InputFrames * d.InputCoeffs
+			for _, split := range [][]Sample{d.Train, d.Val, d.Test} {
+				for _, s := range split {
+					if s.Features.Size() != dim || s.Label < 0 || s.Label >= NumClasses {
+						t.Fatalf("accepted sample with %d features (want %d) and label %d", s.Features.Size(), dim, s.Label)
+					}
+				}
+			}
+		}
+	})
 }

@@ -320,3 +320,71 @@ func TestIncrementalCacheAccounting(t *testing.T) {
 		t.Fatalf("registry invalidations after Reset = %d, want 2", v)
 	}
 }
+
+// TestDetectorChunkInvariance pins Push's run-wise ingest: random chunks of
+// 1–5000 samples, with NaN, ±Inf and out-of-range samples mixed in, must
+// give exactly the events, posteriors and Scrubbed/Clipped counts of
+// pushing the same stream one sample at a time, on the incremental and the
+// full-window path.
+func TestDetectorChunkInvariance(t *testing.T) {
+	const rate = 4000
+	e := deploy.SyntheticEngine(25, 0.35)
+	rng := rand.New(rand.NewSource(91))
+	audio := make([]float64, 10*rate)
+	for i := range audio {
+		switch v := rng.Intn(400); {
+		case v == 0:
+			audio[i] = math.NaN()
+		case v == 1:
+			audio[i] = math.Inf(1 - 2*rng.Intn(2))
+		case v < 12:
+			audio[i] = 3 * rng.NormFloat64()
+		default:
+			audio[i] = 0.3 * rng.NormFloat64()
+		}
+	}
+	for _, incremental := range []bool{false, true} {
+		type outcome struct {
+			events []Event
+			log    [][]float32
+			stats  Stats
+		}
+		run := func(chunk func() int) outcome {
+			cfg := DefaultConfig(rate)
+			cfg.Incremental = incremental
+			cfg.Threshold, cfg.SmoothWin, cfg.RefractoryMs = 0.05, 1, 1
+			c := NewEngineClassifier(e)
+			rec := &recordingHopClassifier{recordingClassifier: recordingClassifier{inner: c}, hop: c}
+			var cls Classifier = &rec.recordingClassifier
+			if incremental {
+				cls = rec
+			}
+			d := NewDetector(cfg, cls, 0, 1)
+			var o outcome
+			for rest := audio; len(rest) > 0; {
+				n := min(chunk(), len(rest))
+				o.events = append(o.events, d.Push(rest[:n])...)
+				rest = rest[n:]
+			}
+			o.log, o.stats = rec.log, d.Stats()
+			return o
+		}
+		want := run(func() int { return 1 })
+		got := run(func() int { return 1 + rng.Intn(5000) })
+		if len(want.events) == 0 || want.stats.Scrubbed == 0 || want.stats.Clipped == 0 {
+			t.Fatalf("incremental=%v: stream exercised too little: %d events, stats %+v", incremental, len(want.events), want.stats)
+		}
+		compareLogs(t, got.log, want.log, "chunked vs one-sample pushes")
+		if len(got.events) != len(want.events) {
+			t.Fatalf("incremental=%v: %d events chunked, %d one sample at a time", incremental, len(got.events), len(want.events))
+		}
+		for i := range want.events {
+			if got.events[i] != want.events[i] {
+				t.Fatalf("incremental=%v: event %d is %+v chunked, %+v one sample at a time", incremental, i, got.events[i], want.events[i])
+			}
+		}
+		if got.stats != want.stats {
+			t.Fatalf("incremental=%v: stats %+v chunked, %+v one sample at a time", incremental, got.stats, want.stats)
+		}
+	}
+}

@@ -439,40 +439,36 @@ func (d *Detector) invalidateHop() {
 	d.obs.hopInvals.Inc()
 }
 
+// pushBlock is how many samples Push sanitises at a time, into a stack
+// block it then hands on in runs.
+const pushBlock = 256
+
 // Push consumes audio samples and returns any detections they trigger.
 // Input is sanitised before it reaches the feature pipeline: non-finite
 // samples (a glitchy ADC) are scrubbed to zero and samples outside [-1, 1]
 // are hard-clipped, with both faults counted in Stats. Push never panics,
 // even when the underlying classifier does.
+//
+// Samples move in runs: each block is sanitised at once, then handed to
+// the feature pipeline in runs that end on the sample completing a hop, so
+// every hop classifies exactly the stream it would one sample at a time.
 func (d *Detector) Push(samples []float64) []Event {
 	var events []Event
-	hop := d.hopSamples
+	var blk [pushBlock]float64
 	d.obs.samples.Add(int64(len(samples)))
-	for _, s := range samples {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			s = 0
-			atomic.AddInt64(&d.stats.Scrubbed, 1)
-			d.obs.scrubbed.Inc()
-		} else if s > 1 {
-			s = 1
-			atomic.AddInt64(&d.stats.Clipped, 1)
-			d.obs.clipped.Inc()
-		} else if s < -1 {
-			s = -1
-			atomic.AddInt64(&d.stats.Clipped, 1)
-			d.obs.clipped.Inc()
-		}
-		if d.frontend != nil {
-			d.frontend.PushSample(s)
-		} else {
-			d.window[d.pos%len(d.window)] = s
-		}
-		d.pos++
-		if d.buffered < d.cfg.SampleRate {
-			d.buffered++
-		}
-		d.sinceHop++
-		if d.sinceHop >= hop && d.buffered == d.cfg.SampleRate {
+	for len(samples) > 0 {
+		b := blk[:min(len(samples), pushBlock)]
+		d.sanitise(b, samples)
+		samples = samples[len(b):]
+		for len(b) > 0 {
+			// A hop fires on the sample that brings sinceHop to the hop
+			// with a full second buffered.
+			run := b[:min(len(b), max(d.hopSamples-d.sinceHop, d.cfg.SampleRate-d.buffered, 1))]
+			b = b[len(run):]
+			d.ingest(run)
+			if d.sinceHop < d.hopSamples || d.buffered < d.cfg.SampleRate {
+				continue
+			}
 			d.sinceHop = 0
 			d.obs.hops.Inc()
 			var t0 time.Time
@@ -490,6 +486,51 @@ func (d *Detector) Push(samples []float64) []Event {
 		}
 	}
 	return events
+}
+
+// sanitise copies src[:len(dst)] into dst with non-finite samples scrubbed
+// to zero and the rest clipped into [-1, 1], counting both faults.
+func (d *Detector) sanitise(dst, src []float64) {
+	var scrubbed, clipped int64
+	for i, s := range src[:len(dst)] {
+		switch {
+		case s >= -1 && s <= 1: // false for NaN
+		case math.IsNaN(s) || math.IsInf(s, 0):
+			s = 0
+			scrubbed++
+		case s > 1:
+			s = 1
+			clipped++
+		default:
+			s = -1
+			clipped++
+		}
+		dst[i] = s
+	}
+	if scrubbed > 0 {
+		atomic.AddInt64(&d.stats.Scrubbed, scrubbed)
+		d.obs.scrubbed.Add(scrubbed)
+	}
+	if clipped > 0 {
+		atomic.AddInt64(&d.stats.Clipped, clipped)
+		d.obs.clipped.Add(clipped)
+	}
+}
+
+// ingest hands a run of sanitised samples to the feature pipeline — the
+// streaming frontend, or the full path's one-second ring — and advances
+// the stream position and hop counters.
+func (d *Detector) ingest(run []float64) {
+	if d.frontend != nil {
+		d.frontend.Push(run)
+	} else {
+		for p, r := d.pos%len(d.window), run; len(r) > 0; p = 0 {
+			r = r[copy(d.window[p:], r):]
+		}
+	}
+	d.pos += len(run)
+	d.buffered = min(d.buffered+len(run), d.cfg.SampleRate)
+	d.sinceHop += len(run)
 }
 
 // ConcealGap zero-fills n dropped samples, keeping the stream position and
