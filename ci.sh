@@ -11,7 +11,7 @@ set -eux
 # size.
 go vet ./...
 # Portable-path build check: a non-amd64 build compiles the Go row walk, the
-# Go requant loops and the assembly stubs (walk_other.go), so none of them
+# Go requant loop and the assembly stubs (walk_other.go), so none of them
 # can break unnoticed.
 GOARCH=arm64 go vet ./internal/deploy
 # Formatting gate: every tracked Go file must already be gofmt-clean.
@@ -31,9 +31,10 @@ go test -race ./...
 
 # Engine benchmark smoke: one iteration of each packed-engine benchmark, so
 # a broken hot path fails CI even when nobody reads BENCH_engine.json, and of
-# the paper-shape row benchmarks (row walks, requant rows) on both kernels.
+# the paper-shape row benchmarks (row walks and requant rows on both kernels,
+# the ds1.dw depthwise layer over its plane and its hop bands).
 go test -run='^$' -bench='Engine' -benchtime=1x .
-go test -run='^$' -bench='BenchmarkRowWalk|BenchmarkRequantRow' -benchtime=1x ./internal/deploy
+go test -run='^$' -bench='BenchmarkRowWalk|BenchmarkRequantRow|BenchmarkDepthwiseLayer' -benchtime=1x ./internal/deploy
 
 # Disabled-telemetry overhead gate: the single-frame inference hot path must
 # stay allocation-free when no observer is attached — the telemetry
@@ -55,18 +56,21 @@ echo "$BENCH_INT"
 #     the portable Go walk — the walk-then-requant conv rows, a short plane
 #     buffer panicking, depthwise edge-shifted word loads) must match their
 #     scalar oracles property-wise, as must the requant rows (the AVX2
-#     kernels, the Go loops and their dispatch against a per-element Apply
-#     over every shift 1–62) and the depthwise column kernels (tap sums and
-#     the fused R = 1 chain against the scalar position walk), and an
-#     observer attached to a batch must change no result.
+#     kernels, the Go loop at each of its three clamp shapes and their
+#     dispatch against a per-element Apply over every shift 1–62), the fused
+#     R = 1 depthwise kernel (against dwGatherTap's tap sums and the scalar
+#     Apply chain, over whole planes and hop bands, both policies, with a
+#     saturated multiplier falling back to the scalar walk) and both
+#     depthwise paths against the dense forwardRef at dense and padded
+#     strides, and an observer attached to a batch must change no result.
 go test -count=1 -short \
     -run='TestInferIntMatchesFloatSimulation|TestInferIntMatchesNaiveRandomized|TestInferIntZeroAllocs' \
     ./internal/deploy
 go test -count=1 \
-    -run='TestGatherRowProperty|TestRowWalksMatchOracle|TestRowWalkShortPlanesPanics|TestConvRowsMatchOracle|TestRequantRowsMatchOracle|TestDWColMatchesScalar|TestDWTapWord|TestBatchLanePathWithTelemetry' \
+    -run='TestGatherRowProperty|TestRowWalksMatchOracle|TestRowWalkShortPlanesPanics|TestConvRowsMatchOracle|TestRequantRowsMatchOracle|TestDWColMatchesScalar|TestDWTapWord|TestSparseConvMatchesNaive|TestBatchLanePathWithTelemetry' \
     ./internal/deploy
 # (3) The portable row kernels end to end: the whole package under -tags
-#     purego, where every row takes the Go walk and the Go requant loops, so
+#     purego, where every row takes the Go walk and the Go requant loop, so
 #     each parity and 0-alloc gate in it also holds on hosts without AVX2
 #     and off amd64.
 go test -count=1 -tags purego ./internal/deploy
@@ -120,7 +124,8 @@ echo "$BENCH_HOP"
 [ "$(echo "$BENCH_HOP" | grep -c ' 0 allocs/op')" -eq 2 ]
 # (2) Bit-exactness smoke: InferHop must agree byte-for-byte with the
 #     full-window path across shifts, invalidations, ragged arrivals, and
-#     both activation policies.
+#     both activation policies, on a hop state that holds none of the frame
+#     path's image or im2col scratch.
 go test -count=1 -run='TestInferHop' ./internal/deploy
 # (3) Gap/reset parity under the race detector: an incremental detector
 #     interleaving gap concealment and resets must stay event-identical to

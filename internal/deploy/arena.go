@@ -22,8 +22,11 @@ type arena struct {
 }
 
 // newArena sizes every buffer from the engine's compiled shapes, walking
-// the conv chain exactly as Validate does.
-func newArena(e *Engine) *arena {
+// the conv chain exactly as Validate does. A frame arena holds every buffer;
+// a hop arena (frame false) leaves out the ping-pong images and the im2col
+// scratch, which the hop path never reads: a HopState keeps its own cached
+// images and band im2col (hop.go).
+func newArena(e *Engine, frame bool) *arena {
 	h, w := int(e.Frames), int(e.Coeffs)
 	maxImg := h * w
 	var maxCols, maxHidden, maxAcc int
@@ -79,9 +82,6 @@ func newArena(e *Engine) *arena {
 
 	a := &arena{
 		pol:      e.Policy,
-		imgA:     make([]int8, maxImg),
-		imgB:     make([]int8, maxImg),
-		cols:     make([]int8, maxCols),
 		acc:      make([]int32, maxAcc),
 		pooled:   make([]int8, cLast*ph*pw),
 		z16:      make([]int16, int(t.Z.Out)),
@@ -90,6 +90,11 @@ func newArena(e *Engine) *arena {
 		scores:   make([]int64, L),
 		out:      make([]int32, L),
 		denseHid: make([]int16, maxR),
+	}
+	if frame {
+		a.imgA = make([]int8, maxImg)
+		a.imgB = make([]int8, maxImg)
+		a.cols = make([]int8, maxCols)
 	}
 	// The hidden planes are the policy-dependent buffer: int16 under the
 	// mixed policy, int8 under PolicyInt8 — half the resident activation

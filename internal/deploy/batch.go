@@ -195,7 +195,7 @@ func (e *Engine) getArena() *arena {
 	if a, ok := e.arenas.Get().(*arena); ok && a.pol == e.Policy {
 		return a
 	}
-	a := newArena(e)
+	a := newArena(e, true)
 	e.obs.noteArena(a)
 	return a
 }

@@ -82,7 +82,7 @@ func spreadLanes(d []int32, ev, od uint64, corr int32, first bool) {
 }
 
 // gatherPlanesI8W computes acc[j] = Σ₊ cols[p·nOut+j] − Σ₋ cols[m·nOut+j]
-// for j in [0, nOut): the word-packed replacement for gatherI8. cols is the
+// for j in [0, nOut): the word-packed form of the scalar gather. cols is the
 // byte view of the int8 plane matrix (plane stride nOut). Output columns are
 // walked in tiles of four 8-wide groups with the plane sweep innermost, so
 // the eight SWAR lane accumulators live in registers for the whole sweep and

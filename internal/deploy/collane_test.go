@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -188,19 +189,36 @@ func dwChain(hv int32, hm Mult, s int32, om Mult, b int32, relu, act8 bool) int8
 	return clampI8(o)
 }
 
-// TestDWColMatchesScalar pins the depthwise column-lane kernels against
-// dwColScalarPos followed by the scalar Apply chain (dwChain): dwColUnit's
-// tap sums on the groups it claims (pad lanes must come out zero), the fused
-// R = 1 chains dwColQ8 and dwColQ16 at both fold signs over the whole plane
-// or a random run of its 8-column groups, and dwSparse's fused
-// dispatch over whole layers whose pruned units (wcSign 0) requantise a zero
-// accumulator. Plane sizes are random with h·w ≥ 8; odd kernels with same
-// column padding and random row padding make head groups (a tap before the
-// plane) and tail groups (a load past the last plane), which dwColUnit leaves
-// to the scalar path; the planes' pad bytes hold garbage.
+// dwTapSums is the scalar oracle of one depthwise unit's tap sums over the
+// whole output plane: its +1 and −1 taps gathered by dwGatherTap straight
+// off the channel plane img.
+func dwTapSums(q *QConv, img []int8, h, w int, plus, minus []int32) []int32 {
+	oh, ow := q.outSize(h, w)
+	kw := int(q.KW)
+	sums := make([]int32, oh*ow)
+	for _, p := range plus {
+		dwGatherTap(sums, img[:h*w], int(p)/kw, int(p)%kw, h, w, oh, ow, int(q.Stride), int(q.PadH), int(q.PadW), 1)
+	}
+	for _, p := range minus {
+		dwGatherTap(sums, img[:h*w], int(p)/kw, int(p)%kw, h, w, oh, ow, int(q.Stride), int(q.PadH), int(q.PadW), -1)
+	}
+	return sums
+}
+
+// TestDWColMatchesScalar pins the fused R = 1 depthwise kernel against
+// dwGatherTap's tap sums followed by the scalar Apply chain (dwChain):
+// dwColFused under both policies' multipliers and hidden widths, at both
+// fold signs, over the whole plane or a random run of its 8-column groups,
+// and dwSparse over whole layers and random hop bands, where pruned units
+// (wcSign 0) requantise a zero accumulator and a channel with a saturated
+// multiplier must fall back to the scalar walk. Plane sizes are random with
+// h·w ≥ 8; odd kernels with same column padding and random row padding
+// make head groups (a tap before the plane) and tail groups (a load past
+// the last plane); the planes' pad bytes hold garbage.
 func TestDWColMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	var heads, tails, pruned int
+	policies := []Policy{PolicyMixed, PolicyInt8}
+	var heads, tails, pruned, saturated, satDiverged int
 	for trial := 0; trial < 120; trial++ {
 		kh, kw := 1+2*rng.Intn(3), 1+2*rng.Intn(3)
 		padH, padW := rng.Intn(kh/2+1), kw/2
@@ -227,46 +245,56 @@ func TestDWColMatchesScalar(t *testing.T) {
 		if !q.dwCol {
 			t.Fatalf("trial %d: stride-1 same-width geometry %dx%d k=%dx%d rejected", trial, h, w, kh, kw)
 		}
+		// Every fourth layer saturates one channel's hidden or output
+		// multiplier under both policies (|m| ≥ 2³¹, outside the fused
+		// kernel's identity).
+		sat := -1
+		if trial%4 == 0 {
+			sat = rng.Intn(cin)
+			m := Mult{Mant: 1 << 30, Shift: 0}
+			if rng.Intn(2) == 0 {
+				q.HidMul[sat], q.hidMul8[sat] = m, m
+			} else {
+				q.OutMul[sat], q.outMul8[sat] = m, m
+			}
+		}
 		oh, ow := q.outSize(h, w)
 		nOut := oh * ow
 		inStride, outStride := pad8(h*w), pad8(nOut)
+		// A head tap reads before the plane; on the last channel a tail
+		// group's load runs past the buffer. Both take the edge loads.
+		if slices.Min(q.dwColOffs) < 0 {
+			heads++
+		}
+		if (q.dwColNG-1)*8+int(slices.Max(q.dwColOffs))+8 > inStride {
+			tails++
+		}
 		x := make([]int8, cin*inStride)
 		for i := range x {
 			x[i] = int8(rng.Intn(256) - 128)
 		}
-		pos := func(ch, j int) int32 {
+		sums := make([][]int32, cin)
+		for ch := range sums {
 			plus, minus := q.wbSp.row(ch)
-			return dwColScalarPos(x[ch*inStride:], plus, minus, h, w, ow, kw, padH, padW, j)
+			sums[ch] = dwTapSums(q, x[ch*inStride:], h, w, plus, minus)
+		}
+		mults := func(pol Policy, ch int) (hm, om Mult, hlo, hhi int32) {
+			if pol == PolicyInt8 {
+				return q.hidMul8[ch], q.outMul8[ch], -128, 127
+			}
+			return q.HidMul[ch], q.OutMul[ch], -32768, 32767
+		}
+		var lo int32 = -128
+		if q.ReLU {
+			lo = 0
 		}
 		tag := fmt.Sprintf("trial %d (%dx%d k=%dx%d pad=%d,%d)", trial, h, w, kh, kw, padH, padW)
 		for ch := 0; ch < cin; ch++ {
 			plus, minus := q.wbSp.row(ch)
 			img := i8Bytes(x[ch*inStride:])
-			hacc := make([]int32, outStride)
-			for j := range hacc {
-				hacc[j] = staleAcc
-			}
-			gLo, gHi := q.dwColUnit(hacc, img, plus, minus)
-			if gLo > 0 {
-				heads++
-			}
-			if gHi < q.dwColNG {
-				tails++
-			}
-			for j := gLo << 3; j < gHi<<3; j++ {
-				want := int32(0) // a pad lane
-				if j < nOut {
-					want = pos(ch, j)
-				}
-				if hacc[j] != want {
-					t.Fatalf("%s ch %d: dwColUnit hacc[%d]=%d, want %d", tag, ch, j, hacc[j], want)
-				}
-			}
-			for _, act8 := range []bool{false, true} {
-				hm, om := q.HidMul[ch], q.OutMul[ch]
-				if act8 {
-					hm, om = q.hidMul8[ch], q.outMul8[ch]
-				}
+			for _, pol := range policies {
+				hm, om, hlo, hhi := mults(pol, ch)
+				act8 := pol == PolicyInt8
 				for _, s := range []int32{-1, 1} {
 					dst := make([]int8, nOut+8)
 					for j := range dst {
@@ -279,47 +307,115 @@ func TestDWColMatchesScalar(t *testing.T) {
 						gLo = rng.Intn(q.dwColNG + 1)
 						gHi = gLo + rng.Intn(q.dwColNG-gLo+1)
 					}
-					if act8 {
-						q.dwColQ8(dst[:nOut], img, plus, minus, hm, s, om, q.OutBias[ch], q.ReLU, gLo, gHi)
-					} else {
-						q.dwColQ16(dst[:nOut], img, plus, minus, hm, s, om, q.OutBias[ch], q.ReLU, gLo, gHi)
-					}
+					q.dwColFused(dst[:nOut], img, plus, minus, hm, hlo, hhi, s, om, q.OutBias[ch], lo, gLo, gHi)
 					for j := range dst {
 						want := canaryI8
 						if j < nOut && j >= gLo<<3 && j < gHi<<3 {
-							want = dwChain(pos(ch, j), hm, s, om, q.OutBias[ch], q.ReLU, act8)
+							want = dwChain(sums[ch][j], hm, s, om, q.OutBias[ch], q.ReLU, act8)
 						}
-						if dst[j] != want {
-							t.Fatalf("%s ch %d act8=%v s=%d: fused dst[%d]=%d, want %d", tag, ch, act8, s, j, dst[j], want)
+						if dst[j] == want {
+							continue
 						}
+						if ch == sat {
+							// Outside the kernel's domain: the layer
+							// below must not run it on this channel.
+							satDiverged++
+							break
+						}
+						t.Fatalf("%s ch %d pol %v s=%d: fused dst[%d]=%d, want %d", tag, ch, pol, s, j, dst[j], want)
 					}
 				}
 			}
 		}
-		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
-			act8 := pol == PolicyInt8
+		for _, pol := range policies {
+			// The whole plane, or two random row bands as a hop passes.
+			segs := [][2]int{{0, oh}}
+			if rng.Intn(2) == 0 {
+				top := rng.Intn(oh + 1)
+				bot := top + rng.Intn(oh-top+1)
+				segs = [][2]int{{0, top}, {bot, oh}}
+			}
 			out := make([]int8, cin*outStride)
-			q.dwSparse(arenaForConv(q, h, w), x, out, h, w, oh, ow, pol, inStride, outStride, [][2]int{{0, oh}})
+			for i := range out {
+				out[i] = canaryI8
+			}
+			q.dwSparse(arenaForConv(q, h, w), x, out, h, w, oh, ow, pol, inStride, outStride, segs)
 			for ch := 0; ch < cin; ch++ {
-				hm, om := q.HidMul[ch], q.OutMul[ch]
-				if act8 {
-					hm, om = q.hidMul8[ch], q.outMul8[ch]
-				}
+				hm, om, _, _ := mults(pol, ch)
 				s := int32(q.wcSign[ch])
-				if s == 0 && !act8 {
-					pruned++
+				if pol == PolicyMixed {
+					if s == 0 {
+						pruned++
+					}
+					if ch == sat && s != 0 {
+						saturated++
+					}
 				}
 				for j := 0; j < nOut; j++ {
-					want := dwChain(pos(ch, j), hm, s, om, q.OutBias[ch], q.ReLU, act8)
-					if got := out[ch*outStride+j]; got != want {
-						t.Fatalf("%s pol %v ch %d (wc %d): dwSparse out[%d]=%d, want %d", tag, pol, ch, s, j, got, want)
+					want := dwChain(sums[ch][j], hm, s, om, q.OutBias[ch], q.ReLU, pol == PolicyInt8)
+					inSeg := false
+					for _, sg := range segs {
+						inSeg = inSeg || (j >= sg[0]*ow && j < sg[1]*ow)
+					}
+					// Rows outside the segments keep their old value or
+					// get the one a whole-plane pass gives.
+					if got := out[ch*outStride+j]; got != want && (inSeg || got != canaryI8) {
+						t.Fatalf("%s pol %v ch %d (wc %d, saturated %v) segs %v: dwSparse out[%d]=%d, want %d",
+							tag, pol, ch, s, ch == sat, segs, j, got, want)
 					}
 				}
 			}
 		}
 	}
-	if heads == 0 || tails == 0 || pruned == 0 {
-		t.Fatalf("sweep missed a case: %d head-group channels, %d tail-group channels, %d pruned units", heads, tails, pruned)
+	if heads == 0 || tails == 0 || pruned == 0 || saturated == 0 || satDiverged == 0 {
+		t.Fatalf("sweep missed a case: %d head-tap and %d tail-load layers, %d pruned units, %d saturated live channels, %d fused runs off a saturated multiplier",
+			heads, tails, pruned, saturated, satDiverged)
+	}
+}
+
+// BenchmarkDepthwiseLayer times the paper shape's first depthwise layer,
+// ds1.dw (64 channels of a 25×5 plane, 3×3 taps, R = 1), through dwSparse
+// under both policies: over the whole plane, as a full window runs it, and
+// over the bands a warm 12-frame hop recomputes, which the hop's interval
+// rule (cleanOut) gives as rows {0,4} and {16,25}.
+func BenchmarkDepthwiseLayer(b *testing.B) {
+	const hop = 12
+	e := SyntheticEngine(9, 0.35)
+	e.ensureCompiled()
+	c1, q := e.Convs[0], e.Convs[1]
+	g1 := hopGeom{h: int(e.Frames), w: int(e.Coeffs)}
+	g1.oh, g1.ow = c1.outSize(g1.h, g1.w)
+	g2 := hopGeom{h: g1.oh, w: g1.ow}
+	g2.oh, g2.ow = q.outSize(g2.h, g2.w)
+	a1, b1, s1, _ := cleanOut(c1, g1, 0, g1.h-hop, hop)
+	a2, b2, _, _ := cleanOut(q, g2, a1, b1, s1)
+	inStride, outStride := pad8(g2.h*g2.w), pad8(g2.oh*g2.ow)
+	rng := rand.New(rand.NewSource(1))
+	x := make([]int8, int(q.Cin)*inStride)
+	for i := range x {
+		x[i] = int8(rng.Intn(256) - 128)
+	}
+	out := make([]int8, int(q.Cout)*outStride)
+	for _, p := range []struct {
+		pol  Policy
+		name string
+	}{{PolicyMixed, "mixed"}, {PolicyInt8, "int8"}} {
+		pol := p.pol
+		e.Policy = pol
+		a := newArena(e, true)
+		for _, c := range []struct {
+			name string
+			segs [][2]int
+		}{
+			{"plane", [][2]int{{0, g2.oh}}},
+			{"hop", [][2]int{{0, a2}, {b2, g2.oh}}},
+		} {
+			b.Run(p.name+"/"+c.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					q.dwSparse(a, x, out, g2.h, g2.w, g2.oh, g2.ow, pol, inStride, outStride, c.segs)
+				}
+			})
+		}
 	}
 }
 

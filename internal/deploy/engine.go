@@ -36,14 +36,14 @@ type QConv struct {
 	wcSign           []int8     // depthwise only: the Cin·R Wc signs, one per hidden unit
 	hidMul8, outMul8 []Mult     // PolicyInt8 requantisers, derived by deriveAct8
 
-	// Depthwise column-lane tables (collane.go compileDWCol): per-tap linear
-	// read offsets and per-tap-per-group lane-validity masks for the SWAR
-	// shifted-window walk. dwCol gates the walk on the geometry admitting it.
-	dwCol              bool
-	dwColNG            int
-	dwColOffs          []int32
-	dwColMask          []uint64
-	dwColMin, dwColMax int32 // min/max linear tap offset (head/tail clipping)
+	// Fused R = 1 depthwise tables (collane.go compileDWCol): per-tap linear
+	// read offsets and per-group-per-tap lane-validity masks for the SWAR
+	// shifted-window loads. dwCol is set only on a layer the fused kernel
+	// takes.
+	dwCol     bool
+	dwColNG   int
+	dwColOffs []int32
+	dwColMask []uint64
 }
 
 // ternaries unpacks fresh dense copies of Wb and Wc. Kernel compilation
@@ -236,17 +236,10 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 }
 
 // requantChannel applies the per-channel output multiplier, bias and
-// optional ReLU, saturating to int8, through the branchless fused row
-// kernel (collane.go). Mixed-policy form: acc holds sums of int16 hidden
-// values.
+// optional ReLU, saturating to int8, through the int8 requant row
+// (collane.go). Mixed-policy form: acc holds sums of int16 hidden values.
 func (q *QConv) requantChannel(dst []int8, acc []int32, c int) {
 	requantRowI8(dst, acc, q.OutMul[c], q.OutBias[c], q.ReLU)
-}
-
-// requantChannel8 is requantChannel for PolicyInt8: acc holds sums of int8
-// hidden values, so the derived outMul8 restores the output scale.
-func (q *QConv) requantChannel8(dst []int8, acc []int32, c int) {
-	requantRowI8(dst, acc, q.outMul8[c], q.OutBias[c], q.ReLU)
 }
 
 // requantRef is the int64-accumulator requantisation used by forwardRef.
@@ -550,7 +543,7 @@ func (e *Engine) Infer(x []float32) (scores []int32, class int) {
 func (e *Engine) residentArena() *arena {
 	e.ensureCompiled()
 	if e.arena == nil || e.arena.pol != e.Policy {
-		e.arena = newArena(e)
+		e.arena = newArena(e, true)
 		e.obs.noteArena(e.arena)
 	}
 	return e.arena

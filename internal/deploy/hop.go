@@ -39,19 +39,20 @@ import "fmt"
 // Exactness. The band kernels are the same compiled row kernels the
 // full-window path runs (collane.go), fed a band-local im2col matrix at the
 // padded stride pad8(nBand); depthwise bands run the full path's fused
-// column kernels over the groups the band touches (dwSparse). Every kernel
-// is position-wise exact — int32
-// accumulation is associative mod 2³², and each output position's sum walks
-// the same compiled nonzero indices in the same order regardless of which
-// other positions share the dispatch — so a recomputed band row is
-// bit-identical to the same row of a full-window Infer, and a reused row is
-// bit-identical by induction. TestInferHopMatchesFullStream and the
+// R = 1 kernel over the groups the band touches (dwSparse). Every kernel is
+// position-wise exact — int32 accumulation is associative mod 2³², and
+// each output position's sum walks the same compiled nonzero indices in the
+// same order regardless of which other positions share the dispatch — so a
+// recomputed band row is bit-identical to the same row of a full-window
+// Infer, and a reused row is bit-identical by induction. TestInferHopMatchesFullStream and the
 // property suite in hop_test.go pin the claim over long streams.
 //
-// A HopState owns all mutable scratch (a serial arena plus the cached
-// images), so any number of HopStates may run concurrently on one engine —
-// the same contract as InferBatch. A single HopState is not safe for
-// concurrent use. Steady-state hops allocate nothing.
+// A HopState owns all mutable scratch — a hop arena (the rows,
+// accumulators and tree buffers, without the frame path's ping-pong images
+// and im2col), the cached images and the band im2col — so any number of
+// HopStates may run concurrently on one engine, the same contract as
+// InferBatch. A single HopState is not safe for concurrent use.
+// Steady-state hops allocate nothing.
 
 // hopGeom is one conv layer's spatial geometry and channel strides as the
 // hop path caches it: images live at the column-lane padded stride
@@ -79,7 +80,7 @@ type HopStats struct {
 // previous window's trailing rows.
 type HopState struct {
 	e   *Engine
-	a   *arena
+	a   *arena // a hop arena: newArena(e, false)
 	pol Policy
 
 	geom []hopGeom
@@ -108,7 +109,7 @@ type HopState struct {
 func newHopState(e *Engine) *HopState {
 	hs := &HopState{
 		e:    e,
-		a:    newArena(e),
+		a:    newArena(e, false),
 		pol:  e.Policy,
 		segs: make([][2]int, 0, 2),
 	}
@@ -190,7 +191,7 @@ func (e *Engine) InferHop(hs *HopState, x []float32, nNew int) (scores []int32, 
 // policy changed since the last hop (cached activations are policy-specific).
 func (hs *HopState) syncPolicy() {
 	if pol := hs.e.Policy; pol != hs.pol {
-		hs.a = newArena(hs.e)
+		hs.a = newArena(hs.e, false)
 		hs.pol = pol
 		hs.valid = false
 	}
@@ -338,11 +339,10 @@ func (hs *HopState) runBand(q *QConv, g hopGeom, x, out []int8, segs [][2]int, p
 		return 0
 	}
 	if q.Kind == kindDepthwise {
-		// The fused R = 1 column kernels recompute only the band's
-		// 8-column groups; a layer they cannot take recomputes its whole
-		// plane. Either way the clean rows come out bit-identical, so the
+		// The fused R = 1 kernel recomputes only the band's 8-column
+		// groups; a layer it cannot take recomputes its whole plane. Either way the clean rows come out bit-identical, so the
 		// caller's interval propagation is unaffected.
-		if !q.dwFused(g.h, g.w, g.outStride) {
+		if !q.dwFused(g.outStride) {
 			segs, nBand = hs.bandSegs(g.oh, g.oh, g.oh), g.oh*g.ow
 		}
 		q.dwSparse(hs.a, x[:int(q.Cin)*g.inStride], out, g.h, g.w, g.oh, g.ow, pol, g.inStride, g.outStride, segs)

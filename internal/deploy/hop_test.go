@@ -95,13 +95,6 @@ func TestInferHopMatchesFullStream(t *testing.T) {
 // multipliers collapse most activations to the bias, where a stale cached
 // position equals a recomputed one and a band error cannot show.
 func liveHopEngine(rng *rand.Rand, e *Engine, r int) {
-	live := func(n int) []Mult {
-		ms := make([]Mult, n)
-		for i := range ms {
-			ms[i] = NewMult(0.1 + 0.85*rng.Float64())
-		}
-		return ms
-	}
 	for _, q := range e.Convs {
 		hid := len(q.HidMul)
 		if q.Kind == kindDepthwise {
@@ -111,7 +104,7 @@ func liveHopEngine(rng *rand.Rand, e *Engine, r int) {
 			q.WcPacked = randTernaryPacked(rng, c*r, 0.6)
 			hid = c * r
 		}
-		q.HidMul, q.OutMul = live(hid), live(len(q.OutMul))
+		q.HidMul, q.OutMul = liveMults(rng, hid), liveMults(rng, len(q.OutMul))
 	}
 }
 
@@ -245,15 +238,32 @@ func TestInferHopZeroAllocs(t *testing.T) {
 	}
 }
 
+// checkHopArena fails unless hs's arena is sized for pol and holds only
+// the scratch the hop path reads: no ping-pong images and no im2col, since
+// the state keeps its own cached images and band im2col.
+func checkHopArena(t *testing.T, hs *HopState, pol Policy) {
+	t.Helper()
+	a := hs.a
+	if a.pol != pol || (len(a.hidden8) > 0) != (pol == PolicyInt8) {
+		t.Fatalf("hop arena sized for %v (int8 hidden planes %d), engine runs %v", a.pol, len(a.hidden8), pol)
+	}
+	if a.imgA != nil || a.imgB != nil || a.cols != nil {
+		t.Fatalf("pol %v: hop arena holds frame scratch: imgA %d, imgB %d, cols %d bytes",
+			pol, len(a.imgA), len(a.imgB), len(a.cols))
+	}
+}
+
 // TestInferHopStateReuse exercises the engine-level hop-state pool: a
 // released state must come back invalidated and survive a policy change
-// between checkouts.
+// between checkouts, which rebuilds its arena; before and after, the arena
+// holds only the scratch the hop path reads.
 func TestInferHopStateReuse(t *testing.T) {
 	e := SyntheticEngine(9, 0.35)
 	rng := rand.New(rand.NewSource(6))
 	s := newHopStream(rng, int(e.Frames), int(e.Coeffs), 12, 8)
 	hs := e.NewHopState()
 	e.InferHop(hs, s.window(0), int(e.Frames))
+	checkHopArena(t, hs, PolicyMixed)
 	hs.Release()
 
 	e.Policy = PolicyInt8
@@ -271,6 +281,7 @@ func TestInferHopStateReuse(t *testing.T) {
 	if !hs2.LastFull() {
 		t.Fatal("first hop on a pooled state must be a full recompute")
 	}
+	checkHopArena(t, hs2, PolicyInt8)
 	hs2.Release()
 }
 

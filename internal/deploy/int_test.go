@@ -36,7 +36,7 @@ func TestGatherWordPackedMatchesScalar(t *testing.T) {
 			}
 		}
 		want := make([]int32, nOut)
-		gatherI8(want, planes, plus, minus, nOut)
+		gather(want, planes, plus, minus, nOut)
 		got := make([]int32, nOut)
 		gatherPlanesI8W(got, i8Bytes(planes), plus, minus, nOut)
 		for j := range want {

@@ -173,101 +173,20 @@ func (q *QConv) stdSparse(a *arena, cols, out []int8, nOut, ps, outStride int, p
 	q.stdOutRows(hidden, acc, out, nOut, outStride)
 }
 
-// gatherI8 accumulates the ternary combination of int8 planes selected by
-// the plus/minus index runs into acc. The first plane is assigned rather
-// than added, so acc needs no zeroing pass; an empty row zeroes it instead.
-// Remaining planes are folded up to eight at a time — the partial sum of
-// eight int8 values cannot wrap an int32, and int32 addition is associative
-// mod 2³², so the result stays bit-identical to one-at-a-time accumulation
-// while acc is loaded and stored an eighth as often. All slices are
-// resliced to exactly nOut so the inner loops bounds-check once, not per
-// element.
+// gather accumulates the ternary combination of the int8 or int16 planes
+// selected by the plus/minus index runs into acc. The first plane is
+// assigned rather than added, so acc needs no zeroing pass; an empty row
+// zeroes it instead. Remaining planes are folded up to eight at a time —
+// the partial sum of eight int8 or int16 values cannot wrap an int32, and
+// int32 addition is associative mod 2³², so the result stays bit-identical
+// to one-at-a-time accumulation while acc is loaded and stored an eighth as
+// often. All slices are resliced to exactly nOut so the inner loops
+// bounds-check once, not per element.
 //
-// The hot path now uses the word-packed gatherPlanesI8W (bitplane.go);
-// gatherI8 is retained as its scalar oracle for the kernel-level property
-// tests.
-func gatherI8(acc []int32, cols []int8, plus, minus []int32, nOut int) {
-	acc = acc[:nOut]
-	switch {
-	case len(plus) > 0:
-		src := cols[int(plus[0])*nOut:][:nOut]
-		for j, v := range src {
-			acc[j] = int32(v)
-		}
-		addPlanesI8(acc, cols, plus[1:], nOut, 1)
-		addPlanesI8(acc, cols, minus, nOut, -1)
-	case len(minus) > 0:
-		src := cols[int(minus[0])*nOut:][:nOut]
-		for j, v := range src {
-			acc[j] = -int32(v)
-		}
-		addPlanesI8(acc, cols, minus[1:], nOut, -1)
-	default:
-		for j := range acc {
-			acc[j] = 0
-		}
-	}
-}
-
-// addPlanesI8 adds (sign +1) or subtracts (sign −1) the selected int8
-// planes into acc, up to eight planes per pass.
-func addPlanesI8(acc []int32, cols []int8, idx []int32, nOut int, sign int32) {
-	k := 0
-	for ; k+7 < len(idx); k += 8 {
-		s1 := cols[int(idx[k])*nOut:][:nOut]
-		s2 := cols[int(idx[k+1])*nOut:][:nOut]
-		s3 := cols[int(idx[k+2])*nOut:][:nOut]
-		s4 := cols[int(idx[k+3])*nOut:][:nOut]
-		s5 := cols[int(idx[k+4])*nOut:][:nOut]
-		s6 := cols[int(idx[k+5])*nOut:][:nOut]
-		s7 := cols[int(idx[k+6])*nOut:][:nOut]
-		s8 := cols[int(idx[k+7])*nOut:][:nOut]
-		if sign > 0 {
-			for j := range acc {
-				acc[j] += int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j]) +
-					int32(s5[j]) + int32(s6[j]) + int32(s7[j]) + int32(s8[j])
-			}
-		} else {
-			for j := range acc {
-				acc[j] -= int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j]) +
-					int32(s5[j]) + int32(s6[j]) + int32(s7[j]) + int32(s8[j])
-			}
-		}
-	}
-	for ; k+3 < len(idx); k += 4 {
-		s1 := cols[int(idx[k])*nOut:][:nOut]
-		s2 := cols[int(idx[k+1])*nOut:][:nOut]
-		s3 := cols[int(idx[k+2])*nOut:][:nOut]
-		s4 := cols[int(idx[k+3])*nOut:][:nOut]
-		if sign > 0 {
-			for j := range acc {
-				acc[j] += int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j])
-			}
-		} else {
-			for j := range acc {
-				acc[j] -= int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j])
-			}
-		}
-	}
-	for ; k < len(idx); k++ {
-		src := cols[int(idx[k])*nOut:][:nOut]
-		if sign > 0 {
-			for j, v := range src {
-				acc[j] += int32(v)
-			}
-		} else {
-			for j, v := range src {
-				acc[j] -= int32(v)
-			}
-		}
-	}
-}
-
-// gatherI16 is gatherI8 over int16 planes (the mixed policy's hidden
-// layer); eight int16 values likewise cannot wrap an int32 partial sum. It
-// is the portable Go walk for int16 rows (walk.go dispatches to it wherever
-// the AVX2 walk does not run) and the AVX2 walk's oracle.
-func gatherI16(acc []int32, planes []int16, plus, minus []int32, nOut int) {
+// It is the portable Go walk for int16 rows (walk.go runs it wherever the
+// AVX2 walk does not) and the scalar oracle of both walks: int8 rows take
+// the word-packed gatherPlanesI8W (bitplane.go) instead.
+func gather[T int8 | int16](acc []int32, planes []T, plus, minus []int32, nOut int) {
 	acc = acc[:nOut]
 	switch {
 	case len(plus) > 0:
@@ -275,24 +194,22 @@ func gatherI16(acc []int32, planes []int16, plus, minus []int32, nOut int) {
 		for j, v := range src {
 			acc[j] = int32(v)
 		}
-		addPlanesI16(acc, planes, plus[1:], nOut, 1)
-		addPlanesI16(acc, planes, minus, nOut, -1)
+		addPlanes(acc, planes, plus[1:], nOut, 1)
+		addPlanes(acc, planes, minus, nOut, -1)
 	case len(minus) > 0:
 		src := planes[int(minus[0])*nOut:][:nOut]
 		for j, v := range src {
 			acc[j] = -int32(v)
 		}
-		addPlanesI16(acc, planes, minus[1:], nOut, -1)
+		addPlanes(acc, planes, minus[1:], nOut, -1)
 	default:
-		for j := range acc {
-			acc[j] = 0
-		}
+		clear(acc)
 	}
 }
 
-// addPlanesI16 adds (sign +1) or subtracts (sign −1) the selected int16
-// planes into acc, up to eight planes per pass.
-func addPlanesI16(acc []int32, planes []int16, idx []int32, nOut int, sign int32) {
+// addPlanes adds (sign +1) or subtracts (sign −1) the selected planes into
+// acc, up to eight planes per pass.
+func addPlanes[T int8 | int16](acc []int32, planes []T, idx []int32, nOut int, sign int32) {
 	k := 0
 	for ; k+7 < len(idx); k += 8 {
 		s1 := planes[int(idx[k])*nOut:][:nOut]
@@ -396,120 +313,73 @@ func (q *QConv) stdOutRows8(hidden8 []int8, acc []int32, out []int8, nOut, os in
 // processed serially: per-channel work is tiny and the standard-conv stages
 // dominate.
 //
+// A layer the fused R = 1 kernel takes (dwFused) runs each channel through
+// dwColFused (collane.go); every other layer, and every channel with a
+// saturated multiplier, runs the scalar tap walk (dwGatherTap) with the
+// hidden fold (foldRow) and an output requant row.
+//
 // segs lists the output-row segments to write: the full-window path passes
-// the whole plane, a hop its bands. On a layer the fused R = 1 column
-// kernels take (dwFused), each channel runs only the 8-column groups its
-// segments touch; a group that overlaps rows outside them rewrites those
-// rows with the values a whole-plane pass would give, which are the values
-// they hold. Every other channel recomputes its whole plane.
+// the whole plane, a hop its bands. A fused channel runs only the 8-column
+// groups its segments touch; a group that overlaps rows outside them
+// rewrites those rows with the values a whole-plane pass would give, which
+// are the values they hold. Every other channel recomputes its whole plane.
 func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Policy, inStride, outStride int, segs [][2]int) {
 	kw := int(q.KW)
 	stride := int(q.Stride)
 	padH, padW := int(q.PadH), int(q.PadW)
 	nOut := outH * outW
-	pa := pad8(nOut)
 	r := int(q.R)
 	acc := a.acc[:nOut]
-	hacc := a.acc[pa:][:pa]
-	act8 := pol == PolicyInt8
-	// The column-lane walk (collane.go) serves callers at the compiled
-	// padded stride; dense-stride callers keep the scalar tap gather.
-	useCol := q.dwCol && outStride == q.dwColNG<<3
-	fuse1 := q.dwFused(h, w, outStride)
+	hacc := a.acc[pad8(nOut):][:nOut]
+	hm, om := q.HidMul, q.OutMul
+	var hlo, hhi int32 = -32768, 32767
+	if pol == PolicyInt8 {
+		hm, om = q.hidMul8, q.outMul8
+		hlo, hhi = -128, 127
+	}
+	var lo int32 = -128
+	if q.ReLU {
+		lo = 0
+	}
+	fused := q.dwFused(outStride)
 	for ch := 0; ch < int(q.Cin); ch++ {
 		img := x[ch*inStride:]
-		if fuse1 {
-			// One hidden unit per channel: the whole chain fuses into a
-			// single pass (dwColQ8/dwColQ16), no int32 round-trips.
-			var hm, om Mult
-			if act8 {
-				hm, om = q.hidMul8[ch], q.outMul8[ch]
-			} else {
-				hm, om = q.HidMul[ch], q.OutMul[ch]
+		dst := out[ch*outStride:][:nOut]
+		b := q.OutBias[ch]
+		if fused && q.wcSign[ch] == 0 {
+			// The unit is pruned: the channel requantises a zero
+			// accumulator, the constant max(b, lo) for any multiplier.
+			for _, sg := range segs {
+				fillI8(dst[sg[0]*outW:sg[1]*outW], clampI8(max(b, lo)))
 			}
-			if !satMult(hm) && !satMult(om) {
-				dst := out[ch*outStride:][:nOut]
-				wcv := q.wcSign[ch]
-				if wcv == 0 {
-					// The unit is pruned: the channel requantises a zero
-					// accumulator, a constant.
-					var lo int32 = -128
-					if q.ReLU {
-						lo = 0
-					}
-					half := int64(1) << (om.Shift - 1)
-					v0 := q8(0, int64(om.Mant), half, om.Shift, q.OutBias[ch], lo)
-					for _, sg := range segs {
-						fillI8(dst[sg[0]*outW:sg[1]*outW], v0)
-					}
-					continue
-				}
-				s := int32(1)
-				if wcv < 0 {
-					s = -1
-				}
-				plus, minus := q.wbSp.row(ch)
-				for _, sg := range segs {
-					gLo, gHi := sg[0]*outW>>3, pad8(sg[1]*outW)>>3
-					if act8 {
-						q.dwColQ8(dst, i8Bytes(img), plus, minus, hm, s, om, q.OutBias[ch], q.ReLU, gLo, gHi)
-					} else {
-						q.dwColQ16(dst, i8Bytes(img), plus, minus, hm, s, om, q.OutBias[ch], q.ReLU, gLo, gHi)
-					}
-				}
-				continue
+			continue
+		}
+		if fused && !satMult(hm[ch]) && !satMult(om[ch]) {
+			plus, minus := q.wbSp.row(ch)
+			for _, sg := range segs {
+				q.dwColFused(dst, i8Bytes(img), plus, minus, hm[ch], hlo, hhi, int32(q.wcSign[ch]), om[ch], b, lo,
+					sg[0]*outW>>3, pad8(sg[1]*outW)>>3)
 			}
+			continue
 		}
-		var imgB []byte
-		if useCol {
-			imgB = i8Bytes(img)
-		} else {
-			img = img[:h*w]
-		}
-		for j := range acc {
-			acc[j] = 0
-		}
+		img = img[:h*w]
+		clear(acc)
 		for u := 0; u < r; u++ {
 			hu := ch*r + u
-			wcv := q.wcSign[hu]
-			if wcv == 0 {
+			if q.wcSign[hu] == 0 {
 				continue
 			}
 			plus, minus := q.wbSp.row(hu)
-			if useCol {
-				gLo, gHi := q.dwColUnit(hacc, imgB, plus, minus)
-				for j := 0; j < gLo<<3 && j < nOut; j++ {
-					hacc[j] = dwColScalarPos(img, plus, minus, h, w, outW, kw, padH, padW, j)
-				}
-				for j := gHi << 3; j < nOut; j++ {
-					hacc[j] = dwColScalarPos(img, plus, minus, h, w, outW, kw, padH, padW, j)
-				}
-			} else {
-				for j := 0; j < nOut; j++ {
-					hacc[j] = 0
-				}
-				for _, p := range plus {
-					dwGatherTap(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, 1)
-				}
-				for _, p := range minus {
-					dwGatherTap(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, -1)
-				}
+			clear(hacc)
+			for _, p := range plus {
+				dwGatherTap(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, 1)
 			}
-			s := int32(1)
-			if wcv < 0 {
-				s = -1
+			for _, p := range minus {
+				dwGatherTap(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, -1)
 			}
-			if act8 {
-				foldRowI8(acc, hacc[:nOut], q.hidMul8[hu], s)
-			} else {
-				foldRowI16(acc, hacc[:nOut], q.HidMul[hu], s)
-			}
+			foldRow(acc, hacc, hm[hu], int32(q.wcSign[hu]), hlo, hhi)
 		}
-		if act8 {
-			q.requantChannel8(out[ch*outStride:][:nOut], acc, ch)
-		} else {
-			q.requantChannel(out[ch*outStride:][:nOut], acc, ch)
-		}
+		requantRowI8(dst, acc, om[ch], b, q.ReLU)
 	}
 }
 
@@ -526,10 +396,11 @@ func fillI8(dst []int8, v int8) {
 }
 
 // dwFused reports whether dwSparse runs this layer through the fused R = 1
-// column kernels at input size h×w and output channel stride outStride; the
-// edge-shifted loads of the fused path need one full word per plane.
-func (q *QConv) dwFused(h, w, outStride int) bool {
-	return q.dwCol && outStride == q.dwColNG<<3 && q.R == 1 && h*w >= 8
+// kernel at output channel stride outStride: the layer compiled its column
+// tables (compileDWCol) and the caller stores channels at their padded
+// stride.
+func (q *QConv) dwFused(outStride int) bool {
+	return q.dwCol && outStride == q.dwColNG<<3
 }
 
 // dwGatherTap adds (sign +1) or subtracts (sign −1) one depthwise tap's

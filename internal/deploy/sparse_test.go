@@ -30,6 +30,17 @@ func randMults(rng *rand.Rand, n int) []Mult {
 	return ms
 }
 
+// liveMults draws multipliers from [0.1, 0.95): large enough that a layer's
+// outputs vary with its input instead of collapsing to the bias, as
+// randMults' mostly do, so a wrong tap, unit or clamp shows.
+func liveMults(rng *rand.Rand, n int) []Mult {
+	ms := make([]Mult, n)
+	for i := range ms {
+		ms[i] = NewMult(0.1 + 0.85*rng.Float64())
+	}
+	return ms
+}
+
 // arenaForConv sizes a minimal arena for one convolution, so kernels can be
 // property-tested without a full engine.
 func arenaForConv(q *QConv, h, w int) *arena {
@@ -52,9 +63,19 @@ func arenaForConv(q *QConv, h, w int) *arena {
 
 // TestSparseConvMatchesNaive asserts the sparse gather kernels produce
 // bit-identical output to the retained dense reference across randomized
-// shapes, densities and seeds, for both conv kinds.
+// shapes, densities and seeds, for both conv kinds, with the depthwise
+// column tables compiled as the engine compiles them and live depthwise
+// multipliers. Every case runs at the
+// dense channel strides; each depthwise case also runs at the padded strides
+// of the engine's column-lane path, over inputs whose pad bytes hold
+// garbage, so the fused R = 1 dispatch and the scalar fallback it leaves to
+// other layers (R = 2, stride 2, a width-changing valid padding) are both
+// pinned against forwardRef.
 func TestSparseConvMatchesNaive(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	// Depthwise layers by the path their padded run takes: fused, or the
+	// scalar walk for R = 2 alone, for stride 2, or for a width change.
+	var fused, wideR, strided, narrowed int
+	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := 5 + rng.Intn(8)
 		w := 4 + rng.Intn(8)
@@ -87,8 +108,8 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 				Stride: int32(stride), PadH: int32(pad), PadW: int32(pad), R: int32(r),
 				WbPacked: randTernaryPacked(rng, cin*r*kh*kw, density),
 				WcPacked: randTernaryPacked(rng, cin*r, density),
-				HidMul:   randMults(rng, cin*r),
-				OutMul:   randMults(rng, cin),
+				HidMul:   liveMults(rng, cin*r),
+				OutMul:   liveMults(rng, cin),
 				OutBias:  make([]int32, cin),
 			}
 		}
@@ -107,17 +128,56 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 			x[i] = int8(rng.Intn(255) - 127)
 		}
 		q.compileKernels()
+		q.compileDWCol(h, w)
 		a := arenaForConv(q, h, w)
-		got := make([]int8, int(q.Cout)*oh*ow)
+		nOut := oh * ow
+		got := make([]int8, int(q.Cout)*nOut)
 		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 			want, _, _ := q.forwardRef(x, h, w, pol)
-			q.forwardInto(a, x, got, h, w, pol, h*w, oh*ow)
+			q.forwardInto(a, x, got, h, w, pol, h*w, nOut)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d kind %q pol %v: sparse[%d]=%d naive=%d", seed, q.Kind, pol, i, got[i], want[i])
 				}
 			}
+			if q.Kind != kindDepthwise {
+				continue
+			}
+			inP, outP := pad8(h*w), pad8(nOut)
+			if pol == PolicyMixed {
+				switch {
+				case q.dwFused(outP):
+					fused++
+				case stride == 2:
+					strided++
+				case ow != w:
+					narrowed++
+				case q.R == 2:
+					wideR++
+				}
+			}
+			xp := make([]int8, cin*inP)
+			for i := range xp {
+				xp[i] = int8(rng.Intn(256) - 128)
+			}
+			for ch := 0; ch < cin; ch++ {
+				copy(xp[ch*inP:], x[ch*h*w:(ch+1)*h*w])
+			}
+			gotP := make([]int8, cin*outP)
+			q.forwardInto(a, xp, gotP, h, w, pol, inP, outP)
+			for ch := 0; ch < cin; ch++ {
+				for j := 0; j < nOut; j++ {
+					if g, n := gotP[ch*outP+j], want[ch*nOut+j]; g != n {
+						t.Fatalf("seed %d pol %v (r=%d stride=%d k=%dx%d pad=%d, fused %v): padded ch %d [%d]=%d naive=%d",
+							seed, pol, q.R, stride, kh, kw, pad, q.dwFused(outP), ch, j, g, n)
+					}
+				}
+			}
 		}
+	}
+	if fused == 0 || wideR == 0 || strided == 0 || narrowed == 0 {
+		t.Fatalf("sweep missed a depthwise path: %d fused layers; scalar walk for %d R = 2, %d stride-2 and %d width-changing layers",
+			fused, wideR, strided, narrowed)
 	}
 }
 

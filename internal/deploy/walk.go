@@ -7,7 +7,7 @@ package deploy
 // runs. On amd64 with AVX2 (checked once at init) a row whose column
 // count is a multiple of 8 takes the assembly walk in walk_amd64.s; every
 // other row, every row on other architectures and every row under
-// -tags purego takes the portable Go walk (gatherPlanesI8W, gatherI16),
+// -tags purego takes the portable Go walk (gatherPlanesI8W, gather),
 // which is also the assembly walk's oracle in the property tests. Both
 // produce the exact int32 sums mod 2³², so they agree bit for bit
 // (DESIGN.md, "One row walk").
@@ -45,7 +45,7 @@ func (s *sparseRows) walkI16(r int, acc []int32, src []int16, stride int) {
 		walkI16AVX2(acc[:stride], src, plus, minus, stride)
 		return
 	}
-	gatherI16(acc, src, plus, minus, stride)
+	gather(acc, src, plus, minus, stride)
 }
 
 // proveWalk is the assembly walk's bounds proof, O(1) per call: compileRows

@@ -16,8 +16,8 @@ func walkI8AVX2(acc []int32, planes []byte, plus, minus []int32, stride int)
 func walkI16AVX2(acc []int32, planes []int16, plus, minus []int32, stride int)
 
 // Declarations for the AVX2 requant rows in requant_amd64.s: the
-// requantRowI8Go and requantRowHid16Go loops of collane.go over the first
-// len(dst) &^ 7 columns, for a multiplier with Shift in [1, 62]
+// requantRowGo loop of collane.go, at int8 and at int16 with no bias, over
+// the first len(dst) &^ 7 columns, for a multiplier with Shift in [1, 62]
 // (requantCols). They read acc[:len(dst)&^7] and write nothing past it in
 // dst.
 

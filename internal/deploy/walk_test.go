@@ -81,7 +81,7 @@ func checkWalk(t *testing.T, name string, n int, want []int32, walk func(acc []i
 
 // TestRowWalksMatchOracle drives both row walks over int8 and int16 planes
 // against the scalar oracles: the AVX2 assembly walk when the host runs it,
-// the portable Go walk (gatherPlanesI8W, gatherI16) always, and the
+// the portable Go walk (gatherPlanesI8W, gather) always, and the
 // dispatching sparseRows walk the engine calls. Tap counts cross the 256-plane
 // SWAR chunk; column counts cover the 64-column tile, the 8-column
 // remainder and a lane of 125·8; plane strides run past the column count (as
@@ -105,7 +105,7 @@ func TestRowWalksMatchOracle(t *testing.T) {
 						gatherPlanesI8W(acc, p8, plus, minus, stride)
 					})
 					checkWalk(t, "go i16 "+tag, stride, want16, func(acc []int32) {
-						gatherI16(acc, c.p16, plus, minus, stride)
+						gather(acc, c.p16, plus, minus, stride)
 					})
 					checkWalk(t, "dispatch i8 "+tag, stride, want8, func(acc []int32) {
 						c.sp.walkI8(r, acc, p8, stride)
@@ -146,7 +146,7 @@ func TestRowWalkShortPlanesPanics(t *testing.T) {
 			run  func()
 		}{
 			{"go i8", func() { gatherPlanesI8W(acc, short8, plus, minus, stride) }},
-			{"go i16", func() { gatherI16(acc, short16, plus, minus, stride) }},
+			{"go i16", func() { gather(acc, short16, plus, minus, stride) }},
 			{"dispatch i8", func() { c.sp.walkI8(1, acc, short8, stride) }},
 			{"dispatch i16", func() { c.sp.walkI16(1, acc, short16, stride) }},
 		}
@@ -208,7 +208,7 @@ func BenchmarkRowWalkI16(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < rows; r++ {
 				plus, minus := sp.row(r)
-				gatherI16(acc, src, plus, minus, cols)
+				gather(acc, src, plus, minus, cols)
 			}
 		}
 	})
@@ -301,12 +301,15 @@ func checkRequant[T int8 | int16](t *testing.T, name string, n, checked int, can
 	}
 }
 
-// TestRequantRowsMatchOracle drives the three requant rows — the AVX2
-// kernels when the host runs them, the portable Go loops always, and the
-// dispatching rows the engine calls — against a per-element Mult.Apply,
-// bias, ReLU and clamp over requantCases. The kernels are driven only inside
-// their exact domain (Shift 1–62) and own just the whole 8-column groups of
-// a row; the Go loops and the dispatch must handle every Mult and length.
+// TestRequantRowsMatchOracle drives the requant rows — the AVX2 kernels
+// when the host runs them, the portable Go loop requantRowGo always, and
+// the dispatching rows the engine calls — against a per-element Mult.Apply,
+// bias, ReLU and clamp over requantCases, at each of the three (b, lo, hi)
+// shapes the engine uses: the int8 output row (bias, floor 0 or −128, 127),
+// the int8 hidden rescale (0, −128, 127) and the int16 hidden rescale
+// (0, −32768, 32767). The kernels are driven only inside their exact domain
+// (Shift 1–62) and own just the whole 8-column groups of a row; the Go loop
+// and the dispatch must handle every Mult and length.
 func TestRequantRowsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for i, c := range requantCases(rng) {
@@ -328,19 +331,19 @@ func TestRequantRowsMatchOracle(t *testing.T) {
 		}
 		tag := fmt.Sprintf("case %d (m=%+v b=%d relu=%v n=%d)", i, m, b, relu, n)
 		checkRequant(t, "go i8 "+tag, n, n, canaryI8, out8, func(dst []int8) {
-			requantRowI8Go(dst, c.acc, m, b, lo)
+			requantRowGo(dst, c.acc, m, b, lo, 127)
 		})
 		checkRequant(t, "go hid8 "+tag, n, n, canaryI8, hid8, func(dst []int8) {
-			requantRowHid8Go(dst, c.acc, m)
+			requantRowGo(dst, c.acc, m, 0, -128, 127)
 		})
 		checkRequant(t, "go hid16 "+tag, n, n, canaryI16, hid16, func(dst []int16) {
-			requantRowHid16Go(dst, c.acc, m)
+			requantRowGo(dst, c.acc, m, 0, -32768, 32767)
 		})
 		checkRequant(t, "dispatch i8 "+tag, n, n, canaryI8, out8, func(dst []int8) {
 			requantRowI8(dst, c.acc, m, b, relu)
 		})
 		checkRequant(t, "dispatch hid8 "+tag, n, n, canaryI8, hid8, func(dst []int8) {
-			requantRowHid8(dst, c.acc, m)
+			requantRowI8(dst, c.acc, m, 0, false)
 		})
 		checkRequant(t, "dispatch hid16 "+tag, n, n, canaryI16, hid16, func(dst []int16) {
 			requantRowHid16(dst, c.acc, m)
@@ -381,7 +384,7 @@ func BenchmarkRequantRowI8(b *testing.B) {
 	dst := make([]int8, 125)
 	b.Run("go", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			requantRowI8Go(dst, acc, m, 3, 0)
+			requantRowGo(dst, acc, m, 3, 0, 127)
 		}
 	})
 	b.Run("avx2", func(b *testing.B) {
@@ -401,7 +404,7 @@ func BenchmarkRequantRowHid16(b *testing.B) {
 	dst := make([]int16, 125)
 	b.Run("go", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			requantRowHid16Go(dst, acc, m)
+			requantRowGo(dst, acc, m, 0, -32768, 32767)
 		}
 	})
 	b.Run("avx2", func(b *testing.B) {

@@ -1,8 +1,12 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -154,7 +158,111 @@ func TestDetectorConcealGap(t *testing.T) {
 	if ev := pushSeconds(d, 1, 1000); len(ev) == 0 {
 		t.Fatal("no detection after the concealed gap")
 	}
+
+	// The largest gap one TCP gap header can carry is 16 × MaxChunkSamples
+	// = 2²⁰ samples. On a warm detector, on either pipeline, ConcealGap must
+	// behave exactly like invalidating and pushing that many zeros from a
+	// caller-owned slice, without allocating a slice of its size. Each
+	// full-window hop allocates its MFCC result, so there the gap's own
+	// allocation is bounded as its excess over the twin's.
+	const gap, maxAlloc = 1 << 20, 64 << 10
+	zeros := make([]float64, gap)
+	for _, incremental := range []bool{false, true} {
+		cfg := DefaultConfig(16000)
+		cfg.Incremental = incremental
+		rng := rand.New(rand.NewSource(3))
+		noise := func(seconds float64) []float64 {
+			w := make([]float64, int(seconds*16000))
+			for i := range w {
+				w[i] = rng.Float64() - 0.5
+			}
+			return w
+		}
+		gapC, refC := &traceClassifier{}, &traceClassifier{}
+		d, ref := NewDetector(cfg, gapC, 0, 1), NewDetector(cfg, refC, 0, 1)
+		warm := noise(2)
+		d.Push(warm)
+		ref.Push(warm)
+
+		var gapEv, refEv []Event
+		gapAlloc := totalAlloc(func() { gapEv = d.ConcealGap(gap) })
+		refAlloc := totalAlloc(func() {
+			ref.invalidateHop()
+			refEv = ref.Push(zeros)
+			atomic.AddInt64(&ref.stats.Concealed, gap)
+		})
+		tag := fmt.Sprintf("incremental=%v", incremental)
+		if incremental && gapAlloc >= maxAlloc {
+			t.Fatalf("%s: ConcealGap(%d) allocated %d B, want < %d", tag, gap, gapAlloc, maxAlloc)
+		}
+		if gapAlloc >= refAlloc+maxAlloc {
+			t.Fatalf("%s: ConcealGap(%d) allocated %d B, %d B past pushing the zeros from a caller's slice",
+				tag, gap, gapAlloc, gapAlloc-refAlloc)
+		}
+		if !reflect.DeepEqual(gapEv, refEv) {
+			t.Fatalf("%s: gap events %v, want %v", tag, gapEv, refEv)
+		}
+		if got, want := d.Stats(), ref.Stats(); got != want || got.Concealed != gap {
+			t.Fatalf("%s: stats after the gap %+v, want %+v", tag, got, want)
+		}
+		if got, want := d.HopCacheStats(), ref.HopCacheStats(); got != want {
+			t.Fatalf("%s: hop cache stats %+v, want %+v", tag, got, want)
+		}
+		gapC.record, refC.record = true, true
+		after := noise(2)
+		if got, want := d.Push(after), ref.Push(after); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: events after the gap %v, want %v", tag, got, want)
+		}
+		if len(refC.log) == 0 || !reflect.DeepEqual(gapC.log, refC.log) || !reflect.DeepEqual(gapC.nNew, refC.nNew) {
+			t.Fatalf("%s: hops after the gap diverge: posteriors %v / %v, new frames %v / %v",
+				tag, gapC.log, refC.log, gapC.nNew, refC.nNew)
+		}
+	}
 }
+
+// totalAlloc reports the heap bytes f allocates.
+func totalAlloc(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// traceClassifier is a hop classifier whose two posteriors depend on every
+// feature. Once record is set it logs each hop's posteriors and new-frame
+// count, so two detectors can be compared hop by hop; before that it
+// allocates nothing.
+type traceClassifier struct {
+	out    [2]float32
+	record bool
+	log    [][2]float32
+	nNew   []int
+}
+
+func (c *traceClassifier) NumClasses() int { return 2 }
+
+func (c *traceClassifier) Classify(feat []float32) []float32 {
+	var s float64
+	for i, v := range feat {
+		s += float64(v) * float64(i%7-3)
+	}
+	p := float32(1 / (1 + math.Exp(-s/float64(len(feat)))))
+	c.out = [2]float32{1 - p, p}
+	if c.record {
+		c.log = append(c.log, c.out)
+	}
+	return c.out[:]
+}
+
+func (c *traceClassifier) ClassifyHop(feat []float32, nNew int) ([]float32, bool) {
+	if c.record {
+		c.nNew = append(c.nNew, nNew)
+	}
+	return c.Classify(feat), true
+}
+
+func (c *traceClassifier) InvalidateHop() {}
 
 func TestDetectorSurvivesPanickingClassifier(t *testing.T) {
 	fc := &panickyClassifier{inner: &fakeClassifier{probs: [][]float32{{0, 1}}, n: 2}}

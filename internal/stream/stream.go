@@ -533,6 +533,10 @@ func (d *Detector) ingest(run []float64) {
 	d.sinceHop += len(run)
 }
 
+// gapZeros is the block of zeros ConcealGap pushes a gap through. Nothing
+// writes it: Push only reads its input.
+var gapZeros [pushBlock]float64
+
 // ConcealGap zero-fills n dropped samples, keeping the stream position and
 // hop cadence consistent when a capture buffer is lost. Conceals are counted
 // in Stats; the zero window may still trigger classifications, which the
@@ -545,12 +549,19 @@ func (d *Detector) ingest(run []float64) {
 // stream's official reconstruction, and skipping them would shift every
 // later frame off the stride grid — so post-gap windows stay bit-identical
 // to full-window featurisation of the same zero-filled stream.
+//
+// The zeros come from one shared read-only block, pushed piece by piece, so
+// a gap allocates nothing of its own size: one TCP gap header may ask for
+// 16 × MaxChunkSamples.
 func (d *Detector) ConcealGap(n int) []Event {
 	if n <= 0 {
 		return nil
 	}
 	d.invalidateHop()
-	events := d.Push(make([]float64, n))
+	var events []Event
+	for rem := n; rem > 0; rem -= len(gapZeros) {
+		events = append(events, d.Push(gapZeros[:min(rem, len(gapZeros))])...)
+	}
 	atomic.AddInt64(&d.stats.Concealed, int64(n))
 	d.obs.concealed.Add(int64(n))
 	return events
