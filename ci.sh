@@ -51,7 +51,10 @@ echo "$BENCH_INT"
 [ "$(echo "$BENCH_INT" | grep -c ' 0 allocs/op')" -eq 3 ]
 # (2) Bit-exactness smoke: Infer must agree byte-for-byte with the
 #     FakeQuant-equivalent float simulation and the int64 scalar oracle on a
-#     synthetic paper-shape engine under both policies, and the column-lane
+#     synthetic paper-shape engine under both policies and on random small
+#     engines, at least a third of which must give varying oracle scores (a
+#     parity check over constant scores passes a conv chain that computes
+#     nothing), and the column-lane
 #     row kernels (both ternary row walks — AVX2 where the host runs it, and
 #     the portable Go walk — the walk-then-requant conv rows, a short plane
 #     buffer panicking, depthwise edge-shifted word loads) must match their
@@ -64,7 +67,7 @@ echo "$BENCH_INT"
 #     depthwise paths against the dense forwardRef at dense and padded
 #     strides, and an observer attached to a batch must change no result.
 go test -count=1 -short \
-    -run='TestInferIntMatchesFloatSimulation|TestInferIntMatchesNaiveRandomized|TestInferIntZeroAllocs' \
+    -run='TestInferIntMatchesFloatSimulation|TestInferIntMatchesNaiveRandomized|TestInferIntZeroAllocs|TestEngineSparseMatchesNaiveRandomized|TestFloatSimulationRandomized' \
     ./internal/deploy
 go test -count=1 \
     -run='TestGatherRowProperty|TestRowWalksMatchOracle|TestRowWalkShortPlanesPanics|TestConvRowsMatchOracle|TestRequantRowsMatchOracle|TestDWColMatchesScalar|TestDWTapWord|TestSparseConvMatchesNaive|TestBatchLanePathWithTelemetry' \
@@ -104,9 +107,11 @@ go test -race -count=1 -run='TestMixedSingleBatchConcurrent' ./internal/deploy
 #     1000 frames of batch output matching the scalar NaiveInt oracle under
 #     both policies, the same oracle holding with a telemetry observer
 #     attached, 1000 consecutive hops of InferHop matching full-window
-#     Infer byte-for-byte, and the incremental streaming pipeline
-#     (featurise + infer per hop) at least 2x faster than full-window
-#     recompute (paired median) — kws-bench exits nonzero on any failure.
+#     Infer byte-for-byte, the incremental streaming pipeline (featurise +
+#     infer per hop) at least 2x faster than full-window recompute (paired
+#     median), and every single-frame, batch, hop and streaming-pipeline
+#     row, StreamHopFull included, at 0 allocs/op — kws-bench exits nonzero
+#     on any failure.
 BDIR="$(mktemp -d)"
 go build -o "$BDIR/kws-bench" ./cmd/kws-bench
 "$BDIR/kws-bench" -workers 1,2,4 -reps 3 -o "$BDIR/bench-engine.json"
@@ -124,21 +129,32 @@ echo "$BENCH_HOP"
 [ "$(echo "$BENCH_HOP" | grep -c ' 0 allocs/op')" -eq 2 ]
 # (2) Bit-exactness smoke: InferHop must agree byte-for-byte with the
 #     full-window path across shifts, invalidations, ragged arrivals, and
-#     both activation policies, on a hop state that holds none of the frame
-#     path's image or im2col scratch.
+#     both activation policies, in its scores and in every cached image of
+#     its hop arena (one image per conv, which is the cache, plus the band
+#     im2col and the scatter row the frame arena's two ping-pong planes do
+#     without).
 go test -count=1 -run='TestInferHop' ./internal/deploy
 # (3) Gap/reset parity under the race detector: an incremental detector
 #     interleaving gap concealment and resets must stay event-identical to
 #     a full-window detector while another goroutine polls its stats, the
-#     hop snap rule must hold at every sample rate, and the cache ledger
-#     must account every hop as a hit, miss, or invalidation.
+#     hop snap rule must hold at every sample rate, the cache ledger must
+#     account every hop as a hit, miss, or invalidation, and the full-window
+#     detector's in-place ring featurisation must match MFCC.Compute over
+#     the unrolled window bit for bit.
 go test -race -count=1 \
-    -run='TestIncrementalGapResetParity|TestIncrementalCacheAccounting|TestIncrementalHopSnapping' \
+    -run='TestIncrementalGapResetParity|TestIncrementalCacheAccounting|TestIncrementalHopSnapping|TestFullWindowFeaturesMatchCompute' \
     ./internal/stream
+#     A warm detector over the packed engine allocates nothing per steady
+#     hop on either pipeline (the alloc count is meaningless under -race).
+go test -count=1 -run='TestDetectorSteadyHopZeroAllocs' ./internal/stream
 # (4) End-to-end incremental serving: a session opened under
 #     Config.Incremental must deliver exactly the events of a standalone
 #     incremental detector fed the same chunks and gap.
 go test -count=1 -run='TestIncrementalServing' ./internal/serve
+# (5) Lane timeouts under the race detector: hops that give up on a lane
+#     still holding their frame must leave it a session-owned copy, never
+#     the detector's feature buffer, which the next hop overwrites.
+go test -race -count=1 -run='TestLaneTimeoutOrphansWindow' ./internal/serve
 
 # DSP frontend gauntlet (one MFCC kernel for batch and streaming).
 # (1) The whole package under the race detector, then the table memo's
@@ -147,9 +163,9 @@ go test -count=1 -run='TestIncrementalServing' ./internal/serve
 go test -race -count=1 ./internal/dsp
 go test -race -count=10 -run='TestConcurrentConstructionMatchesSerial' ./internal/dsp
 # (2) Allocation gates: batch MFCC.Compute allocates only its result
-#     (at most 2 allocations per call), and a steady-state streaming push
-#     allocates nothing.
-go test -count=1 -run='TestMFCCComputeAllocs|TestFrontendZeroAllocs' ./internal/dsp
+#     (at most 2 allocations per call), ring featurisation in place and a
+#     steady-state streaming push allocate nothing.
+go test -count=1 -run='TestMFCCComputeAllocs|TestComputeRingMatchesCompute|TestFrontendZeroAllocs' ./internal/dsp
 # (3) The portable FFT loops end to end: dsp and stream under -tags purego,
 #     where every transform takes the Go stages and split pass (the AVX2
 #     kernels' oracle), and the non-amd64 build of dsp (fft_other.go) next to

@@ -46,7 +46,8 @@
 //	kws-bench -density 0.2 -batch 32
 //
 // The engine headline gates, asserted here and in the test suite: the
-// integer paths (single-frame and batch) must run with 0 allocs/op, int8
+// integer paths (single-frame, batch and hop) and both streaming pipeline
+// hops must run with 0 allocs/op, int8
 // Infer must be at least -min-speedup (default 2.5×) faster than the float
 // InferFloat baseline and the incremental streaming hop at least
 // -min-hop-speedup (default 2.0×) faster than the full-window one (each
@@ -314,7 +315,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	rep := report{
-		Schema:    "kws-bench/v11",
+		Schema:    "kws-bench/v12",
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
@@ -331,7 +332,9 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		Reps:            reps,
 		ModelFileBytes:  e.Size(),
 		WeightBytes:     e.WeightBytes(),
-		Note: "schema v11 adds fft_kernel: the kernels the MFCC FFT's twiddled stages and " +
+		Note: "schema v12: StreamHopFull featurises a one-second sample ring in place " +
+			"(dsp.MFCC.ComputeRing), as the full-window detector does, and joins the 0-alloc " +
+			"gate. v11 adds fft_kernel: the kernels the MFCC FFT's twiddled stages and " +
 			"split pass ran (\"avx2\": the amd64 assembly; \"go\": the portable loops), which " +
 			"every streaming-pipeline row depends on. " +
 			"v10: hop_engine_speedup_by_policy is paired (full-window Infer " +
@@ -544,7 +547,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 
 	fail := false
 	allocRows := []result{mixed, int8r, batAt1[deploy.PolicyMixed], batAt1[deploy.PolicyInt8],
-		hopRows["EngineInferHopMixed"], hopRows["EngineInferHopInt8"], streamInc}
+		hopRows["EngineInferHopMixed"], hopRows["EngineInferHopInt8"], streamFull, streamInc}
 	for _, r := range allocRows {
 		if r.AllocsPerOp != 0 {
 			fmt.Fprintf(os.Stderr, "kws-bench: REGRESSION: %s allocates %d objects/op, want 0\n", r.Name, r.AllocsPerOp)
@@ -664,12 +667,12 @@ func loop(step func()) func(b *testing.B) {
 
 // streamHopSteps returns one hop of the streaming pipeline both ways over
 // the same audio strip, as bodies both the best-of rows and the paired gate
-// time. Full: batch-featurise the trailing one-second window
-// (dsp.MFCC.Compute) and run full-window Infer — the per-hop work of the
-// non-incremental detector. Incremental: push only the hop's samples through
-// the streaming frontend (which featurises just the newly completed frames)
-// and run the cached hop path. Both run at the engine's policy when called;
-// release returns the hop state.
+// time. Full: write the hop's samples into a one-second ring, featurise the
+// whole ring in place (dsp.MFCC.ComputeRing) and run full-window Infer —
+// the per-hop work of the non-incremental detector. Incremental: push only
+// the hop's samples through the streaming frontend (which featurises just
+// the newly completed frames) and run the cached hop path. Both run at the
+// engine's policy when called; release returns the hop state.
 func streamHopSteps(e *deploy.Engine, rate, hopFrames int) (full, inc, release func()) {
 	const hops = 64
 	mfccCfg := dsp.DefaultMFCCConfig(rate)
@@ -680,18 +683,27 @@ func streamHopSteps(e *deploy.Engine, rate, hopFrames int) (full, inc, release f
 		strip[i] = 0.4 * rng.NormFloat64()
 	}
 
+	frames := int(e.Frames)
 	m := dsp.NewMFCC(mfccCfg)
-	fi := 0
+	ring := make([]float64, rate)
+	ringFeat := make([]float32, frames*int(e.Coeffs))
+	fi := hops // the first call fills the ring
 	full = func() {
-		f := m.Compute(strip[fi*hopSamples:][:rate])
-		e.Infer(f.Data)
-		fi++
-		if fi >= hops {
+		if fi == hops {
+			// Strip wrap: refill the ring with the first window, 1/64 of
+			// hops.
 			fi = 0
+			copy(ring, strip[:rate])
 		}
+		fi++
+		end := rate + fi*hopSamples
+		for p, r := (end-hopSamples)%rate, strip[end-hopSamples:end]; len(r) > 0; p = 0 {
+			r = r[copy(ring[p:], r):]
+		}
+		m.ComputeRing(ringFeat, ring, end%rate)
+		e.Infer(ringFeat)
 	}
 
-	frames := int(e.Frames)
 	fe := dsp.NewFrontend(mfccCfg, frames)
 	feat := make([]float32, frames*int(e.Coeffs))
 	hs := e.NewHopState()

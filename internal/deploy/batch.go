@@ -184,7 +184,7 @@ func (e *Engine) inferOne(a *arena, x []float32, scratch []int32) (r BatchResult
 	// Run at the arena's policy, not e.Policy: the kernels must match the
 	// buffers the arena was sized with, even if Policy was flipped after
 	// this chunk checked its arena out.
-	sc, cls := e.inferArena(a, x, a.pol)
+	sc, cls := e.inferFrame(a, x)
 	return BatchResult{Scores: append(scratch[:0], sc...), Class: cls}
 }
 
@@ -195,7 +195,7 @@ func (e *Engine) getArena() *arena {
 	if a, ok := e.arenas.Get().(*arena); ok && a.pol == e.Policy {
 		return a
 	}
-	a := newArena(e, true)
+	a := newArena(e, false)
 	e.obs.noteArena(a)
 	return a
 }

@@ -383,13 +383,10 @@ func BenchmarkDepthwiseLayer(b *testing.B) {
 	e := SyntheticEngine(9, 0.35)
 	e.ensureCompiled()
 	c1, q := e.Convs[0], e.Convs[1]
-	g1 := hopGeom{h: int(e.Frames), w: int(e.Coeffs)}
-	g1.oh, g1.ow = c1.outSize(g1.h, g1.w)
-	g2 := hopGeom{h: g1.oh, w: g1.ow}
-	g2.oh, g2.ow = q.outSize(g2.h, g2.w)
-	a1, b1, s1, _ := cleanOut(c1, g1, 0, g1.h-hop, hop)
-	a2, b2, _, _ := cleanOut(q, g2, a1, b1, s1)
-	inStride, outStride := pad8(g2.h*g2.w), pad8(g2.oh*g2.ow)
+	g1, g2 := &e.geom[0], &e.geom[1]
+	a1, b1, s1 := cleanOut(c1, g1, 0, g1.h-hop, hop)
+	a2, b2, _ := cleanOut(q, g2, a1, b1, s1)
+	inStride, outStride := g2.inStride, g2.outStride
 	rng := rand.New(rand.NewSource(1))
 	x := make([]int8, int(q.Cin)*inStride)
 	for i := range x {
@@ -402,7 +399,7 @@ func BenchmarkDepthwiseLayer(b *testing.B) {
 	}{{PolicyMixed, "mixed"}, {PolicyInt8, "int8"}} {
 		pol := p.pol
 		e.Policy = pol
-		a := newArena(e, true)
+		a := newArena(e, false)
 		for _, c := range []struct {
 			name string
 			segs [][2]int

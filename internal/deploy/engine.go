@@ -424,6 +424,7 @@ type Engine struct {
 	Calib []CalibEntry
 
 	compileOnce sync.Once   // guards kernel compilation
+	geom        []convGeom  // per-conv geometry, written once under compileOnce
 	arena       *arena      // resident arena for Infer/InferSafe
 	arenas      sync.Pool   // spare arenas for InferBatch chunks
 	hopStates   sync.Pool   // released HopStates for streaming sessions (hop.go)
@@ -437,20 +438,25 @@ type Engine struct {
 	batchDone sync.Pool // pooled per-call completion channels
 
 	// obs, when set via EnableTelemetry, times and traces every stage of
-	// inferArena (telemetry.go). nil (the default) costs one pointer
+	// forward (telemetry.go). nil (the default) costs one pointer
 	// comparison per stage.
 	obs *Observer
 }
 
-// ensureCompiled builds the sparse kernels exactly once. Safe to call from
-// concurrent InferBatch entry points.
+// ensureCompiled walks the conv chain once, recording each conv's geometry
+// (the arenas, the float arena and the observer read it) and building its
+// sparse kernels. Safe to call from concurrent InferBatch entry points.
 func (e *Engine) ensureCompiled() {
 	e.compileOnce.Do(func() {
 		h, w := int(e.Frames), int(e.Coeffs)
-		for _, q := range e.Convs {
+		inStride := h * w
+		e.geom = make([]convGeom, len(e.Convs))
+		for i, q := range e.Convs {
+			oh, ow := q.outSize(h, w)
+			e.geom[i] = convGeom{h: h, w: w, oh: oh, ow: ow, inStride: inStride, outStride: pad8(oh * ow)}
 			q.compileKernels()
 			q.compileDWCol(h, w)
-			h, w = q.outSize(h, w)
+			h, w, inStride = oh, ow, pad8(oh*ow)
 		}
 		e.Tree.compileKernels()
 	})
@@ -534,7 +540,7 @@ func (e *Engine) Infer(x []float32) (scores []int32, class int) {
 	if len(x) != int(e.Frames*e.Coeffs) {
 		panic(fmt.Sprintf("deploy: input length %d, want %d", len(x), e.Frames*e.Coeffs))
 	}
-	return e.inferArena(e.residentArena(), x, e.Policy)
+	return e.inferFrame(e.residentArena(), x)
 }
 
 // residentArena returns the arena Infer/InferSafe run on, compiling the
@@ -543,7 +549,7 @@ func (e *Engine) Infer(x []float32) (scores []int32, class int) {
 func (e *Engine) residentArena() *arena {
 	e.ensureCompiled()
 	if e.arena == nil || e.arena.pol != e.Policy {
-		e.arena = newArena(e, true)
+		e.arena = newArena(e, false)
 		e.obs.noteArena(e.arena)
 	}
 	return e.arena
@@ -561,40 +567,14 @@ func (e *Engine) NaiveInt(x []float32) (scores []int32, class int) {
 	return e.inferNaive(x, e.Policy)
 }
 
-// inferArena runs the sparse-kernel pipeline on the given arena: the one
-// single-frame driver behind Infer, InferSafe and every InferBatch frame.
-// Activation images between convs live at the column-lane channel stride
-// pad8(h·w) (collane.go), so every plane gather runs full SWAR width; st
-// tracks the current stride down the chain. The first conv's input is dense
-// (Cin is 1 there, so its stride is never read past the slice bound). The
-// observer's stage hooks (telemetry.go) time and trace each stage when one
-// is attached and do nothing otherwise.
-func (e *Engine) inferArena(a *arena, x []float32, pol Policy) ([]int32, int) {
+// inferFrame classifies one frame on the given arena at the arena's
+// policy: the single-frame pass behind Infer, InferSafe and every
+// InferBatch frame, which runs the engine's one driver (forward, arena.go)
+// with every row of the window new.
+func (e *Engine) inferFrame(a *arena, x []float32) ([]int32, int) {
 	o := e.obs
 	root := o.openInfer()
-	e.quantizeInto(a.imgA[:len(x)], x)
-	img, next := a.imgA, a.imgB
-	h, w := int(e.Frames), int(e.Coeffs)
-	st := h * w
-	for i, conv := range e.Convs {
-		s := o.openLayer(root, i)
-		oh, ow := conv.outSize(h, w)
-		ost := pad8(oh * ow)
-		conv.forwardInto(a, img[:int(conv.Cin)*st], next, h, w, pol, st, ost)
-		o.closeLayer(s, i)
-		img, next = next, img
-		h, w = oh, ow
-		st = ost
-	}
-	n := len(e.Convs)
-	c := int(e.Convs[n-1].Cout)
-	s := o.openLayer(root, n)
-	pooled := a.pooled
-	ph, pw := poolInto(pooled, img, c, h, w, int(e.PoolK), int(e.PoolS), st)
-	o.closeLayer(s, n)
-	s = o.openLayer(root, n+1)
-	sc := e.Tree.forwardInto(a, pooled[:c*ph*pw])
-	o.closeLayer(s, n+1)
+	sc, _ := e.forward(a, x, int(e.Frames), root)
 	o.closeInfer(root)
 	return sc, argmax(sc)
 }

@@ -49,47 +49,33 @@ type floatArena struct {
 	out        []int32   // returned score slice
 }
 
-// newFloatArena walks the conv chain exactly as newArena does.
+// newFloatArena sizes the float path's buffers from the engine's conv
+// geometry at the dense plane size oh·ow.
 func newFloatArena(e *Engine) *floatArena {
-	h, w := int(e.Frames), int(e.Coeffs)
-	maxImg := h * w
+	maxImg := int(e.Frames) * int(e.Coeffs)
 	var maxCols, maxHidden, maxNOut int
-	for _, q := range e.Convs {
-		oh, ow := q.outSize(h, w)
-		nOut := oh * ow
-		if nOut > maxNOut {
-			maxNOut = nOut
-		}
-		if q.Kind == kindStandard &&
-			!(q.KH == 1 && q.KW == 1 && q.Stride == 1 && q.PadH == 0 && q.PadW == 0) {
-			if cols := int(q.Cin) * int(q.KH) * int(q.KW) * nOut; cols > maxCols {
-				maxCols = cols
-			}
-		}
-		if out := int(q.Cout) * nOut; out > maxImg {
-			maxImg = out
-		}
+	for i, q := range e.Convs {
+		g := e.geom[i]
+		nOut := g.oh * g.ow
+		maxNOut = max(maxNOut, nOut)
+		maxImg = max(maxImg, int(q.Cout)*nOut)
 		if q.Kind == kindStandard {
-			if hid := int(q.R) * nOut; hid > maxHidden {
-				maxHidden = hid
+			if !q.pointwise() {
+				maxCols = max(maxCols, int(q.Cin)*int(q.KH)*int(q.KW)*nOut)
 			}
+			maxHidden = max(maxHidden, int(q.R)*nOut)
 		}
-		h, w = oh, ow
 	}
-	ph := (h-int(e.PoolK))/int(e.PoolS) + 1
-	pw := (w-int(e.PoolK))/int(e.PoolS) + 1
+	last := e.geom[len(e.geom)-1]
+	ph := (last.oh-int(e.PoolK))/int(e.PoolS) + 1
+	pw := (last.ow-int(e.PoolK))/int(e.PoolS) + 1
 	cLast := int(e.Convs[len(e.Convs)-1].Cout)
 
 	t := e.Tree
 	L := int(t.NumClasses)
 	maxR := int(t.Z.R)
 	for k := range t.W {
-		if r := int(t.W[k].R); r > maxR {
-			maxR = r
-		}
-		if r := int(t.V[k].R); r > maxR {
-			maxR = r
-		}
+		maxR = max(maxR, int(t.W[k].R), int(t.V[k].R))
 	}
 	return &floatArena{
 		imgA:     make([]float32, maxImg),
@@ -244,7 +230,7 @@ func (q *QConv) forwardFloat(fa *floatArena, x []float32, out []float32, h, w in
 		return outH, outW
 	}
 	var cols []float32
-	if kh == 1 && kw == 1 && stride == 1 && padH == 0 && padW == 0 {
+	if q.pointwise() {
 		cols = x[:int(q.Cin)*nOut]
 	} else {
 		cols = fa.cols[:int(q.Cin)*kh*kw*nOut]

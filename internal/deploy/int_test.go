@@ -52,13 +52,16 @@ func TestGatherWordPackedMatchesScalar(t *testing.T) {
 // property: the word-packed path must agree with the int64 scalar oracle on
 // whole random engines under both activation policies.
 func TestInferIntMatchesNaiveRandomized(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
+	const engines = 20
+	varying := 0
+	for seed := int64(0); seed < engines; seed++ {
 		rng := rand.New(rand.NewSource(2000 + seed))
 		e := randSmallEngine(rng)
 		e.Calib = e.calibTable()
 		if err := e.Validate(); err != nil {
 			t.Fatalf("seed %d: random engine invalid: %v", seed, err)
 		}
+		var spread scoreSpread // mixed policy only; see checkVarying
 		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 			e.Policy = pol
 			for trial := 0; trial < 3; trial++ {
@@ -67,6 +70,9 @@ func TestInferIntMatchesNaiveRandomized(t *testing.T) {
 					x[i] = float32(rng.NormFloat64())
 				}
 				wantSc, wantCls := e.NaiveInt(x)
+				if pol == PolicyMixed {
+					spread.add(wantSc)
+				}
 				gotSc, gotCls := e.Infer(x)
 				if gotCls != wantCls {
 					t.Fatalf("seed %d pol %v trial %d: class %d vs oracle %d", seed, pol, trial, gotCls, wantCls)
@@ -79,7 +85,11 @@ func TestInferIntMatchesNaiveRandomized(t *testing.T) {
 				}
 			}
 		}
+		if spread.varies {
+			varying++
+		}
 	}
+	checkVarying(t, varying, engines)
 }
 
 // TestInferIntMatchesFloatSimulation pins the integer path byte-exact
@@ -119,12 +129,15 @@ func TestInferIntMatchesFloatSimulation(t *testing.T) {
 // small shapes, where padding tails, odd widths and empty rows differ from
 // the synthetic shape.
 func TestFloatSimulationRandomized(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
+	const engines = 15
+	varying := 0
+	for seed := int64(0); seed < engines; seed++ {
 		rng := rand.New(rand.NewSource(3000 + seed))
 		e := randSmallEngine(rng)
 		if err := e.Validate(); err != nil {
 			t.Fatalf("seed %d: random engine invalid: %v", seed, err)
 		}
+		var spread scoreSpread // mixed policy only; see checkVarying
 		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 			e.Policy = pol
 			for trial := 0; trial < 3; trial++ {
@@ -133,6 +146,9 @@ func TestFloatSimulationRandomized(t *testing.T) {
 					x[i] = float32(rng.NormFloat64())
 				}
 				wantSc, _ := e.InferFloat(x)
+				if pol == PolicyMixed {
+					spread.add(wantSc)
+				}
 				gotSc, _ := e.Infer(x)
 				for j := range wantSc {
 					if gotSc[j] != wantSc[j] {
@@ -142,7 +158,11 @@ func TestFloatSimulationRandomized(t *testing.T) {
 				}
 			}
 		}
+		if spread.varies {
+			varying++
+		}
 	}
+	checkVarying(t, varying, engines)
 }
 
 // TestInferIntZeroAllocs gates the headline perf property under both

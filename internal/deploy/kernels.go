@@ -117,62 +117,6 @@ func colRuns(n, k, stride, pad, outN int) (lo, hi int) {
 	return lo, hi
 }
 
-// forwardInto runs the convolution through the sparse kernels using the
-// arena's scratch memory, writing the int8 output image into out. pol picks
-// the activation layout for the hidden planes; the arena must have been
-// built for the same policy. inStride/outStride are the channel strides of
-// x and out: the engine's column-lane path passes pad8(h·w)/pad8(outH·outW)
-// so every internal plane gather runs full SWAR width (collane.go), while
-// dense callers pass the exact spatial sizes and get the tailed kernels.
-func (q *QConv) forwardInto(a *arena, x []int8, out []int8, h, w int, pol Policy, inStride, outStride int) (int, int) {
-	kh, kw, stride := int(q.KH), int(q.KW), int(q.Stride)
-	padH, padW := int(q.PadH), int(q.PadW)
-	outH := (h+2*padH-kh)/stride + 1
-	outW := (w+2*padW-kw)/stride + 1
-	nOut := outH * outW
-	if q.Kind == kindDepthwise {
-		// Depthwise gathers straight from the image (see dwSparse): its
-		// im2col matrix would materialise kh·kw rows per channel of which
-		// only the Wb nonzeros are ever read.
-		q.dwSparse(a, x, out, h, w, outH, outW, pol, inStride, outStride, [][2]int{{0, outH}})
-		return outH, outW
-	}
-	pa := pad8(nOut)
-	var cols []int8
-	ps := pa
-	if kh == 1 && kw == 1 && stride == 1 && padH == 0 && padW == 0 {
-		// Pointwise: the im2col matrix is the image itself, at whatever
-		// channel stride the caller stored it.
-		cols = x[:int(q.Cin)*inStride]
-		ps = inStride
-	} else {
-		cols = a.cols[:int(q.Cin)*kh*kw*pa]
-		im2colBandI8(cols, x, int(q.Cin), h, w, kh, kw, stride, padH, padW, inStride, pa, outW, [][2]int{{0, outH}})
-	}
-	q.stdSparse(a, cols, out, nOut, ps, outStride, pol)
-	return outH, outW
-}
-
-// stdSparse is the standard-conv kernel: SWAR ternary matmul into the
-// hidden planes (int16 mixed, int8 under PolicyInt8), then a ternary 1×1
-// combine with per-channel requantisation. ps is the im2col plane stride,
-// outStride the output channel stride; the hidden planes always live at the
-// padded stride pad8(nOut). Rows run serially through the arena's one
-// accumulator row.
-func (q *QConv) stdSparse(a *arena, cols, out []int8, nOut, ps, outStride int, pol Policy) {
-	pa := pad8(nOut)
-	acc := a.acc[:pa]
-	if pol == PolicyInt8 {
-		hidden8 := a.hidden8[:int(q.R)*pa]
-		q.stdHiddenRows8(cols, hidden8, acc, nOut, ps)
-		q.stdOutRows8(hidden8, acc, out, nOut, outStride)
-		return
-	}
-	hidden := a.hidden[:int(q.R)*pa]
-	q.stdHiddenRows(cols, hidden, acc, nOut, ps)
-	q.stdOutRows(hidden, acc, out, nOut, outStride)
-}
-
 // gather accumulates the ternary combination of the int8 or int16 planes
 // selected by the plus/minus index runs into acc. The first plane is
 // assigned rather than added, so acc needs no zeroing pass; an empty row
@@ -318,8 +262,8 @@ func (q *QConv) stdOutRows8(hidden8 []int8, acc []int32, out []int8, nOut, os in
 // saturated multiplier, runs the scalar tap walk (dwGatherTap) with the
 // hidden fold (foldRow) and an output requant row.
 //
-// segs lists the output-row segments to write: the full-window path passes
-// the whole plane, a hop its bands. A fused channel runs only the 8-column
+// segs lists the output-row segments to write: a frame pass passes the
+// whole plane, a hop its bands. A fused channel runs only the 8-column
 // groups its segments touch; a group that overlaps rows outside them
 // rewrites those rows with the values a whole-plane pass would give, which
 // are the values they hold. Every other channel recomputes its whole plane.

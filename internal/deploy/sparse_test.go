@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -22,23 +23,44 @@ func randTernaryPacked(rng *rand.Rand, n int, density float64) []byte {
 	return PackTernary(vals)
 }
 
+// randMults draws multipliers from [0.1, 0.95): large enough that a layer's
+// outputs vary with its input instead of collapsing to the bias, so a wrong
+// tap, unit, row or clamp shows.
 func randMults(rng *rand.Rand, n int) []Mult {
-	ms := make([]Mult, n)
-	for i := range ms {
-		ms[i] = NewMult(0.001 + rng.Float64()*0.05)
-	}
-	return ms
-}
-
-// liveMults draws multipliers from [0.1, 0.95): large enough that a layer's
-// outputs vary with its input instead of collapsing to the bias, as
-// randMults' mostly do, so a wrong tap, unit or clamp shows.
-func liveMults(rng *rand.Rand, n int) []Mult {
 	ms := make([]Mult, n)
 	for i := range ms {
 		ms[i] = NewMult(0.1 + 0.85*rng.Float64())
 	}
 	return ms
+}
+
+// scoreSpread records whether an oracle gave an engine more than one score
+// vector over its trials. A parity check over an engine whose scores never
+// vary compares constants, which a kernel that computes nothing also
+// matches, so each randomized parity test asserts a floor on how many of
+// its engines vary (checkVarying).
+type scoreSpread struct {
+	first  []int32
+	varies bool
+}
+
+func (s *scoreSpread) add(sc []int32) {
+	if s.first == nil {
+		s.first = append([]int32(nil), sc...)
+	} else if !slices.Equal(s.first, sc) {
+		s.varies = true
+	}
+}
+
+// checkVarying fails unless at least a third of n engines gave varying
+// oracle scores. Only the mixed policy is counted: randMults' hidden
+// multipliers leave the derived int8 hidden rescale (hidToI8, ≈ 1/258)
+// near zero, so under PolicyInt8 a random engine's scores are constant.
+func checkVarying(t *testing.T, varying, n int) {
+	t.Helper()
+	if varying < n/3 {
+		t.Fatalf("only %d of %d engines give varying oracle scores, want at least %d", varying, n, n/3)
+	}
 }
 
 // arenaForConv sizes a minimal arena for one convolution, so kernels can be
@@ -61,16 +83,25 @@ func arenaForConv(q *QConv, h, w int) *arena {
 	}
 }
 
+// runConv runs conv q over its whole output plane from an h×w input
+// through runBand, the engine's conv-layer kernel, at policy pol and the
+// given channel strides.
+func runConv(a *arena, q *QConv, x, out []int8, h, w int, pol Policy, inStride, outStride int) {
+	oh, ow := q.outSize(h, w)
+	g := convGeom{h: h, w: w, oh: oh, ow: ow, inStride: inStride, outStride: outStride}
+	a.pol = pol
+	a.runBand(q, &g, x, out, a.bands(0, 0, oh))
+}
+
 // TestSparseConvMatchesNaive asserts the sparse gather kernels produce
 // bit-identical output to the retained dense reference across randomized
 // shapes, densities and seeds, for both conv kinds, with the depthwise
-// column tables compiled as the engine compiles them and live depthwise
-// multipliers. Every case runs at the
-// dense channel strides; each depthwise case also runs at the padded strides
-// of the engine's column-lane path, over inputs whose pad bytes hold
-// garbage, so the fused R = 1 dispatch and the scalar fallback it leaves to
-// other layers (R = 2, stride 2, a width-changing valid padding) are both
-// pinned against forwardRef.
+// column tables compiled as the engine compiles them and live multipliers.
+// Every case runs at the dense channel strides; each depthwise case also
+// runs at the padded strides of the engine's column-lane path, over inputs
+// whose pad bytes hold garbage, so the fused R = 1 dispatch and the scalar
+// fallback it leaves to other layers (R = 2, stride 2, a width-changing
+// valid padding) are both pinned against forwardRef.
 func TestSparseConvMatchesNaive(t *testing.T) {
 	// Depthwise layers by the path their padded run takes: fused, or the
 	// scalar walk for R = 2 alone, for stride 2, or for a width change.
@@ -108,8 +139,8 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 				Stride: int32(stride), PadH: int32(pad), PadW: int32(pad), R: int32(r),
 				WbPacked: randTernaryPacked(rng, cin*r*kh*kw, density),
 				WcPacked: randTernaryPacked(rng, cin*r, density),
-				HidMul:   liveMults(rng, cin*r),
-				OutMul:   liveMults(rng, cin),
+				HidMul:   randMults(rng, cin*r),
+				OutMul:   randMults(rng, cin),
 				OutBias:  make([]int32, cin),
 			}
 		}
@@ -134,7 +165,7 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 		got := make([]int8, int(q.Cout)*nOut)
 		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 			want, _, _ := q.forwardRef(x, h, w, pol)
-			q.forwardInto(a, x, got, h, w, pol, h*w, nOut)
+			runConv(a, q, x, got, h, w, pol, h*w, nOut)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d kind %q pol %v: sparse[%d]=%d naive=%d", seed, q.Kind, pol, i, got[i], want[i])
@@ -164,7 +195,7 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 				copy(xp[ch*inP:], x[ch*h*w:(ch+1)*h*w])
 			}
 			gotP := make([]int8, cin*outP)
-			q.forwardInto(a, xp, gotP, h, w, pol, inP, outP)
+			runConv(a, q, xp, gotP, h, w, pol, inP, outP)
 			for ch := 0; ch < cin; ch++ {
 				for j := 0; j < nOut; j++ {
 					if g, n := gotP[ch*outP+j], want[ch*nOut+j]; g != n {
@@ -307,18 +338,22 @@ func randSmallEngine(rng *rand.Rand) *Engine {
 // TestEngineSparseMatchesNaiveRandomized runs whole randomized engines
 // through both pipelines and requires bit-identical scores.
 func TestEngineSparseMatchesNaiveRandomized(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
+	const engines = 25
+	varying := 0
+	for seed := int64(0); seed < engines; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		e := randSmallEngine(rng)
 		if err := e.Validate(); err != nil {
 			t.Fatalf("seed %d: random engine invalid: %v", seed, err)
 		}
+		var spread scoreSpread
 		for trial := 0; trial < 3; trial++ {
 			x := make([]float32, e.Frames*e.Coeffs)
 			for i := range x {
 				x[i] = float32(rng.NormFloat64())
 			}
 			wantSc, wantCls := e.inferNaive(x, PolicyMixed)
+			spread.add(wantSc)
 			gotSc, gotCls := e.Infer(x)
 			if gotCls != wantCls {
 				t.Fatalf("seed %d trial %d: class %d vs naive %d", seed, trial, gotCls, wantCls)
@@ -329,7 +364,11 @@ func TestEngineSparseMatchesNaiveRandomized(t *testing.T) {
 				}
 			}
 		}
+		if spread.varies {
+			varying++
+		}
 	}
+	checkVarying(t, varying, engines)
 }
 
 // TestSyntheticEngineSparseMatchesNaive pins the paper deployment shape

@@ -9,15 +9,19 @@ import (
 
 // Observer wires an engine into the telemetry layer: per-layer latency
 // histograms, inference and fault counters, a gather-add work counter, the
-// scratch-arena high-water gauge, and engine→layer trace spans.
+// scratch-arena high-water gauge, and engine→layer trace spans. Frames and
+// hops run one driver (forward, arena.go), so both feed the per-layer
+// histograms and trace their layers: a frame under an engine.infer root
+// span, a hop under engine.hop. Infers, InferNs and Gathers count frames
+// only; the Hop* counters count hops.
 //
 // An engine with a nil observer pays one pointer comparison per stage hook,
 // so disabled telemetry keeps Infer at 0 allocs/op (pinned by
 // TestEngineInferZeroAllocs and the ci.sh bench gate).
 type Observer struct {
-	Infers     *telemetry.Counter   // completed sparse inferences
+	Infers     *telemetry.Counter   // completed single-frame inferences
 	Faults     *telemetry.Counter   // InferSafe/InferBatch per-frame failures
-	InferNs    *telemetry.Histogram // whole-pipeline latency
+	InferNs    *telemetry.Histogram // whole-pipeline latency of a frame
 	LayerNs    []*telemetry.Histogram
 	LayerNames []string           // conv0..convN-1, "pool", "tree"
 	Gathers    *telemetry.Counter // gather-add visits (compiled nonzero work)
@@ -51,7 +55,6 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		HopColumns: reg.Counter("engine.hop.columns_computed"),
 		tracer:     tracer,
 	}
-	h, w := int(e.Frames), int(e.Coeffs)
 	for i, q := range e.Convs {
 		kind := "std"
 		if q.Kind == kindDepthwise {
@@ -60,9 +63,7 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		name := fmt.Sprintf("conv%d.%s", i, kind)
 		o.LayerNames = append(o.LayerNames, name)
 		o.LayerNs = append(o.LayerNs, reg.LatencyHistogram("engine."+name+".ns"))
-		oh, ow := q.outSize(h, w)
-		o.gathersPerInfer += q.gatherVisits(oh * ow)
-		h, w = oh, ow
+		o.gathersPerInfer += q.gatherVisits(e.geom[i].oh * e.geom[i].ow)
 	}
 	o.LayerNames = append(o.LayerNames, "pool", "tree")
 	o.LayerNs = append(o.LayerNs,
@@ -135,6 +136,30 @@ func (o *Observer) closeInfer(root obsStage) {
 	o.InferNs.ObserveSince(root.t0)
 	o.Infers.Inc()
 	o.Gathers.Add(o.gathersPerInfer)
+	root.span.End()
+}
+
+// openHop opens a hop's whole-pipeline stage, the engine.hop root span.
+func (o *Observer) openHop() obsStage {
+	if o == nil {
+		return obsStage{}
+	}
+	return obsStage{span: o.tracer.Span("engine.hop")}
+}
+
+// closeHop closes a hop's stage and counts the hop, whether it recomputed
+// in full, and the conv output positions it computed. The hop kernels are
+// identical with and without an observer — these are plain atomic adds
+// after the fact — so telemetry cannot perturb hop results.
+func (o *Observer) closeHop(root obsStage, full bool, computed int64) {
+	if o == nil {
+		return
+	}
+	o.HopInfers.Inc()
+	o.HopColumns.Add(computed)
+	if full {
+		o.HopFull.Inc()
+	}
 	root.span.End()
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -78,59 +79,125 @@ func TestEngineTelemetryFaults(t *testing.T) {
 	}
 }
 
+// traceEvent is one exported chrome://tracing span.
+type traceEvent struct {
+	Name string  `json:"name"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"`
+	Dur  float64 `json:"dur"`
+	Tid  int64   `json:"tid"`
+}
+
+// exportedSpans parses the tracer's JSON export.
+func exportedSpans(t *testing.T, tr *telemetry.Tracer) []traceEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	return out.TraceEvents
+}
+
+// checkNestedSpans fails unless each root span named root has one child
+// per stage name, in stage order, on the root's track and contained in its
+// interval — the chrome://tracing contract — and returns how many roots
+// it found.
+func checkNestedSpans(t *testing.T, evs []traceEvent, root string, stages []string) int {
+	t.Helper()
+	roots := 0
+	for _, r := range evs {
+		if r.Name != root {
+			continue
+		}
+		roots++
+		var children []string
+		for _, ev := range evs {
+			if ev.Tid != r.Tid || ev.Name == root {
+				continue
+			}
+			if ev.Ts < r.Ts || ev.Ts+ev.Dur > r.Ts+r.Dur+0.001 {
+				t.Fatalf("span %q [%f,%f] escapes root %s [%f,%f]", ev.Name, ev.Ts, ev.Ts+ev.Dur, root, r.Ts, r.Ts+r.Dur)
+			}
+			children = append(children, ev.Name)
+		}
+		if !slices.Equal(children, stages) {
+			t.Fatalf("%s children %v, want %v", root, children, stages)
+		}
+	}
+	return roots
+}
+
 // TestEngineTraceNestedSpans: a traced inference exports engine.infer with
 // one child span per layer, all on the root's track and contained in its
 // interval — the chrome://tracing contract.
 func TestEngineTraceNestedSpans(t *testing.T) {
 	e := deployTestEngine(44)
 	tr := telemetry.NewTracer(0)
-	e.EnableTelemetry(telemetry.NewRegistry(), tr)
+	obs := e.EnableTelemetry(telemetry.NewRegistry(), tr)
 	x := make([]float32, e.Frames*e.Coeffs)
 	e.Infer(x)
 
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-			Tid  int64   `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
+	evs := exportedSpans(t, tr)
 	// One root + len(Convs) conv spans + pool + tree.
-	want := 1 + len(e.Convs) + 2
-	if len(out.TraceEvents) != want {
-		t.Fatalf("got %d spans, want %d", len(out.TraceEvents), want)
+	if want := 1 + len(e.Convs) + 2; len(evs) != want {
+		t.Fatalf("got %d spans, want %d", len(evs), want)
 	}
-	var rootTs, rootEnd float64
-	var rootTid int64
-	children := 0
-	for _, ev := range out.TraceEvents {
-		if ev.Name == "engine.infer" {
-			rootTs, rootEnd, rootTid = ev.Ts, ev.Ts+ev.Dur, ev.Tid
+	if n := checkNestedSpans(t, evs, "engine.infer", obs.LayerNames); n != 1 {
+		t.Fatalf("got %d engine.infer roots, want 1", n)
+	}
+}
+
+// TestEngineTraceHopSpans: hops run the frame's driver, stage hooks
+// included. A traced cold hop and a traced warm hop each export engine.hop
+// with one child span per conv plus pool and tree, every per-layer
+// histogram counts both, and the hop counters count them while
+// engine.infers and engine.infer.ns, which count frames, stay at zero. The
+// observed hops stay bit-exact with an unobserved engine's.
+func TestEngineTraceHopSpans(t *testing.T) {
+	const hop = 12
+	e := deployTestEngine(45)
+	plain := deployTestEngine(45)
+	reg := telemetry.NewRegistry()
+	tr := telemetry.NewTracer(0)
+	obs := e.EnableTelemetry(reg, tr)
+	rng := rand.New(rand.NewSource(46))
+	s := newHopStream(rng, int(e.Frames), int(e.Coeffs), hop, 2)
+	hs, ref := e.NewHopState(), plain.NewHopState()
+	for i, nNew := range []int{int(e.Frames), hop} {
+		got, _ := e.InferHop(hs, s.window(i), nNew)
+		want, _ := plain.InferHop(ref, s.window(i), nNew)
+		if !slices.Equal(got, want) {
+			t.Fatalf("hop %d: observed scores %v, plain %v", i, got, want)
 		}
 	}
-	for _, ev := range out.TraceEvents {
-		if ev.Name == "engine.infer" {
-			continue
-		}
-		children++
-		if ev.Tid != rootTid {
-			t.Fatalf("span %q on tid %d, root on %d", ev.Name, ev.Tid, rootTid)
-		}
-		if ev.Ts < rootTs || ev.Ts+ev.Dur > rootEnd+0.001 {
-			t.Fatalf("span %q [%f,%f] escapes root [%f,%f]", ev.Name, ev.Ts, ev.Ts+ev.Dur, rootTs, rootEnd)
+	if hs.LastFull() {
+		t.Fatal("second hop was not incremental")
+	}
+
+	evs := exportedSpans(t, tr)
+	if n := checkNestedSpans(t, evs, "engine.hop", obs.LayerNames); n != 2 {
+		t.Fatalf("got %d engine.hop roots, want 2", n)
+	}
+	if len(evs) != 2*(1+len(obs.LayerNames)) {
+		t.Fatalf("got %d spans, want %d", len(evs), 2*(1+len(obs.LayerNames)))
+	}
+	for i, h := range obs.LayerNs {
+		if h.Count() != 2 {
+			t.Fatalf("layer %s observed %d times, want 2", obs.LayerNames[i], h.Count())
 		}
 	}
-	if children != want-1 {
-		t.Fatalf("got %d child spans, want %d", children, want-1)
+	if obs.HopInfers.Value() != 2 || obs.HopFull.Value() != 1 || obs.HopColumns.Value() != hs.Stats().ColumnsComputed {
+		t.Fatalf("hop counters: %d hops, %d full, %d columns; state counted %+v",
+			obs.HopInfers.Value(), obs.HopFull.Value(), obs.HopColumns.Value(), hs.Stats())
+	}
+	if obs.Infers.Value() != 0 || obs.InferNs.Count() != 0 {
+		t.Fatalf("hops counted as frames: engine.infers %d, engine.infer.ns %d", obs.Infers.Value(), obs.InferNs.Count())
 	}
 }
 

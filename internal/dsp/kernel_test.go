@@ -93,6 +93,47 @@ func TestMFCCComputeAllocs(t *testing.T) {
 	}
 }
 
+// TestComputeRingMatchesCompute pins in-place ring featurisation against
+// Compute over the unrolled signal, bit for bit, at ring rotations on and
+// off the stride grid — including ones where a frame wraps at its first or
+// last sample — and at zero allocations. The third configuration's 25 ms
+// frame is no multiple of its 10 ms stride.
+func TestComputeRingMatchesCompute(t *testing.T) {
+	odd := DefaultMFCCConfig(16000)
+	odd.FrameMs, odd.StrideMs = 25, 10
+	for _, cfg := range []MFCCConfig{DefaultMFCCConfig(16000), DefaultMFCCConfig(4000), odd} {
+		m := NewMFCC(cfg)
+		n := cfg.SampleRate
+		rng := rand.New(rand.NewSource(43))
+		ring := make([]float64, n)
+		for i := range ring {
+			ring[i] = rng.NormFloat64()
+		}
+		dst := make([]float32, cfg.NumFrames(n)*cfg.NumCoeffs)
+		unrolled := make([]float64, n)
+		fl := cfg.FrameLen()
+		starts := []int{0, 1, cfg.Stride(), fl - 1, fl, fl + 1, n - fl, n - fl + 1, n / 2, n - 1}
+		for i := 0; i < 20; i++ {
+			starts = append(starts, rng.Intn(n))
+		}
+		for _, start := range starts {
+			copy(unrolled, ring[start:])
+			copy(unrolled[n-start:], ring[:start])
+			want := m.Compute(unrolled)
+			m.ComputeRing(dst, ring, start)
+			for i, v := range want.Data {
+				if dst[i] != v {
+					t.Fatalf("rate %d frame %dms start %d: feature %d is %v in place, %v unrolled",
+						cfg.SampleRate, cfg.FrameMs, start, i, dst[i], v)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { m.ComputeRing(dst, ring, n/3) }); allocs != 0 {
+			t.Fatalf("rate %d: ComputeRing allocates %.1f/op, want 0", cfg.SampleRate, allocs)
+		}
+	}
+}
+
 // concurrentRuns gives each run of TestConcurrentConstructionMatchesSerial
 // a configuration no earlier run built, so its goroutines race to build the
 // shared tables rather than find them ready.

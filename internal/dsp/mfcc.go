@@ -288,14 +288,28 @@ func (m *MFCC) Config() MFCCConfig { return m.k.t.cfg }
 
 // Compute converts the waveform into MFCC features of shape
 // [numFrames, numCoeffs]. Frames beyond the end of the signal are dropped.
-// The returned tensor is the only allocation.
+// The returned tensor is the only allocation: Compute is ComputeRing over
+// the waveform as a ring that starts at 0.
 func (m *MFCC) Compute(wave []float64) *tensor.Tensor {
 	cfg := m.k.t.cfg
-	fl, st, nc := cfg.FrameLen(), cfg.Stride(), cfg.NumCoeffs
-	nFrames := cfg.NumFrames(len(wave))
-	out := tensor.New(nFrames, nc)
-	for f := 0; f < nFrames; f++ {
-		m.k.run(out.Data[f*nc:(f+1)*nc], wave[f*st:f*st+fl], nil)
-	}
+	out := tensor.New(cfg.NumFrames(len(wave)), cfg.NumCoeffs)
+	m.ComputeRing(out.Data, wave, 0)
 	return out
+}
+
+// ComputeRing featurises a signal held in a ring buffer in place: the
+// signal is ring[start:] followed by ring[:start] (start in [0, len(ring))),
+// and dst receives its NumFrames(len(ring)) × NumCoeffs features. A frame
+// that wraps reads its two segments through the shared kernel, as
+// Frontend's frames do, so the features are bit-identical to Compute over
+// the unrolled signal, and nothing is allocated.
+func (m *MFCC) ComputeRing(dst []float32, ring []float64, start int) {
+	cfg := m.k.t.cfg
+	fl, st, nc := cfg.FrameLen(), cfg.Stride(), cfg.NumCoeffs
+	n := len(ring)
+	for f := 0; f < cfg.NumFrames(n); f++ {
+		s := (start + f*st) % n
+		a := ring[s:min(s+fl, n)]
+		m.k.run(dst[f*nc:(f+1)*nc], a, ring[:fl-len(a)])
+	}
 }

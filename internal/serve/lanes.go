@@ -11,10 +11,10 @@ import (
 
 // inferReq is one frame waiting for a shared lane. reply has capacity 1 and
 // is written exactly once, so a requester that gave up (lane timeout) never
-// blocks the lane — its late reply just gets collected. dst is the
-// requester-owned score buffer the lane copies results into; a requester
-// that times out must abandon its buffer (see laneClassifier), because the
-// lane may still be about to write it.
+// blocks the lane — its late reply just gets collected. x is the frame and
+// dst the requester-owned score buffer the lane copies results into; a
+// requester that times out must abandon both (see laneClassifier), because
+// the lane may still be about to read the one and write the other.
 //
 // tr is the chunk's hop trace, carried across the goroutine boundary a
 // Tracer span cannot cross: the channel send hands write ownership of the
@@ -187,7 +187,8 @@ type laneClassifier struct {
 	timeout time.Duration
 	obs     *obsSet
 	probs   []float32
-	scores  []int32 // session-owned lane result buffer; abandoned on timeout
+	window  []float32 // session-owned copy of the frame a lane reads; abandoned on timeout
+	scores  []int32   // session-owned lane result buffer; abandoned on timeout
 
 	hop       *telemetry.HopTrace // reused across hops; orphaned on lane timeout
 	hopOpen   bool
@@ -197,16 +198,21 @@ type laneClassifier struct {
 
 func (c *laneClassifier) Classify(features []float32) []float32 {
 	c.beginHop()
+	// The detector overwrites features on its next hop, and a lane may
+	// still be reading a timed-out request's frame then, so the lane reads
+	// a session-owned copy.
+	c.window = append(c.window[:0], features...)
 	t0 := time.Now()
-	scores, err := c.lanes.infer(features, c.scores, c.hopTrace(), c.timeout)
+	scores, err := c.lanes.infer(c.window, c.scores, c.hopTrace(), c.timeout)
 	c.obs.laneWait.ObserveSince(t0)
 	if err != nil {
 		if err == ErrLaneTimeout {
-			// The lane may still hold our buffer and write it late; orphan
-			// it so the stale write lands in memory no future hop reads.
-			// The hop trace travelled with the request, so it is orphaned
-			// the same way — never committed, reallocated next hop.
-			c.scores = nil
+			// The lane may still hold our buffers, read the frame late and
+			// write the scores late; orphan both so the stale accesses
+			// touch memory no future hop uses. The hop trace travelled
+			// with the request, so it is orphaned the same way — never
+			// committed, reallocated next hop.
+			c.window, c.scores = nil, nil
 			c.abandonHop()
 			c.obs.laneStalls.Inc()
 			c.srv.flight.Record(telemetry.FlightLaneStall, c.sessID, 0,

@@ -553,6 +553,38 @@ func TestLanesMatchEngine(t *testing.T) {
 	}
 }
 
+// TestLaneTimeoutOrphansWindow: with a ClassifyTimeout far below one
+// inference, every hop gives up on its lane while the lane still holds the
+// request. The lane must read a session-owned copy of the frame, which the
+// session then abandons — never the detector's feature buffer, which the
+// next hop overwrites in place — so under -race (ci.sh) a lane reading the
+// detector's buffer is a reported data race. The session survives every
+// timeout as a discarded hop.
+func TestLaneTimeoutOrphansWindow(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.ClassifyTimeout = time.Nanosecond
+	cfg.Lanes = 1
+	cfg.Breaker.TripThreshold = 1 << 20 // count every timeout, trip never
+	srv := mustServer(t, cfg)
+	sess, err := srv.Open(OpenOptions{ID: "timeouts"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pushAll(sess, synthSeconds(7, 10), cfg.SampleRate/8) {
+		t.Fatal("session refused audio")
+	}
+	sess.Close()
+	<-sess.Done()
+	st := sess.Stats()
+	stalls := srv.obs.laneStalls.Value()
+	if stalls < 20 || st.Detector.BadPosteriors != stalls {
+		t.Fatalf("%d lane timeouts, %d discarded hops: want ≥ 20 timeouts, each a discarded hop", stalls, st.Detector.BadPosteriors)
+	}
+	if r := sess.Reason(); r != ReasonClientClose {
+		t.Fatalf("session closed with %q, want %q", r, ReasonClientClose)
+	}
+}
+
 // TestRunLoadDirect: the load generator end to end against an in-process
 // server — a third of sessions heavily faulted, zero clean sessions lost.
 func TestRunLoadDirect(t *testing.T) {

@@ -100,3 +100,47 @@ func TestDetectorWithEngineClassifier(t *testing.T) {
 		t.Fatal("smoothing ring entries alias the same storage")
 	}
 }
+
+// TestDetectorSteadyHopZeroAllocs: a warm detector over an EngineClassifier
+// allocates nothing per steady hop, on the full-window pipeline (ring
+// featurisation in place, batch inference) and the incremental one (the
+// streaming frontend and the engine hop cache), with a smoothing ring of
+// one slot and of three that rotates in place.
+func TestDetectorSteadyHopZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const rate = 4000
+	e := deploy.SyntheticEngine(27, 0.35)
+	rng := rand.New(rand.NewSource(28))
+	for _, incremental := range []bool{false, true} {
+		for _, win := range []int{1, 3} {
+			cfg := DefaultConfig(rate)
+			cfg.Incremental = incremental
+			cfg.SmoothWin = win
+			cfg.Threshold = 2 // never fire: Push would allocate its event slice
+			c := NewEngineClassifier(e)
+			d := NewDetector(cfg, c, 0, 1)
+			hop := d.EffectiveHop()
+			audio := make([]float64, 32*hop)
+			for i := range audio {
+				audio[i] = 0.3 * rng.NormFloat64()
+			}
+			pos := 0
+			push := func() {
+				d.Push(audio[pos : pos+hop])
+				pos = (pos + hop) % len(audio)
+			}
+			for i := 0; i < rate/hop+win+1; i++ {
+				push() // a full second buffered and a full smoothing ring
+			}
+			if allocs := testing.AllocsPerRun(20, push); allocs != 0 {
+				t.Fatalf("incremental=%v SmoothWin %d: a steady hop allocates %.1f objects, want 0", incremental, win, allocs)
+			}
+			if len(d.history) != win {
+				t.Fatalf("incremental=%v SmoothWin %d: smoothing ring holds %d slots", incremental, win, len(d.history))
+			}
+			c.Close()
+		}
+	}
+}

@@ -24,7 +24,9 @@ import (
 // Classifier maps one MFCC feature image (flattened, length frames·coeffs)
 // to per-class posterior probabilities. Implementations may reuse the
 // returned slice between calls; callers that retain posteriors across hops
-// (the Detector's smoothing ring does) must copy them.
+// (the Detector's smoothing ring does) must copy them. The Detector reuses
+// the feature slice too, overwriting it on the next hop, so an
+// implementation that reads it after Classify returns must copy it.
 type Classifier interface {
 	Classify(features []float32) []float32
 	NumClasses() int
@@ -277,8 +279,8 @@ type Detector struct {
 	featMean, featStd float32
 
 	// Full-window pipeline state (Incremental off): the ring of the last
-	// second of audio, re-featurised in full by mfcc every hop. An
-	// incremental detector allocates neither.
+	// second of audio, re-featurised in full and in place by mfcc every
+	// hop. An incremental detector allocates neither.
 	mfcc   *dsp.MFCC
 	window []float64
 
@@ -289,12 +291,13 @@ type Detector struct {
 	// contract every stream discontinuity must honour.
 	frontend     *dsp.Frontend
 	hopCls       HopClassifier
-	featWin      []float32 // current window features, normalised per hop
-	lastTotal    int64     // frontend frame count at the previous hop
+	lastTotal    int64 // frontend frame count at the previous hop
 	pendingInval bool
-	frames       int           // window height in frames
-	hopSamples   int           // per-hop sample count (stride-snapped when incremental)
-	hopStats     HopCacheStats // mutated atomically; see HopCacheStats
+
+	featWin    []float32     // current window features, normalised per hop (both pipelines)
+	frames     int           // window height in frames
+	hopSamples int           // per-hop sample count (stride-snapped when incremental)
+	hopStats   HopCacheStats // mutated atomically; see HopCacheStats
 
 	stats     Stats     // mutated atomically; see Stats
 	lastProbs []float32 // previous hop's accepted posterior, for the watchdog
@@ -303,7 +306,6 @@ type Detector struct {
 	obs detObs // telemetry instruments; nil fields (the default) are no-ops
 
 	// Per-hop scratch, reused so a steady stream doesn't allocate.
-	wave     []float64
 	smoothed []float32
 }
 
@@ -376,10 +378,13 @@ func NewDetector(cfg Config, cls Classifier, featMean, featStd float32) *Detecto
 	d := &Detector{
 		cfg:      cfg,
 		cls:      cls,
+		history:  make([][]float32, 0, cfg.SmoothWin),
 		lastFire: make([]int, cls.NumClasses()),
 		featMean: featMean,
 		featStd:  featStd,
+		frames:   mfccCfg.NumFrames(cfg.SampleRate),
 	}
+	d.featWin = make([]float32, d.frames*mfccCfg.NumCoeffs)
 	d.hopSamples = cfg.SampleRate * cfg.HopMs / 1000
 	if cfg.Incremental {
 		// Snap the hop to the MFCC stride grid: every hop position is then
@@ -392,9 +397,7 @@ func NewDetector(cfg Config, cls Classifier, featMean, featStd float32) *Detecto
 		} else {
 			d.hopSamples = st
 		}
-		d.frames = mfccCfg.NumFrames(cfg.SampleRate)
 		d.frontend = dsp.NewFrontend(mfccCfg, d.frames)
-		d.featWin = make([]float32, d.frames*mfccCfg.NumCoeffs)
 		if hc, ok := cls.(HopClassifier); ok {
 			d.hopCls = hc
 		}
@@ -640,7 +643,7 @@ func (d *Detector) watchdog(probs []float32) {
 	}
 	d.lastProbs = append(d.lastProbs[:0], probs...)
 	if atomic.LoadInt64(&d.stuckHops) >= int64(d.cfg.WatchdogHops) {
-		d.history = nil
+		d.history = d.history[:0]
 		atomic.StoreInt64(&d.stuckHops, 0)
 		atomic.AddInt64(&d.stats.WatchdogResets, 1)
 		d.obs.watchdogResets.Inc()
@@ -669,45 +672,31 @@ func (d *Detector) safeClassifyHop(feat []float32, nNew int) (probs []float32, i
 	return probs, incremental, true
 }
 
-// hopFeatures produces the current window's normalised features. The
-// incremental path copies the frontend's cached frames (only newly
-// completed frames were featurised this hop) and reports how many trailing
-// frames are new; the full path re-featurises the whole window ring.
+// hopFeatures produces the current window's normalised features in featWin
+// and reports how many trailing frames are new. The incremental path copies
+// the frontend's cached frames (only newly completed frames were featurised
+// this hop); the full path re-featurises the whole one-second ring in
+// place, from its oldest sample, and counts every frame as new.
 func (d *Detector) hopFeatures() (feat []float32, nNew int, incremental bool) {
+	nNew = d.frames
 	if d.frontend != nil {
 		// A hop runs only once a second has been pushed since the last
 		// Reset, by which time the frontend has completed a full window of
 		// frames, so Window always fills featWin here.
 		d.frontend.Window(d.featWin)
 		total := d.frontend.TotalFrames()
-		nNew = int(total - d.lastTotal)
+		if n := int(total - d.lastTotal); !d.pendingInval && n >= 0 && n <= d.frames {
+			nNew = n
+		}
 		d.lastTotal = total
-		if d.pendingInval || nNew < 0 || nNew > d.frames {
-			nNew = d.frames
-		}
 		d.pendingInval = false
-		for i, v := range d.featWin {
-			d.featWin[i] = (v - d.featMean) / d.featStd
-		}
-		return d.featWin, nNew, nNew < d.frames
+	} else {
+		d.mfcc.ComputeRing(d.featWin, d.window, d.pos%len(d.window))
 	}
-
-	// Full-window path: unroll the ring into chronological order and
-	// featurise all of it.
-	n := len(d.window)
-	if len(d.wave) != n {
-		d.wave = make([]float64, n)
+	for i, v := range d.featWin {
+		d.featWin[i] = (v - d.featMean) / d.featStd
 	}
-	wave := d.wave
-	start := d.pos % n
-	copy(wave, d.window[start:])
-	copy(wave[n-start:], d.window[:start])
-
-	f := d.mfcc.Compute(wave)
-	for i, v := range f.Data {
-		f.Data[i] = (v - d.featMean) / d.featStd
-	}
-	return f.Data, len(f.Data), false
+	return d.featWin, nNew, nNew < d.frames
 }
 
 // classify featurises the current window, smooths posteriors and applies
@@ -741,13 +730,19 @@ func (d *Detector) classify() (Event, bool) {
 	d.watchdog(probs)
 
 	// Classifiers may reuse their output slice between hops (EngineClassifier
-	// does), so the ring stores a copy, recycling the evicted slot's storage.
-	var slot []float32
-	if len(d.history) >= d.cfg.SmoothWin {
-		slot = d.history[0][:0]
-		d.history = d.history[1:]
+	// does), so the ring stores a copy. The ring rotates in place: while it
+	// fills, each hop takes the next slot; once full, the oldest slot moves
+	// to the back. Every slot keeps its storage, so a steady stream
+	// allocates nothing here.
+	if n := len(d.history); n < d.cfg.SmoothWin {
+		d.history = d.history[:n+1]
+	} else {
+		oldest := d.history[0]
+		copy(d.history, d.history[1:])
+		d.history[n-1] = oldest
 	}
-	d.history = append(d.history, append(slot, probs...))
+	slot := &d.history[len(d.history)-1]
+	*slot = append((*slot)[:0], probs...)
 	if len(d.history) < d.cfg.SmoothWin {
 		return Event{}, false // warm-up: wait for a full smoothing history
 	}
@@ -798,7 +793,7 @@ func (d *Detector) Reset() {
 	d.pos = 0
 	d.buffered = 0
 	d.sinceHop = 0
-	d.history = nil
+	d.history = d.history[:0]
 	for _, p := range []*int64{
 		&d.stats.Scrubbed, &d.stats.Clipped, &d.stats.Concealed,
 		&d.stats.BadPosteriors, &d.stats.WatchdogResets, &d.stuckHops,

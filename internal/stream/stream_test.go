@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/models"
 	"repro/internal/speechcmd"
 	"repro/internal/tensor"
@@ -226,5 +227,63 @@ func TestStreamingQuietStreamStaysQuiet(t *testing.T) {
 	}
 	if events := det.Push(quiet); len(events) != 0 {
 		t.Fatalf("fired %d events on pure silence", len(events))
+	}
+}
+
+// windowClassifier records a copy of every window it classifies and the
+// stream position its detector had reached.
+type windowClassifier struct {
+	d     *Detector
+	feats [][]float32
+	pos   []int
+}
+
+func (w *windowClassifier) Classify(f []float32) []float32 {
+	w.feats = append(w.feats, append([]float32(nil), f...))
+	w.pos = append(w.pos, w.d.pos)
+	return []float32{0.5, 0.5}
+}
+
+func (w *windowClassifier) NumClasses() int { return 2 }
+
+// TestFullWindowFeaturesMatchCompute pins the full-window pipeline's
+// in-place ring featurisation bit for bit against MFCC.Compute over the
+// unrolled last second, normalised, at 4 and 16 kHz. A 110 ms hop and
+// random chunkings put the ring's oldest sample at dozens of offsets, so
+// frames wrap the ring at many points.
+func TestFullWindowFeaturesMatchCompute(t *testing.T) {
+	const mean, std = -0.3, 2.1
+	for _, rate := range []int{4000, 16000} {
+		cfg := DefaultConfig(rate)
+		cfg.HopMs = 110
+		wc := &windowClassifier{}
+		d := NewDetector(cfg, wc, mean, std)
+		wc.d = d
+		rng := rand.New(rand.NewSource(int64(rate)))
+		audio := make([]float64, 6*rate)
+		for i := range audio {
+			audio[i] = 0.9 * (2*rng.Float64() - 1) // inside [-1, 1]: nothing clipped
+		}
+		for rest := audio; len(rest) > 0; {
+			n := min(1+rng.Intn(3*d.EffectiveHop()), len(rest))
+			d.Push(rest[:n])
+			rest = rest[n:]
+		}
+		m := dsp.NewMFCC(dsp.DefaultMFCCConfig(rate))
+		offsets := map[int]bool{}
+		for h, f := range wc.feats {
+			pos := wc.pos[h]
+			want := m.Compute(audio[pos-rate : pos])
+			for i, v := range want.Data {
+				if w := (v - mean) / std; f[i] != w {
+					t.Fatalf("rate %d hop %d (ring offset %d): feature %d is %v, Compute gives %v",
+						rate, h, pos%rate, i, f[i], w)
+				}
+			}
+			offsets[pos%rate] = true
+		}
+		if len(offsets) < 40 {
+			t.Fatalf("rate %d: %d hops put the ring's start at only %d offsets", rate, len(wc.feats), len(offsets))
+		}
 	}
 }
