@@ -22,11 +22,11 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 go build ./...
-# The -race pass also drives the InferBatch worker pool and its pooled
-# arenas, and the scalar oracle running beside an engine's first compile
-# (TestInferBatchConcurrent, TestInferBatchLaneMatchesPerFrame,
-# TestInferBatchLaneConcurrent, TestOracleConcurrentWithCompile in
-# internal/deploy).
+# The -race pass also drives concurrent InferBatch callers on one engine,
+# each on its own arena from the engine's pool, and the scalar oracle
+# running beside an engine's first compile (TestInferBatchConcurrent,
+# TestInferBatchLaneMatchesPerFrame, TestInferBatchLaneConcurrent,
+# TestOracleConcurrentWithCompile in internal/deploy).
 go test -race ./...
 
 # Engine benchmark smoke: one iteration of each packed-engine benchmark, so
@@ -52,11 +52,11 @@ echo "$BENCH_INT"
 # (2) Bit-exactness smoke: Infer must agree byte-for-byte with the
 #     FakeQuant-equivalent float simulation and the int64 scalar oracle on a
 #     synthetic paper-shape engine under both policies and on random small
-#     engines, at least a third of which must give varying oracle scores (a
-#     parity check over constant scores passes a conv chain that computes
-#     nothing), and the column-lane
-#     row kernels (both ternary row walks — AVX2 where the host runs it, and
-#     the portable Go walk — the walk-then-requant conv rows, a short plane
+#     engines, at least a third of which must give varying oracle scores
+#     under each policy (a parity check over constant scores passes a conv
+#     chain that computes nothing), and the column-lane row kernels (both
+#     ternary row walks — AVX2 where the host runs it, and the portable Go
+#     walk — the walk-then-requant conv rows, a short plane
 #     buffer panicking, depthwise edge-shifted word loads) must match their
 #     scalar oracles property-wise, as must the requant rows (the AVX2
 #     kernels, the Go loop at each of its three clamp shapes and their
@@ -82,7 +82,8 @@ go test -count=1 -tags purego ./internal/deploy
 #     preserving the policy byte and calibration table).
 go test -count=1 -run='TestWriteToVersionMatrix|TestV1ArtifactsStillReadable' ./internal/deploy
 
-# Batch gauntlet (InferBatch: every frame through Infer's pipeline).
+# Batch gauntlet (InferBatch: every frame through Infer's pipeline, on the
+# calling goroutine).
 # (1) 0-alloc gate for the batch path: both activation policies with a
 #     reused result slice must run without allocating.
 BENCH_BATCH="$(go test -run='^$' -bench='^BenchmarkEngineInferBatch(Mixed|Int8)$' -benchmem -benchtime=10x .)"
@@ -90,20 +91,19 @@ echo "$BENCH_BATCH"
 [ "$(echo "$BENCH_BATCH" | grep -c ' 0 allocs/op')" -eq 2 ]
 # (2) Batch exactness/alloc/concurrency properties without the race
 #     detector (the alloc-count gate skips under -race, where sync.Pool
-#     drops items by design).
+#     drops items by design), and a batch starting no goroutine.
 go test -count=1 -short \
-    -run='TestInferBatchMatchesInfer|TestInferBatchLaneMatchesPerFrame|TestInferBatchZeroAllocs|TestInferBatchConcurrent|TestInferBatchLaneConcurrent' \
+    -run='TestInferBatchMatchesInfer|TestInferBatchLaneMatchesPerFrame|TestInferBatchZeroAllocs|TestInferBatchConcurrent|TestInferBatchLaneConcurrent|TestInferBatchStartsNoGoroutine' \
     ./internal/deploy
 # (3) Mixed single-frame/batch concurrency under the race detector: one
 #     goroutine hammering the resident-arena Infer path while three more
 #     drive InferBatch on the same engine — the contract the serving daemon
 #     leans on.
 go test -race -count=1 -run='TestMixedSingleBatchConcurrent' ./internal/deploy
-# (4) Multi-core batch smoke: the worker-scaling sweep (counts above the
-#     host's CPUs are skipped) must clear the kws-bench gates — single-frame
+# (4) Engine bench smoke: kws-bench must clear its gates — single-frame
 #     int8 at least 2.5x faster than the float baseline (paired median),
-#     batch ns/frame at workers=1 within 1.5x of single-frame (batch runs
-#     the same per-frame pipeline, so this bounds its dispatch overhead),
+#     batch ns/frame within 1.5x of single-frame (batch runs the same
+#     per-frame pipeline, so this bounds its arena checkout and result copy),
 #     1000 frames of batch output matching the scalar NaiveInt oracle under
 #     both policies, the same oracle holding with a telemetry observer
 #     attached, 1000 consecutive hops of InferHop matching full-window
@@ -114,7 +114,7 @@ go test -race -count=1 -run='TestMixedSingleBatchConcurrent' ./internal/deploy
 #     on any failure.
 BDIR="$(mktemp -d)"
 go build -o "$BDIR/kws-bench" ./cmd/kws-bench
-"$BDIR/kws-bench" -workers 1,2,4 -reps 3 -o "$BDIR/bench-engine.json"
+"$BDIR/kws-bench" -reps 3 -o "$BDIR/bench-engine.json"
 grep -q '"batch_parity_1000_frames": true' "$BDIR/bench-engine.json"
 grep -q '"telemetry_parity_1000_frames": true' "$BDIR/bench-engine.json"
 grep -q '"hop_parity_1000_hops": true' "$BDIR/bench-engine.json"

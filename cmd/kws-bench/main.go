@@ -8,19 +8,18 @@
 // EngineInfer row, the baseline the integer policies are measured
 // against), the word-packed integer path at the mixed 8/16-bit and
 // fully-8-bit activation policies (Infer), the batch path per policy
-// (EngineInferBatchMixed / EngineInferBatchInt8: InferBatch, every frame
-// through Infer's single-frame pipeline) swept across worker counts — each
-// batch row is measured under runtime.GOMAXPROCS(workers), counts above the
-// host's CPUs are skipped, and EngineInferBatchFloat (serial per-frame
-// InferFloat over the same batch) is the float baseline — and the
-// incremental hop path per policy (InferHop, with its paired speedup over
-// full-window Infer) next to the whole streaming per-hop pipeline. It also
-// records the kernels the standard-conv rows ran (row_walk: the AVX2
-// assembly walk and requant rows, or the portable Go walk and requant loops
-// — every integer timing depends on it) and the kernels the MFCC FFT ran
-// (fft_kernel, which the streaming rows depend on), the measured weight density,
-// the model file size, the resident weight bytes of the compiled engine and
-// the per-policy activation scratch footprints.
+// (EngineInferBatchMixed / EngineInferBatchInt8: InferBatchInto, every
+// frame through Infer's single-frame pipeline on the calling goroutine;
+// EngineInferBatchFloat, serial per-frame InferFloat over the same batch,
+// is the float baseline) and the incremental hop path per policy (InferHop,
+// with its paired speedup over full-window Infer) next to the whole
+// streaming per-hop pipeline. It also records the kernels the standard-conv
+// rows ran (row_walk: the AVX2 assembly walk and requant rows, or the
+// portable Go walk and requant loops — every integer timing depends on it)
+// and the kernels the MFCC FFT ran (fft_kernel, which the streaming rows
+// depend on), the measured weight density, the model file size, the
+// resident weight bytes of the compiled engine and the per-policy
+// activation scratch footprints.
 // Parity cross-checks: integer/float on 1000 random frames, 1000 frames of
 // batch output bit-exact against the scalar NaiveInt oracle under both
 // policies, the same NaiveInt oracle against a telemetry-attached engine
@@ -55,10 +54,10 @@
 // rows, which time the two sides minutes apart), Infer must agree
 // byte-exactly with InferFloat, all NaiveInt parity checks (batch,
 // telemetry-attached) must hold, and — unless -gate-batch=false — batch
-// ns/frame at workers=1 must stay within 1.5× of the matching single-frame
-// ns/op for both integer policies (exit status 1 otherwise). At one worker
-// the batch path runs the same per-frame pipeline as Infer, so the gate
-// bounds its dispatch and result-copy overhead.
+// ns/frame must stay within 1.5× of the matching single-frame ns/op for
+// both integer policies (exit status 1 otherwise). The batch path runs the
+// same per-frame pipeline as Infer, so the gate bounds its arena checkout
+// and result-copy overhead.
 package main
 
 import (
@@ -70,8 +69,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -85,7 +82,6 @@ import (
 
 type result struct {
 	Name        string  `json:"name"`
-	Workers     int     `json:"workers,omitempty"` // batch rows: GOMAXPROCS the row ran under
 	NsPerOp     float64 `json:"ns_per_op"`
 	NsPerFrame  float64 `json:"ns_per_frame,omitempty"` // batch rows: ns_per_op / batch size
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -113,7 +109,6 @@ type report struct {
 	ScratchBytesFloat int64                 `json:"scratch_bytes_float"`
 	ScratchBytesMixed int64                 `json:"scratch_bytes_mixed"`
 	ScratchBytesInt8  int64                 `json:"scratch_bytes_int8"`
-	WorkerCounts      []int                 `json:"worker_counts"`
 	Results           []result              `json:"results"`
 	SpeedupVsNaive    float64               `json:"speedup_mixed_vs_naive"`
 	SpeedupIntVsFloat float64               `json:"speedup_int8_vs_float"`
@@ -121,7 +116,7 @@ type report struct {
 	IntFloatParity    bool                  `json:"int_float_parity_1000_frames"`
 	BatchParity       bool                  `json:"batch_parity_1000_frames"`
 	TelemetryParity   bool                  `json:"telemetry_parity_1000_frames"`
-	BatchNsPerFrame   float64               `json:"batch_ns_per_frame"` // mixed @ workers=1 (v2 continuity)
+	BatchNsPerFrame   float64               `json:"batch_ns_per_frame"` // mixed (v2 continuity)
 	BatchNsFrameFloat float64               `json:"batch_ns_per_frame_float"`
 	BatchNsFrameMixed float64               `json:"batch_ns_per_frame_mixed"`
 	BatchNsFrameInt8  float64               `json:"batch_ns_per_frame_int8"`
@@ -132,7 +127,6 @@ type report struct {
 	HopEngineSpeedups map[string]ratioStats `json:"hop_engine_speedup_by_policy"` // paired, ungated
 	SpeedupHopVsFull  float64               `json:"speedup_hop_vs_full"`          // streaming per-hop pipeline (featurise+infer), best-of rows
 	PairedHopVsFull   ratioStats            `json:"paired_hop_vs_full"`           // same pipeline ratio, paired; gated
-	CPUWarning        string                `json:"cpu_warning,omitempty"`
 	Note              string                `json:"note,omitempty"`
 }
 
@@ -228,8 +222,7 @@ func main() {
 	seed := flag.Int64("seed", 9, "synthetic engine weight seed")
 	density := flag.Float64("density", 0.35, "ternary nonzero density")
 	batch := flag.Int("batch", 64, "frames per InferBatch call")
-	workers := flag.String("workers", "1,2,4,8", "comma-separated GOMAXPROCS values for the batch worker-scaling sweep (values above the host's CPU count are skipped)")
-	gateBatch := flag.Bool("gate-batch", true, "exit nonzero if batch ns/frame at workers=1 exceeds 1.5x single-frame ns/op")
+	gateBatch := flag.Bool("gate-batch", true, "exit nonzero if batch ns/frame exceeds 1.5x single-frame ns/op")
 	minSpeedup := flag.Float64("min-speedup", 2.5, "exit nonzero if the paired median speedup of single-frame int8 Infer over InferFloat falls below this (0 disables)")
 	minHopSpeedup := flag.Float64("min-hop-speedup", 2.0, "exit nonzero if the paired median speedup of the incremental over the full-window streaming per-hop pipeline (featurise+infer) falls below this (0 disables)")
 	reps := flag.Int("reps", 3, "benchmark repetitions; the fastest is kept")
@@ -259,35 +252,10 @@ func main() {
 	if *out == "" {
 		*out = "BENCH_engine.json"
 	}
-	benchEngine(*out, *seed, *density, *batch, *reps, parseWorkers(*workers), *gateBatch, *minSpeedup, *minHopSpeedup)
+	benchEngine(*out, *seed, *density, *batch, *reps, *gateBatch, *minSpeedup, *minHopSpeedup)
 }
 
-// parseWorkers turns the -workers flag ("1,2,4,8") into a sorted-as-given
-// list of positive GOMAXPROCS values. The list must contain 1: the
-// workers=1 rows anchor the batch overhead gate against single-frame.
-func parseWorkers(s string) []int {
-	var ws []int
-	has1 := false
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		w, err := strconv.Atoi(part)
-		if err != nil || w < 1 {
-			fmt.Fprintf(os.Stderr, "kws-bench: bad -workers entry %q (want positive integers)\n", part)
-			os.Exit(2)
-		}
-		ws = append(ws, w)
-		has1 = has1 || w == 1
-	}
-	if !has1 {
-		ws = append([]int{1}, ws...)
-	}
-	return ws
-}
-
-func benchEngine(out string, seed int64, density float64, batch, reps int, workerCounts []int, gateBatch bool, minSpeedup, minHopSpeedup float64) {
+func benchEngine(out string, seed int64, density float64, batch, reps int, gateBatch bool, minSpeedup, minHopSpeedup float64) {
 	e := deploy.SyntheticEngine(seed, density)
 	rng := rand.New(rand.NewSource(seed + 1))
 	x := make([]float32, e.Frames*e.Coeffs)
@@ -303,36 +271,29 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		xs[i] = f
 	}
 
-	// Batch rows at more workers than the host has CPUs time the scheduler
-	// timeslicing them, not the engine: skip them.
-	var measured []int
-	for _, w := range workerCounts {
-		if w > runtime.NumCPU() {
-			fmt.Fprintf(os.Stderr, "kws-bench: skipping batch rows at workers=%d: above the host's %d CPUs\n", w, runtime.NumCPU())
-			continue
-		}
-		measured = append(measured, w)
-	}
-
 	rep := report{
-		Schema:    "kws-bench/v12",
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		RowWalk:   deploy.RowWalk(),
-		FFTKernel: dsp.FFTKernel(),
+		Schema:     "kws-bench/v13",
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		RowWalk:    deploy.RowWalk(),
+		FFTKernel:  dsp.FFTKernel(),
 		Shape: fmt.Sprintf("%dx%d in, %d convs, %d classes",
 			e.Frames, e.Coeffs, len(e.Convs), e.Tree.NumClasses),
 		Density:         density,
 		DensityMeasured: e.MeasuredDensity(),
 		Seed:            seed,
 		BatchSize:       batch,
-		WorkerCounts:    measured,
 		Reps:            reps,
 		ModelFileBytes:  e.Size(),
 		WeightBytes:     e.WeightBytes(),
-		Note: "schema v12: StreamHopFull featurises a one-second sample ring in place " +
+		Note: "schema v13: one batch row per policy, InferBatchInto running every frame " +
+			"on the calling goroutine (the batch worker pool is gone); worker_counts, the " +
+			"rows' workers field and cpu_warning are dropped with the GOMAXPROCS sweep. " +
+			"v12: StreamHopFull featurises a one-second sample ring in place " +
 			"(dsp.MFCC.ComputeRing), as the full-window detector does, and joins the 0-alloc " +
 			"gate. v11 adds fft_kernel: the kernels the MFCC FFT's twiddled stages and " +
 			"split pass ran (\"avx2\": the amd64 assembly; \"go\": the portable loops), which " +
@@ -359,8 +320,8 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 			"StreamHopIncremental time the whole per-hop streaming pipeline (MFCC " +
 			"featurisation + inference) at 16 kHz, and speedup_hop_vs_full gates that " +
 			"pipeline ratio; pad erosion caps the engine-only hop reuse near 1.8x " +
-			"(hop_engine_speedup_by_policy). Batch overhead at workers=1 is bounded at " +
-			"1.5x of single-frame; batch rows are per-policy under GOMAXPROCS=workers",
+			"(hop_engine_speedup_by_policy). Batch overhead is bounded at 1.5x of " +
+			"single-frame; batch rows are per-policy",
 	}
 
 	// Footprints per policy (the paper's Table 6 size story). Restore the
@@ -427,16 +388,13 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		}
 	})
 	batFlt.Name = "EngineInferBatchFloat"
-	batFlt.Workers = 1
 	batFlt.NsPerFrame = batFlt.NsPerOp / float64(batch)
 	rep.Results = append(rep.Results, batFlt)
 	rep.BatchNsFrameFloat = batFlt.NsPerFrame
 
-	// Worker-scaling sweep over the batch path, per policy. Each row is
-	// measured under GOMAXPROCS=workers and capped at that many batch
-	// workers, the steady-state serving shape (reused result slice).
-	prevProcs := runtime.GOMAXPROCS(0)
-	batAt1 := map[deploy.Policy]result{}
+	// The batch path per policy, in the steady-state serving shape: a
+	// reused result slice.
+	batRows := map[deploy.Policy]result{}
 	for _, pc := range []struct {
 		pol  deploy.Policy
 		name string
@@ -445,31 +403,23 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		{deploy.PolicyInt8, "EngineInferBatchInt8"},
 	} {
 		e.Policy = pc.pol
-		dst := e.InferBatchInto(nil, xs) // warm up: pooled arenas + result storage
-		for _, w := range measured {
-			runtime.GOMAXPROCS(w)
-			maxW := w
-			r := best(reps, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					dst = e.InferBatchCappedInto(dst, xs, maxW)
-				}
-			})
-			runtime.GOMAXPROCS(prevProcs)
-			for _, br := range dst {
-				if br.Err != nil {
-					fmt.Fprintf(os.Stderr, "kws-bench: %s workers=%d: %v\n", pc.name, w, br.Err)
-					os.Exit(1)
-				}
+		dst := e.InferBatchInto(nil, xs) // warm up: pooled arena + result storage
+		r := best(reps, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = e.InferBatchInto(dst, xs)
 			}
-			r.Name = pc.name
-			r.Workers = w
-			r.NsPerFrame = r.NsPerOp / float64(batch)
-			rep.Results = append(rep.Results, r)
-			if w == 1 {
-				batAt1[pc.pol] = r
+		})
+		for _, br := range dst {
+			if br.Err != nil {
+				fmt.Fprintf(os.Stderr, "kws-bench: %s: %v\n", pc.name, br.Err)
+				os.Exit(1)
 			}
 		}
+		r.Name = pc.name
+		r.NsPerFrame = r.NsPerOp / float64(batch)
+		rep.Results = append(rep.Results, r)
+		batRows[pc.pol] = r
 	}
 	e.Policy = deploy.PolicyMixed
 
@@ -532,21 +482,12 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	rep.IntFloatParity = parityCheck(e, seed+2, 1000)
 	rep.BatchParity = batchParityCheck(e, seed+3, 1000, batch)
 	rep.TelemetryParity = telemetryParityCheck(e, seed, density, seed+4, 1000, batch)
-	rep.BatchNsFrameMixed = batAt1[deploy.PolicyMixed].NsPerFrame
-	rep.BatchNsFrameInt8 = batAt1[deploy.PolicyInt8].NsPerFrame
+	rep.BatchNsFrameMixed = batRows[deploy.PolicyMixed].NsPerFrame
+	rep.BatchNsFrameInt8 = batRows[deploy.PolicyInt8].NsPerFrame
 	rep.BatchNsPerFrame = rep.BatchNsFrameMixed
-	// Recorded after the benchmarks so the report reflects the environment
-	// the numbers were actually measured under.
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	rep.NumCPU = runtime.NumCPU()
-	if rep.NumCPU == 1 {
-		rep.CPUWarning = "single-CPU host: only the workers=1 batch rows ran, so the " +
-			"worker-scaling sweep shows no parallel speedup here; rerun on a " +
-			"multi-core host for the scaling curve (single-frame rows are unaffected)"
-	}
 
 	fail := false
-	allocRows := []result{mixed, int8r, batAt1[deploy.PolicyMixed], batAt1[deploy.PolicyInt8],
+	allocRows := []result{mixed, int8r, batRows[deploy.PolicyMixed], batRows[deploy.PolicyInt8],
 		hopRows["EngineInferHopMixed"], hopRows["EngineInferHopInt8"], streamFull, streamInc}
 	for _, r := range allocRows {
 		if r.AllocsPerOp != 0 {
@@ -581,21 +522,21 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		fail = true
 	}
 	if gateBatch {
-		// At one worker InferBatch runs each frame through Infer's pipeline
-		// and adds only chunk dispatch and the copy into caller-owned
-		// scores, so the gate bounds that overhead.
+		// InferBatch runs each frame through Infer's pipeline and adds only
+		// the arena checkout and the copy into caller-owned scores, so the
+		// gate bounds that overhead.
 		const batchOverheadTol = 1.5
 		for _, g := range []struct {
 			pol    string
 			batch  result
 			single result
 		}{
-			{"mixed", batAt1[deploy.PolicyMixed], mixed},
-			{"int8", batAt1[deploy.PolicyInt8], int8r},
+			{"mixed", batRows[deploy.PolicyMixed], mixed},
+			{"int8", batRows[deploy.PolicyInt8], int8r},
 		} {
 			if g.batch.NsPerFrame > g.single.NsPerOp*batchOverheadTol {
 				fmt.Fprintf(os.Stderr,
-					"kws-bench: REGRESSION: %s batch %.0f ns/frame at workers=1 exceeds %.1fx single-frame %.0f ns/op\n",
+					"kws-bench: REGRESSION: %s batch %.0f ns/frame exceeds %.1fx single-frame %.0f ns/op\n",
 					g.pol, g.batch.NsPerFrame, batchOverheadTol, g.single.NsPerOp)
 				fail = true
 			}
@@ -603,7 +544,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	writeReport(rep, out)
-	fmt.Printf("kws-bench: naive %.0f ns/op, float %.0f ns/op, mixed %.0f ns/op, int8 %.0f ns/op (%.2fx vs float, paired %.2fx, %d allocs/op), batch mixed %.0f / int8 %.0f ns/frame @ workers=1, hop mixed %.0f / int8 %.0f ns/hop (paired vs full window %.2fx / %.2fx), stream hop %.0f vs full %.0f ns (%.2fx, paired %.2fx), weights %d B resident -> %s\n",
+	fmt.Printf("kws-bench: naive %.0f ns/op, float %.0f ns/op, mixed %.0f ns/op, int8 %.0f ns/op (%.2fx vs float, paired %.2fx, %d allocs/op), batch mixed %.0f / int8 %.0f ns/frame, hop mixed %.0f / int8 %.0f ns/hop (paired vs full window %.2fx / %.2fx), stream hop %.0f vs full %.0f ns (%.2fx, paired %.2fx), weights %d B resident -> %s\n",
 		naive.NsPerOp, flt.NsPerOp, mixed.NsPerOp, int8r.NsPerOp,
 		rep.SpeedupIntVsFloat, rep.PairedIntVsFloat.Median, int8r.AllocsPerOp,
 		rep.BatchNsFrameMixed, rep.BatchNsFrameInt8,

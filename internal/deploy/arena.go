@@ -42,7 +42,7 @@ func (q *QConv) pointwise() bool {
 // compiled shapes so the steady-state hot path performs zero heap
 // allocations. An arena is owned by exactly one goroutine at a time:
 // Engine.Infer uses the engine's resident arena, InferBatch checks one out
-// per chunk, and each HopState owns a hop arena.
+// per call, and each HopState owns a hop arena.
 type arena struct {
 	pol      Policy    // activation policy this arena was sized for
 	planes   [][]int8  // image buffers: two ping-pong planes (frame) or the input and one per conv (hop)
@@ -64,12 +64,13 @@ type arena struct {
 }
 
 // newArena sizes every buffer from the engine's conv geometry: a frame
-// arena (hop false) or a hop arena (see the file comment). A frame pass
-// runs every conv over its whole plane, where a pointwise conv reads its
-// input image as im2col, so only the other standard convs size the frame
-// arena's im2col; a hop band copies a pointwise input to the band stride
-// (a band slice at the image stride would let the full-word loads read past
-// the plane), so every standard conv sizes the hop arena's.
+// arena (hop false) or a hop arena (see the file comment), and records its
+// bytes on the observer's high-water gauge. A frame pass runs every conv
+// over its whole plane, where a pointwise conv reads its input image as
+// im2col, so only the other standard convs size the frame arena's im2col; a
+// hop band copies a pointwise input to the band stride (a band slice at the
+// image stride would let the full-word loads read past the plane), so every
+// standard conv sizes the hop arena's.
 func newArena(e *Engine, hop bool) *arena {
 	h0, w0 := int(e.Frames), int(e.Coeffs)
 	maxImg := h0 * w0
@@ -149,6 +150,7 @@ func newArena(e *Engine, hop bool) *arena {
 	} else {
 		a.hidden = make([]int16, maxHidden)
 	}
+	e.obs.noteArena(a)
 	return a
 }
 

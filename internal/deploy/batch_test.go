@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -63,9 +64,9 @@ func TestInferBatchMatchesInfer(t *testing.T) {
 
 // TestInferBatchLaneMatchesPerFrame is the batch-path exactness property
 // for the path serve lanes drive: for randomized engine shapes and
-// densities, every batch size (ragged chunks included) and both activation
-// policies, InferBatchInto with a reused result slice must be bit-identical
-// per frame to Infer and to the int64 scalar oracle.
+// densities, every batch size and both activation policies, InferBatchInto
+// with a reused result slice must be bit-identical per frame to Infer and
+// to the int64 scalar oracle.
 func TestInferBatchLaneMatchesPerFrame(t *testing.T) {
 	sizes := []int{1, 3, 5, 7, 8, 9, 16, 23}
 	if testing.Short() {
@@ -87,8 +88,9 @@ func TestInferBatchLaneMatchesPerFrame(t *testing.T) {
 }
 
 // TestInferBatchZeroAllocs is the batch counterpart of the single-frame
-// 0-alloc gate: with a reused result slice, the serial batch path must run
-// without heap allocation under both policies.
+// 0-alloc gate: with a reused result slice, InferBatchInto (the entry point
+// the ci.sh batch gate times) must run without heap allocation under both
+// policies.
 func TestInferBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc counts are meaningless")
@@ -99,12 +101,12 @@ func TestInferBatchZeroAllocs(t *testing.T) {
 	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 		e.Policy = pol
 		var dst []BatchResult
-		dst = e.InferBatchCappedInto(dst, xs, 1) // warm: arena pool + Scores storage
+		dst = e.InferBatchInto(dst, xs) // warm: arena pool + Scores storage
 		allocs := testing.AllocsPerRun(10, func() {
-			dst = e.InferBatchCappedInto(dst, xs, 1)
+			dst = e.InferBatchInto(dst, xs)
 		})
 		if allocs != 0 {
-			t.Fatalf("policy %v: InferBatchCappedInto allocated %.1f times per run, want 0", pol, allocs)
+			t.Fatalf("policy %v: InferBatchInto allocated %.1f times per run, want 0", pol, allocs)
 		}
 		for i, r := range dst {
 			if r.Err != nil {
@@ -151,8 +153,8 @@ func hammerBatch(t *testing.T, iters int, exp [][]int32, expCls []int, batch fun
 
 // TestInferBatchConcurrent hammers one shared engine's InferBatch from
 // several goroutines (the ci.sh -race pass covers this) to pin down the
-// worker pool's and the arena pool's thread safety: concurrent calls over
-// full and ragged chunks must stay bit-identical to the scalar oracle.
+// arena pool's thread safety: concurrent callers, the batch path's only
+// parallelism, must stay bit-identical to the scalar oracle.
 func TestInferBatchConcurrent(t *testing.T) {
 	e := SyntheticEngine(9, 0.3)
 	const n = 23
@@ -169,8 +171,8 @@ func TestInferBatchConcurrent(t *testing.T) {
 
 // TestInferBatchLaneConcurrent drives InferBatchInto the way serve lanes
 // do, from several goroutines on one shared engine under -race: concurrent
-// calls (full and ragged chunks) with caller-owned results reused across
-// calls must stay bit-identical to the single-frame path.
+// calls with caller-owned results reused across calls must stay
+// bit-identical to the single-frame path.
 func TestInferBatchLaneConcurrent(t *testing.T) {
 	e := SyntheticEngine(5, 0.35)
 	const n = 23
@@ -185,4 +187,22 @@ func TestInferBatchLaneConcurrent(t *testing.T) {
 	hammerBatch(t, 3, exp, expCls, func(dst []BatchResult) []BatchResult {
 		return e.InferBatchInto(dst, xs)
 	})
+}
+
+// TestInferBatchStartsNoGoroutine pins that a batch runs on its caller's
+// goroutine: a 64-frame InferBatch on a fresh engine, with two Ps free to
+// fan out onto, must not raise the goroutine count.
+func TestInferBatchStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e := SyntheticEngine(9, 0.35)
+	xs := randFrames(rand.New(rand.NewSource(64)), e, 64)
+	before := runtime.NumGoroutine()
+	for i, r := range e.InferBatch(xs) {
+		if r.Err != nil {
+			t.Fatalf("frame %d: %v", i, r.Err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("InferBatch left %d goroutines, want at most %d", after, before)
+	}
 }

@@ -417,9 +417,9 @@ func BenchmarkDepthwiseLayer(b *testing.B) {
 }
 
 // TestBatchLanePathWithTelemetry pins that an observer changes nothing on
-// the batch path serve lanes take: with an observer attached, InferBatch over
-// one full chunk plus a short one must stay bit-identical to the unobserved
-// engine, and engine.infers must count every frame.
+// the batch path serve lanes take: with an observer attached, an 11-frame
+// InferBatch must stay bit-identical to the unobserved engine, and
+// engine.infers must count every frame.
 func TestBatchLanePathWithTelemetry(t *testing.T) {
 	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 		e := deployTestEngine(53)
@@ -430,7 +430,7 @@ func TestBatchLanePathWithTelemetry(t *testing.T) {
 		obs := e.EnableTelemetry(reg, nil)
 
 		rng := rand.New(rand.NewSource(7))
-		const n = chunkFrames + 3 // one full chunk plus a short one
+		const n = 11
 		xs := make([][]float32, n)
 		for i := range xs {
 			x := make([]float32, e.Frames*e.Coeffs)

@@ -401,7 +401,7 @@ func (t *QTree) Forward(x []int8) []int32 {
 //
 // Infer and InferSafe run on a resident scratch arena and are therefore not
 // safe for concurrent use on one engine; concurrent callers use InferBatch,
-// which checks a private arena out per chunk. The scores slice they return
+// which checks a private arena out per call. The scores slice they return
 // is arena-owned and valid until the next Infer/InferSafe call on the same
 // engine — copy it to retain it.
 type Engine struct {
@@ -426,16 +426,9 @@ type Engine struct {
 	compileOnce sync.Once   // guards kernel compilation
 	geom        []convGeom  // per-conv geometry, written once under compileOnce
 	arena       *arena      // resident arena for Infer/InferSafe
-	arenas      sync.Pool   // spare arenas for InferBatch chunks
+	arenas      sync.Pool   // spare arenas for InferBatch calls
 	hopStates   sync.Pool   // released HopStates for streaming sessions (hop.go)
 	farena      *floatArena // resident scratch for InferFloat
-
-	// Persistent batch worker pool (batch.go): fixed-size, started lazily on
-	// the first parallel InferBatch; chunks are dispatched to it by value so
-	// steady-state batches allocate nothing.
-	batchOnce sync.Once
-	batchWork chan chunkJob
-	batchDone sync.Pool // pooled per-call completion channels
 
 	// obs, when set via EnableTelemetry, times and traces every stage of
 	// forward (telemetry.go). nil (the default) costs one pointer
@@ -550,7 +543,6 @@ func (e *Engine) residentArena() *arena {
 	e.ensureCompiled()
 	if e.arena == nil || e.arena.pol != e.Policy {
 		e.arena = newArena(e, false)
-		e.obs.noteArena(e.arena)
 	}
 	return e.arena
 }

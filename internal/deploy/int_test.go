@@ -50,29 +50,31 @@ func TestGatherWordPackedMatchesScalar(t *testing.T) {
 
 // TestInferIntMatchesNaiveRandomized is the end-to-end bit-exactness
 // property: the word-packed path must agree with the int64 scalar oracle on
-// whole random engines under both activation policies.
+// whole random engines under both activation policies. The int8 pass runs
+// each engine rescaled by liveInt8, so its scores vary too.
 func TestInferIntMatchesNaiveRandomized(t *testing.T) {
 	const engines = 20
-	varying := 0
+	varying := map[Policy]int{}
 	for seed := int64(0); seed < engines; seed++ {
-		rng := rand.New(rand.NewSource(2000 + seed))
-		e := randSmallEngine(rng)
-		e.Calib = e.calibTable()
-		if err := e.Validate(); err != nil {
-			t.Fatalf("seed %d: random engine invalid: %v", seed, err)
-		}
-		var spread scoreSpread // mixed policy only; see checkVarying
 		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+			rng := rand.New(rand.NewSource(2000 + seed))
+			e := randSmallEngine(rng)
+			if pol == PolicyInt8 {
+				liveInt8(e)
+			}
 			e.Policy = pol
+			e.Calib = e.calibTable()
+			if err := e.Validate(); err != nil {
+				t.Fatalf("seed %d pol %v: random engine invalid: %v", seed, pol, err)
+			}
+			var spread scoreSpread
 			for trial := 0; trial < 3; trial++ {
 				x := make([]float32, e.Frames*e.Coeffs)
 				for i := range x {
 					x[i] = float32(rng.NormFloat64())
 				}
 				wantSc, wantCls := e.NaiveInt(x)
-				if pol == PolicyMixed {
-					spread.add(wantSc)
-				}
+				spread.add(wantSc)
 				gotSc, gotCls := e.Infer(x)
 				if gotCls != wantCls {
 					t.Fatalf("seed %d pol %v trial %d: class %d vs oracle %d", seed, pol, trial, gotCls, wantCls)
@@ -84,12 +86,14 @@ func TestInferIntMatchesNaiveRandomized(t *testing.T) {
 					}
 				}
 			}
-		}
-		if spread.varies {
-			varying++
+			if spread.varies {
+				varying[pol]++
+			}
 		}
 	}
-	checkVarying(t, varying, engines)
+	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+		checkVarying(t, pol, varying[pol], engines)
+	}
 }
 
 // TestInferIntMatchesFloatSimulation pins the integer path byte-exact
@@ -127,28 +131,30 @@ func TestInferIntMatchesFloatSimulation(t *testing.T) {
 
 // TestFloatSimulationRandomized extends the float-vs-int agreement to random
 // small shapes, where padding tails, odd widths and empty rows differ from
-// the synthetic shape.
+// the synthetic shape. The int8 pass runs each engine rescaled by liveInt8,
+// so its scores vary too.
 func TestFloatSimulationRandomized(t *testing.T) {
 	const engines = 15
-	varying := 0
+	varying := map[Policy]int{}
 	for seed := int64(0); seed < engines; seed++ {
-		rng := rand.New(rand.NewSource(3000 + seed))
-		e := randSmallEngine(rng)
-		if err := e.Validate(); err != nil {
-			t.Fatalf("seed %d: random engine invalid: %v", seed, err)
-		}
-		var spread scoreSpread // mixed policy only; see checkVarying
 		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+			rng := rand.New(rand.NewSource(3000 + seed))
+			e := randSmallEngine(rng)
+			if pol == PolicyInt8 {
+				liveInt8(e)
+			}
 			e.Policy = pol
+			if err := e.Validate(); err != nil {
+				t.Fatalf("seed %d pol %v: random engine invalid: %v", seed, pol, err)
+			}
+			var spread scoreSpread
 			for trial := 0; trial < 3; trial++ {
 				x := make([]float32, e.Frames*e.Coeffs)
 				for i := range x {
 					x[i] = float32(rng.NormFloat64())
 				}
 				wantSc, _ := e.InferFloat(x)
-				if pol == PolicyMixed {
-					spread.add(wantSc)
-				}
+				spread.add(wantSc)
 				gotSc, _ := e.Infer(x)
 				for j := range wantSc {
 					if gotSc[j] != wantSc[j] {
@@ -157,12 +163,14 @@ func TestFloatSimulationRandomized(t *testing.T) {
 					}
 				}
 			}
-		}
-		if spread.varies {
-			varying++
+			if spread.varies {
+				varying[pol]++
+			}
 		}
 	}
-	checkVarying(t, varying, engines)
+	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+		checkVarying(t, pol, varying[pol], engines)
+	}
 }
 
 // TestInferIntZeroAllocs gates the headline perf property under both

@@ -53,13 +53,28 @@ func (s *scoreSpread) add(sc []int32) {
 }
 
 // checkVarying fails unless at least a third of n engines gave varying
-// oracle scores. Only the mixed policy is counted: randMults' hidden
-// multipliers leave the derived int8 hidden rescale (hidToI8, ≈ 1/258)
-// near zero, so under PolicyInt8 a random engine's scores are constant.
-func checkVarying(t *testing.T, varying, n int) {
+// oracle scores under policy pol.
+func checkVarying(t *testing.T, pol Policy, varying, n int) {
 	t.Helper()
 	if varying < n/3 {
-		t.Fatalf("only %d of %d engines give varying oracle scores, want at least %d", varying, n, n/3)
+		t.Fatalf("pol %v: only %d of %d engines give varying oracle scores, want at least %d", pol, varying, n, n/3)
+	}
+}
+
+// liveInt8 rescales e's conv multipliers so that the PolicyInt8
+// requantisers deriveAct8 derives from them are randMults' live draws:
+// every HidMul grows by 32767/127 and every OutMul shrinks by 127/32767.
+// Without it the derived int8 hidden rescale (hidToI8, ≈ 1/258) zeroes the
+// hidden planes and a random engine's int8 scores are constant. Call it
+// before e compiles.
+func liveInt8(e *Engine) {
+	for _, q := range e.Convs {
+		for i, m := range q.HidMul {
+			q.HidMul[i] = NewMult(m.Float() * i8ToHid)
+		}
+		for i, m := range q.OutMul {
+			q.OutMul[i] = NewMult(m.Float() * hidToI8)
+		}
 	}
 }
 
@@ -368,15 +383,14 @@ func TestEngineSparseMatchesNaiveRandomized(t *testing.T) {
 			varying++
 		}
 	}
-	checkVarying(t, varying, engines)
+	checkVarying(t, PolicyMixed, varying, engines)
 }
 
 // TestSyntheticEngineSparseMatchesNaive pins the paper deployment shape
 // across the densities the index-run walk must serve — from sparser than any
 // trained model (0.05) through the benchmark's 0.35 to fully dense (1.0) —
-// under both policies: single-frame Infer, a 13-frame batch (one full
-// chunk and a ragged one) and a 30-hop InferHop stream must all match the
-// NaiveInt oracle bit for bit.
+// under both policies: single-frame Infer, a 13-frame batch and a 30-hop
+// InferHop stream must all match the NaiveInt oracle bit for bit.
 func TestSyntheticEngineSparseMatchesNaive(t *testing.T) {
 	const batch = 13
 	const hop, hops = 12, 30
@@ -556,9 +570,9 @@ func TestInferBatchFaultIsolation(t *testing.T) {
 	}
 }
 
-// TestInferBatchCappedMatchesUncapped checks that a worker ceiling changes
-// scheduling only, never results: serial (cap 1) and default fan-out agree
-// frame by frame, including on faulty frames.
+// TestInferBatchCappedMatchesUncapped pins the deprecated InferBatchCapped
+// wrapper against InferBatch: at any cap the two agree frame by frame,
+// including on a faulty frame.
 func TestInferBatchCappedMatchesUncapped(t *testing.T) {
 	e := SyntheticEngine(11, 0.3)
 	rng := rand.New(rand.NewSource(12))

@@ -104,7 +104,8 @@ func (o *Observer) fault() {
 	}
 }
 
-// noteArena records a freshly sized arena's total scratch footprint.
+// noteArena records a freshly sized arena's total scratch footprint: every
+// frame, pooled and hop arena passes through it from newArena (nil-safe).
 func (o *Observer) noteArena(a *arena) {
 	if o == nil {
 		return

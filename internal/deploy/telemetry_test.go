@@ -79,6 +79,21 @@ func TestEngineTelemetryFaults(t *testing.T) {
 	}
 }
 
+// TestArenaGaugeSeesHopArena: the high-water gauge covers every arena, the
+// hop arena included. One cold InferHop on a fresh engine builds no frame
+// arena, so it must leave the gauge at its hop arena's bytes.
+func TestArenaGaugeSeesHopArena(t *testing.T) {
+	e := SyntheticEngine(9, 0.35)
+	obs := e.EnableTelemetry(telemetry.NewRegistry(), nil)
+	hs := e.NewHopState()
+	defer hs.Release()
+	x := make([]float32, e.Frames*e.Coeffs)
+	e.InferHop(hs, x, int(e.Frames))
+	if got, want := obs.ArenaBytes.Value(), hs.a.bytes(); got != want {
+		t.Fatalf("arena high-water = %d B, want the hop arena's %d B", got, want)
+	}
+}
+
 // traceEvent is one exported chrome://tracing span.
 type traceEvent struct {
 	Name string  `json:"name"`

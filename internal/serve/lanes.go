@@ -34,30 +34,32 @@ type laneResp struct {
 
 // lanes multiplexes every session's hops onto a few collector goroutines,
 // each coalescing concurrently pending frames into one
-// Engine.InferBatchCapped call over the engine's pooled arenas. This keeps
-// goroutine fan-out onto the engine bounded regardless of session count:
-// N sessions share `count` lanes of `workersPer` inference workers each.
+// Engine.InferBatchInto call, which runs on the lane's own goroutine over
+// an arena from the engine's pool. This keeps goroutine fan-out onto the
+// engine bounded regardless of session count: N sessions share `count`
+// lanes, and the lanes are the only parallelism the engine sees.
 type lanes struct {
-	eng        *deploy.Engine
-	ch         chan inferReq
-	quit       chan struct{}
-	batch      int
-	workersPer int
-	obs        *obsSet
-	trs        *telemetry.TraceStore // hop-trace clock for lane-side stamps
+	eng   *deploy.Engine
+	ch    chan inferReq
+	quit  chan struct{}
+	batch int
+	obs   *obsSet
+	trs   *telemetry.TraceStore // hop-trace clock for lane-side stamps
 
 	wg       sync.WaitGroup
 	stopOnce sync.Once
 }
 
-func newLanes(eng *deploy.Engine, count, batch, queue, workersPer int, obs *obsSet) *lanes {
+// newLanes starts count lanes of up to batch frames each, fed by one
+// request queue four full batches per lane deep, so a burst of hops queues
+// behind busy lanes instead of waiting out the submit timeout.
+func newLanes(eng *deploy.Engine, count, batch int, obs *obsSet) *lanes {
 	l := &lanes{
-		eng:        eng,
-		ch:         make(chan inferReq, queue),
-		quit:       make(chan struct{}),
-		batch:      batch,
-		workersPer: workersPer,
-		obs:        obs,
+		eng:   eng,
+		ch:    make(chan inferReq, count*batch*4),
+		quit:  make(chan struct{}),
+		batch: batch,
+		obs:   obs,
 	}
 	l.wg.Add(count)
 	for i := 0; i < count; i++ {
@@ -68,7 +70,7 @@ func newLanes(eng *deploy.Engine, count, batch, queue, workersPer int, obs *obsS
 
 // run is one lane: block for a frame, opportunistically coalesce whatever
 // else is already queued (up to the batch cap), infer, reply. The lane owns
-// a result slice reused across calls (Engine.InferBatchCappedInto), so the
+// a result slice reused across calls (Engine.InferBatchInto), so the
 // engine's batch path runs without per-call allocation; each requester's
 // scores are copied into its own dst buffer before the reply, because the
 // shared result slots are overwritten by the next batch.
@@ -107,7 +109,7 @@ func (l *lanes) run() {
 			}
 		}
 
-		res = l.eng.InferBatchCappedInto(res, xs, l.workersPer)
+		res = l.eng.InferBatchInto(res, xs)
 		var inferDone int64
 		if l.trs != nil {
 			inferDone = l.trs.Now()

@@ -12,7 +12,8 @@
 //     breaker that quarantines the session when its fault rate trips.
 //   - Hops from every session fan into a small set of shared inference
 //     lanes (lanes.go) that coalesce concurrent frames into
-//     Engine.InferBatchCapped calls over the engine's pooled arenas.
+//     Engine.InferBatchInto calls, each run on its lane's goroutine over an
+//     arena from the engine's pool.
 //   - The Server applies admission control at Open (reject-with-retry-after
 //     past MaxSessions or while draining), per-session backpressure at Push
 //     (bounded queue, reject-with-retry-after), load-shedding of the
@@ -92,13 +93,11 @@ type Config struct {
 	// instead of a stuck pump (default 10s).
 	ClassifyTimeout time.Duration
 
-	// Lanes, LaneBatch, LaneQueue, LaneWorkersPerCall shape the shared
-	// inference lanes: Lanes collector goroutines each coalescing up to
-	// LaneBatch pending frames from a LaneQueue-deep queue into one
-	// InferBatchCapped(·, LaneWorkersPerCall) call. Defaults: NumCPU/2
-	// lanes (min 1), batch 16, queue Lanes·LaneBatch·4, 1 worker per call
-	// (lane parallelism is across lanes, not within a call).
-	Lanes, LaneBatch, LaneQueue, LaneWorkersPerCall int
+	// Lanes and LaneBatch shape the shared inference lanes: Lanes
+	// collector goroutines each coalescing up to LaneBatch pending frames
+	// from one Lanes·LaneBatch·4-deep queue into one InferBatchInto call on
+	// the lane's own goroutine. Defaults: NumCPU/2 lanes (min 1), batch 16.
+	Lanes, LaneBatch int
 
 	// Breaker tunes the per-session circuit breaker.
 	Breaker BreakerConfig
@@ -368,12 +367,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.LaneBatch <= 0 {
 		cfg.LaneBatch = 16
 	}
-	if cfg.LaneQueue <= 0 {
-		cfg.LaneQueue = cfg.Lanes * cfg.LaneBatch * 4
-	}
-	if cfg.LaneWorkersPerCall <= 0 {
-		cfg.LaneWorkersPerCall = 1
-	}
 	if cfg.Breaker.TripThreshold <= 0 {
 		cfg.Breaker.TripThreshold = 6
 	}
@@ -415,7 +408,7 @@ func New(cfg Config) (*Server, error) {
 		forceCh:   make(chan struct{}),
 		maintStop: make(chan struct{}),
 	}
-	s.lanes = newLanes(cfg.Engine, cfg.Lanes, cfg.LaneBatch, cfg.LaneQueue, cfg.LaneWorkersPerCall, &s.obs)
+	s.lanes = newLanes(cfg.Engine, cfg.Lanes, cfg.LaneBatch, &s.obs)
 	s.lanes.trs = s.traces
 
 	s.slo = telemetry.NewSLOEngine(cfg.SLO.Windows, cfg.SLO.Resolution, cfg.SLO.BurnAlert)

@@ -511,7 +511,7 @@ func TestLoadShedding(t *testing.T) {
 func TestLanesMatchEngine(t *testing.T) {
 	eng := deploy.SyntheticEngine(2, 0.35)
 	obs := newObsSet(nil)
-	l := newLanes(eng, 2, 4, 32, 1, &obs)
+	l := newLanes(eng, 2, 4, &obs)
 	defer l.stop()
 
 	dim := 49 * 10
