@@ -66,11 +66,18 @@ echo "$BENCH_INT"
 #     saturated multiplier falling back to the scalar walk) and both
 #     depthwise paths against the dense forwardRef at dense and padded
 #     strides, and an observer attached to a batch must change no result.
+#     The walks run at tap counts on every side of a 64-plane mask word and
+#     at column counts that take each of the 32-, 16- and 8-column remainder
+#     passes; every compiled ±1 plane mask must match the dense row it was
+#     compiled from; a depthwise layer of more than 256 taps and a pool
+#     window of more than 1,024 bytes must leave the SWAR kernels whose
+#     16-bit lanes they would overflow; and the paper shape's resident
+#     weights must stay within 41,000 B and equal the sum of their parts.
 go test -count=1 -short \
     -run='TestInferIntMatchesFloatSimulation|TestInferIntMatchesNaiveRandomized|TestInferIntZeroAllocs|TestEngineSparseMatchesNaiveRandomized|TestFloatSimulationRandomized' \
     ./internal/deploy
 go test -count=1 \
-    -run='TestGatherRowProperty|TestRowWalksMatchOracle|TestRowWalkShortPlanesPanics|TestConvRowsMatchOracle|TestRequantRowsMatchOracle|TestDWColMatchesScalar|TestDWTapWord|TestSparseConvMatchesNaive|TestBatchLanePathWithTelemetry' \
+    -run='TestGatherRowProperty|TestRowWalksMatchOracle|TestRowWalkShortPlanesPanics|TestConvRowsMatchOracle|TestRequantRowsMatchOracle|TestDWColMatchesScalar|TestDWTapWord|TestSparseConvMatchesNaive|TestBatchLanePathWithTelemetry|TestCompiledMasksMatchDense|TestPoolFullWidthMatchesScalar|TestWeightFootprint' \
     ./internal/deploy
 # (3) The portable row kernels end to end: the whole package under -tags
 #     purego, where every row takes the Go walk and the Go requant loop, so
@@ -91,9 +98,12 @@ echo "$BENCH_BATCH"
 [ "$(echo "$BENCH_BATCH" | grep -c ' 0 allocs/op')" -eq 2 ]
 # (2) Batch exactness/alloc/concurrency properties without the race
 #     detector (the alloc-count gate skips under -race, where sync.Pool
-#     drops items by design), and a batch starting no goroutine.
+#     drops items by design), a batch starting no goroutine, and frames and
+#     hops run on arenas whose every buffer holds garbage (a pooled arena
+#     carries the last caller's bytes) matching the oracle and full-window
+#     Infer under both policies.
 go test -count=1 -short \
-    -run='TestInferBatchMatchesInfer|TestInferBatchLaneMatchesPerFrame|TestInferBatchZeroAllocs|TestInferBatchConcurrent|TestInferBatchLaneConcurrent|TestInferBatchStartsNoGoroutine' \
+    -run='TestInferBatchMatchesInfer|TestInferBatchLaneMatchesPerFrame|TestInferBatchZeroAllocs|TestInferBatchConcurrent|TestInferBatchLaneConcurrent|TestInferBatchStartsNoGoroutine|TestPoisonedArenaMatchesOracle' \
     ./internal/deploy
 # (3) Mixed single-frame/batch concurrency under the race detector: one
 #     goroutine hammering the resident-arena Infer path while three more

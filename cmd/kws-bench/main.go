@@ -89,45 +89,46 @@ type result struct {
 }
 
 type report struct {
-	Schema            string                `json:"schema"`
-	Generated         string                `json:"generated"`
-	GoVersion         string                `json:"go_version"`
-	GOOS              string                `json:"goos"`
-	GOARCH            string                `json:"goarch"`
-	GOMAXPROCS        int                   `json:"gomaxprocs"`
-	NumCPU            int                   `json:"num_cpu"`
-	RowWalk           string                `json:"row_walk"`   // row walk and requant the std-conv rows ran: "avx2" or "go"
-	FFTKernel         string                `json:"fft_kernel"` // kernels the MFCC FFT's twiddled stages and split pass ran: "avx2" or "go"
-	Shape             string                `json:"shape"`
-	Density           float64               `json:"density"`
-	DensityMeasured   float64               `json:"density_measured"`
-	Seed              int64                 `json:"seed"`
-	BatchSize         int                   `json:"batch_size"`
-	Reps              int                   `json:"reps"`
-	ModelFileBytes    int64                 `json:"model_file_bytes"`
-	WeightBytes       int64                 `json:"weight_bytes_resident"`
-	ScratchBytesFloat int64                 `json:"scratch_bytes_float"`
-	ScratchBytesMixed int64                 `json:"scratch_bytes_mixed"`
-	ScratchBytesInt8  int64                 `json:"scratch_bytes_int8"`
-	Results           []result              `json:"results"`
-	SpeedupVsNaive    float64               `json:"speedup_mixed_vs_naive"`
-	SpeedupIntVsFloat float64               `json:"speedup_int8_vs_float"`
-	PairedIntVsFloat  ratioStats            `json:"paired_int8_vs_float"` // gated
-	IntFloatParity    bool                  `json:"int_float_parity_1000_frames"`
-	BatchParity       bool                  `json:"batch_parity_1000_frames"`
-	TelemetryParity   bool                  `json:"telemetry_parity_1000_frames"`
-	BatchNsPerFrame   float64               `json:"batch_ns_per_frame"` // mixed (v2 continuity)
-	BatchNsFrameFloat float64               `json:"batch_ns_per_frame_float"`
-	BatchNsFrameMixed float64               `json:"batch_ns_per_frame_mixed"`
-	BatchNsFrameInt8  float64               `json:"batch_ns_per_frame_int8"`
-	HopFrames         int                   `json:"hop_frames"`                   // new frames per incremental hop
-	HopEffectiveMs    int                   `json:"hop_effective_ms"`             // 250 ms snapped to the 20 ms stride grid
-	StreamSampleRate  int                   `json:"stream_sample_rate"`           // rate of the streaming-pipeline rows
-	HopParity         bool                  `json:"hop_parity_1000_hops"`         // InferHop == full-window Infer, both policies
-	HopEngineSpeedups map[string]ratioStats `json:"hop_engine_speedup_by_policy"` // paired, ungated
-	SpeedupHopVsFull  float64               `json:"speedup_hop_vs_full"`          // streaming per-hop pipeline (featurise+infer), best-of rows
-	PairedHopVsFull   ratioStats            `json:"paired_hop_vs_full"`           // same pipeline ratio, paired; gated
-	Note              string                `json:"note,omitempty"`
+	Schema            string                 `json:"schema"`
+	Generated         string                 `json:"generated"`
+	GoVersion         string                 `json:"go_version"`
+	GOOS              string                 `json:"goos"`
+	GOARCH            string                 `json:"goarch"`
+	GOMAXPROCS        int                    `json:"gomaxprocs"`
+	NumCPU            int                    `json:"num_cpu"`
+	RowWalk           string                 `json:"row_walk"`   // row walk and requant the std-conv rows ran: "avx2" or "go"
+	FFTKernel         string                 `json:"fft_kernel"` // kernels the MFCC FFT's twiddled stages and split pass ran: "avx2" or "go"
+	Shape             string                 `json:"shape"`
+	Density           float64                `json:"density"`
+	DensityMeasured   float64                `json:"density_measured"`
+	Seed              int64                  `json:"seed"`
+	BatchSize         int                    `json:"batch_size"`
+	Reps              int                    `json:"reps"`
+	ModelFileBytes    int64                  `json:"model_file_bytes"`
+	WeightBytes       int64                  `json:"weight_bytes_resident"`
+	WeightFootprint   deploy.WeightFootprint `json:"weight_bytes_by_component"`
+	ScratchBytesFloat int64                  `json:"scratch_bytes_float"`
+	ScratchBytesMixed int64                  `json:"scratch_bytes_mixed"`
+	ScratchBytesInt8  int64                  `json:"scratch_bytes_int8"`
+	Results           []result               `json:"results"`
+	SpeedupVsNaive    float64                `json:"speedup_mixed_vs_naive"`
+	SpeedupIntVsFloat float64                `json:"speedup_int8_vs_float"`
+	PairedIntVsFloat  ratioStats             `json:"paired_int8_vs_float"` // gated
+	IntFloatParity    bool                   `json:"int_float_parity_1000_frames"`
+	BatchParity       bool                   `json:"batch_parity_1000_frames"`
+	TelemetryParity   bool                   `json:"telemetry_parity_1000_frames"`
+	BatchNsPerFrame   float64                `json:"batch_ns_per_frame"` // mixed (v2 continuity)
+	BatchNsFrameFloat float64                `json:"batch_ns_per_frame_float"`
+	BatchNsFrameMixed float64                `json:"batch_ns_per_frame_mixed"`
+	BatchNsFrameInt8  float64                `json:"batch_ns_per_frame_int8"`
+	HopFrames         int                    `json:"hop_frames"`                   // new frames per incremental hop
+	HopEffectiveMs    int                    `json:"hop_effective_ms"`             // 250 ms snapped to the 20 ms stride grid
+	StreamSampleRate  int                    `json:"stream_sample_rate"`           // rate of the streaming-pipeline rows
+	HopParity         bool                   `json:"hop_parity_1000_hops"`         // InferHop == full-window Infer, both policies
+	HopEngineSpeedups map[string]ratioStats  `json:"hop_engine_speedup_by_policy"` // paired, ungated
+	SpeedupHopVsFull  float64                `json:"speedup_hop_vs_full"`          // streaming per-hop pipeline (featurise+infer), best-of rows
+	PairedHopVsFull   ratioStats             `json:"paired_hop_vs_full"`           // same pipeline ratio, paired; gated
+	Note              string                 `json:"note,omitempty"`
 }
 
 // ratioStats summarises a paired ratio: its median and quartiles over the
@@ -272,7 +273,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, gateB
 	}
 
 	rep := report{
-		Schema:     "kws-bench/v13",
+		Schema:     "kws-bench/v14",
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -290,7 +291,13 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, gateB
 		Reps:            reps,
 		ModelFileBytes:  e.Size(),
 		WeightBytes:     e.WeightBytes(),
-		Note: "schema v13: one batch row per policy, InferBatchInto running every frame " +
+		WeightFootprint: e.WeightFootprint(),
+		Note: "schema v14 adds weight_bytes_by_component (Engine.WeightFootprint, which " +
+			"sums to weight_bytes_resident): the ±1 plane masks every row walk decodes, " +
+			"which replaced the int32 index runs, the packed 2-bit ternaries, both " +
+			"policies' requantisers, biases with the depthwise tables, and the tree's θ " +
+			"and tanh LUT. " +
+			"v13: one batch row per policy, InferBatchInto running every frame " +
 			"on the calling goroutine (the batch worker pool is gone); worker_counts, the " +
 			"rows' workers field and cpu_warning are dropped with the GOMAXPROCS sweep. " +
 			"v12: StreamHopFull featurises a one-second sample ring in place " +
@@ -544,14 +551,14 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, gateB
 	}
 
 	writeReport(rep, out)
-	fmt.Printf("kws-bench: naive %.0f ns/op, float %.0f ns/op, mixed %.0f ns/op, int8 %.0f ns/op (%.2fx vs float, paired %.2fx, %d allocs/op), batch mixed %.0f / int8 %.0f ns/frame, hop mixed %.0f / int8 %.0f ns/hop (paired vs full window %.2fx / %.2fx), stream hop %.0f vs full %.0f ns (%.2fx, paired %.2fx), weights %d B resident -> %s\n",
+	fmt.Printf("kws-bench: naive %.0f ns/op, float %.0f ns/op, mixed %.0f ns/op, int8 %.0f ns/op (%.2fx vs float, paired %.2fx, %d allocs/op), batch mixed %.0f / int8 %.0f ns/frame, hop mixed %.0f / int8 %.0f ns/hop (paired vs full window %.2fx / %.2fx), stream hop %.0f vs full %.0f ns (%.2fx, paired %.2fx), weights %d B resident (%d B plane masks) -> %s\n",
 		naive.NsPerOp, flt.NsPerOp, mixed.NsPerOp, int8r.NsPerOp,
 		rep.SpeedupIntVsFloat, rep.PairedIntVsFloat.Median, int8r.AllocsPerOp,
 		rep.BatchNsFrameMixed, rep.BatchNsFrameInt8,
 		hopRows["EngineInferHopMixed"].NsPerOp, hopRows["EngineInferHopInt8"].NsPerOp,
 		rep.HopEngineSpeedups["mixed"].Median, rep.HopEngineSpeedups["int8"].Median,
 		streamInc.NsPerOp, streamFull.NsPerOp, rep.SpeedupHopVsFull, rep.PairedHopVsFull.Median,
-		rep.WeightBytes, out)
+		rep.WeightBytes, rep.WeightFootprint.Masks, out)
 	if fail {
 		os.Exit(1)
 	}

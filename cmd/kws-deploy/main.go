@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/nn"
+	"repro/internal/opcount"
 	"repro/internal/quant"
 	"repro/internal/speechcmd"
 	"repro/internal/train"
@@ -141,9 +142,10 @@ func main() {
 
 	// The paper's Table 6 footprint story for this artifact: flash (model
 	// file), the weight-derived bytes the compiled engine holds resident
-	// (packed ternaries, index runs, requantisers, tables — measured, not
+	// (plane masks, packed ternaries, requantisers, tables — measured, not
 	// computed; the float reference holds its float32 parameters) and
-	// steady-state activation scratch under each execution mode.
+	// steady-state activation scratch under each execution mode, then the
+	// resident weights by component beside opcount's analytic model size.
 	scratchFloat := eng.FloatScratchBytes()
 	weights := eng.WeightBytes()
 	eng.Policy = deploy.PolicyInt8
@@ -154,6 +156,16 @@ func main() {
 	fmt.Printf("  float32 reference     %12d  %16d  %18d\n", floatBytes, floatBytes, scratchFloat)
 	fmt.Printf("  packed mixed 8/16-bit %12d  %16d  %18d\n", n, weights, scratchMixed)
 	fmt.Printf("  packed fully 8-bit    %12d  %16d  %18d\n", n, weights, scratch8)
+
+	wf := eng.WeightFootprint()
+	model := opcount.Count(h, core.InputDim).ModelSizeBytes(2)
+	fmt.Println("\nresident weights by component (bytes):")
+	fmt.Printf("  ±1 plane masks            %8d\n", wf.Masks)
+	fmt.Printf("  packed 2-bit ternaries    %8d\n", wf.Packed)
+	fmt.Printf("  requantisers (both sets)  %8d\n", wf.Requant)
+	fmt.Printf("  biases, depthwise tables  %8d\n", wf.Tables)
+	fmt.Printf("  tree θ and tanh LUT       %8d\n", wf.Tree)
+	fmt.Printf("  total                     %8d  (analytic model, 2-bit ternary + 16-bit â/bias: %.0f)\n", wf.Total(), model)
 }
 
 func fatal(err error) {

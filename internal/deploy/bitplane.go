@@ -20,18 +20,19 @@ package deploy
 // holds at most 255 per plane, so plane accumulation folds into the int32
 // accumulators every 256 planes (256·255 < 2¹⁶).
 //
-// Convolutions keep their ±1 plane-index lists (sparseRows): each selected
-// plane is swept eight values per load (gatherPlanesI8W) — eight output
-// columns of one frame, on the single-frame and hop paths alike. One SWAR
-// add per nonzero is the paper's one-add-per-nonzero cost. gatherPlanesI8W is the portable Go walk: where
-// the CPU runs AVX2, rows with a column count divisible by 8 take the
-// assembly walk instead (walk.go), and this kernel is its oracle.
-// The Bonsai tree's dense maps walk the same index runs scalar (runDot in
-// kernels.go), which measured faster than a bitplane word form at every
-// density tried (DESIGN.md, "Word-packed SWAR gathers").
+// Convolutions keep their ±1 plane masks (sparseRows): each selected plane
+// is swept eight values per load (gatherPlanesI8W) — eight output columns
+// of one frame, on the single-frame and hop paths alike. One SWAR add per
+// nonzero is the paper's one-add-per-nonzero cost. gatherPlanesI8W is the
+// portable Go walk: where the CPU runs AVX2, rows with a column count
+// divisible by 8 take the assembly walk instead (walk.go). The Bonsai
+// tree's dense maps decode the same masks scalar (runDot in kernels.go); a
+// form that selected their activation bytes through a byte-expanding LUT
+// measured slower (DESIGN.md, "Word-packed SWAR gathers").
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"unsafe"
 )
 
@@ -43,6 +44,14 @@ const (
 	// chunkPlanes8 bounds how many ±1 planes accumulate into 16-bit lanes
 	// before they must fold into int32 (256 · 255 < 2¹⁶).
 	chunkPlanes8 = 256
+	// chunkWords is chunkPlanes8 in mask words: a column is +1 or −1, never
+	// both, so the same four words of both masks select at most 256 planes.
+	chunkWords = chunkPlanes8 >> 6
+
+	// sumBytesMax is the longest run sumBytesI8 sums exactly: after the
+	// even/odd fold each 16-bit lane holds n/4 biased bytes, and
+	// 1024/4 · 255 < 2¹⁶.
+	sumBytesMax = 1024
 )
 
 // i8Bytes reinterprets an int8 slice as its underlying bytes so the word
@@ -82,78 +91,90 @@ func spreadLanes(d []int32, ev, od uint64, corr int32, first bool) {
 }
 
 // gatherPlanesI8W computes acc[j] = Σ₊ cols[p·nOut+j] − Σ₋ cols[m·nOut+j]
-// for j in [0, nOut): the word-packed form of the scalar gather. cols is the
-// byte view of the int8 plane matrix (plane stride nOut). Output columns are
-// walked in tiles of four 8-wide groups with the plane sweep innermost, so
-// the eight SWAR lane accumulators live in registers for the whole sweep and
-// each plane costs one 32-byte strip of loads per tile; the tail past the
-// last full group runs scalar. Bit-exact with the scalar gather: all lane
-// arithmetic is exact (see the file comment) and int32 addition commutes
-// mod 2³².
-func gatherPlanesI8W(acc []int32, cols []byte, plus, minus []int32, nOut int) {
+// for j in [0, nOut): the word-packed form of the scalar gather over the
+// planes the plus/minus masks select. cols is the byte view of the int8
+// plane matrix (plane stride nOut). Output columns are walked in tiles of
+// four 8-wide groups with the plane sweep innermost, so the eight SWAR lane
+// accumulators live in registers for the whole sweep and each plane costs
+// one 32-byte strip of loads per tile; the tail past the last full group
+// runs scalar. Planes fold in chunks of chunkWords mask words. Bit-exact
+// with the scalar gather: all lane arithmetic is exact (see the file
+// comment) and int32 addition commutes mod 2³².
+func gatherPlanesI8W(acc []int32, cols []byte, plus, minus []uint64, nOut int) {
 	nG := nOut >> 3
 	tail := nG << 3
 	acc = acc[:nOut]
 	for j := tail; j < nOut; j++ {
 		var s int32
-		for _, pi := range plus {
-			s += int32(int8(cols[int(pi)*nOut+j]))
+		for k, m := range plus {
+			for ; m != 0; m &= m - 1 {
+				s += int32(int8(cols[(k<<6+bits.TrailingZeros64(m))*nOut+j]))
+			}
 		}
-		for _, mi := range minus {
-			s -= int32(int8(cols[int(mi)*nOut+j]))
+		for k, m := range minus {
+			for ; m != 0; m &= m - 1 {
+				s -= int32(int8(cols[(k<<6+bits.TrailingZeros64(m))*nOut+j]))
+			}
 		}
 		acc[j] = s
 	}
 	first := true
-	for len(plus)+len(minus) > 0 {
-		p := plus
-		if len(p) > chunkPlanes8 {
-			p = p[:chunkPlanes8]
+	for k0 := 0; k0 < len(plus); k0 += chunkWords {
+		p := plus[k0:min(k0+chunkWords, len(plus))]
+		m := minus[k0:][:len(p)]
+		var np, nm int
+		for k := range p {
+			np += bits.OnesCount64(p[k])
+			nm += bits.OnesCount64(m[k])
 		}
-		m := minus
-		if rem := chunkPlanes8 - len(p); len(m) > rem {
-			m = m[:rem]
+		if np+nm == 0 {
+			continue
 		}
-		plus, minus = plus[len(p):], minus[len(m):]
-		corr := int32(128*len(p) + 127*len(m))
+		corr := int32(128*np + 127*nm)
+		// Plane 64·(k0+k)+b sits at chunk[(64·k+b)·nOut:].
+		chunk := cols[k0<<6*nOut:]
 		g := 0
 		for ; g+3 < nG; g += 4 {
 			base := g << 3
 			var e0, o0, e1, o1, e2, o2, e3, o3 uint64
-			for _, pi := range p {
-				off := int(pi)*nOut + base
-				// The 32-byte subslice bounds the strip once, so the
-				// compiler proves the four constant-offset loads in range
-				// and drops their checks (~25% off the kernel).
-				src := cols[off : off+32]
-				w0 := binary.LittleEndian.Uint64(src) ^ biasI8
-				w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8
-				w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8
-				w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8
-				e0 += w0 & laneMaskE8
-				o0 += (w0 >> 8) & laneMaskE8
-				e1 += w1 & laneMaskE8
-				o1 += (w1 >> 8) & laneMaskE8
-				e2 += w2 & laneMaskE8
-				o2 += (w2 >> 8) & laneMaskE8
-				e3 += w3 & laneMaskE8
-				o3 += (w3 >> 8) & laneMaskE8
+			for k, pm := range p {
+				for ; pm != 0; pm &= pm - 1 {
+					off := (k<<6+bits.TrailingZeros64(pm))*nOut + base
+					// The 32-byte subslice bounds the strip once, so the
+					// compiler proves the four constant-offset loads in
+					// range and drops their checks (~25% off the kernel).
+					src := chunk[off : off+32]
+					w0 := binary.LittleEndian.Uint64(src) ^ biasI8
+					w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8
+					w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8
+					w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8
+					e0 += w0 & laneMaskE8
+					o0 += (w0 >> 8) & laneMaskE8
+					e1 += w1 & laneMaskE8
+					o1 += (w1 >> 8) & laneMaskE8
+					e2 += w2 & laneMaskE8
+					o2 += (w2 >> 8) & laneMaskE8
+					e3 += w3 & laneMaskE8
+					o3 += (w3 >> 8) & laneMaskE8
+				}
 			}
-			for _, mi := range m {
-				off := int(mi)*nOut + base
-				src := cols[off : off+32]
-				w0 := binary.LittleEndian.Uint64(src) ^ biasI8Neg
-				w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8Neg
-				w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8Neg
-				w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8Neg
-				e0 += w0 & laneMaskE8
-				o0 += (w0 >> 8) & laneMaskE8
-				e1 += w1 & laneMaskE8
-				o1 += (w1 >> 8) & laneMaskE8
-				e2 += w2 & laneMaskE8
-				o2 += (w2 >> 8) & laneMaskE8
-				e3 += w3 & laneMaskE8
-				o3 += (w3 >> 8) & laneMaskE8
+			for k, mm := range m {
+				for ; mm != 0; mm &= mm - 1 {
+					off := (k<<6+bits.TrailingZeros64(mm))*nOut + base
+					src := chunk[off : off+32]
+					w0 := binary.LittleEndian.Uint64(src) ^ biasI8Neg
+					w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8Neg
+					w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8Neg
+					w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8Neg
+					e0 += w0 & laneMaskE8
+					o0 += (w0 >> 8) & laneMaskE8
+					e1 += w1 & laneMaskE8
+					o1 += (w1 >> 8) & laneMaskE8
+					e2 += w2 & laneMaskE8
+					o2 += (w2 >> 8) & laneMaskE8
+					e3 += w3 & laneMaskE8
+					o3 += (w3 >> 8) & laneMaskE8
+				}
 			}
 			spreadLanes(acc[base:], e0, o0, corr, first)
 			spreadLanes(acc[base+8:], e1, o1, corr, first)
@@ -163,15 +184,19 @@ func gatherPlanesI8W(acc []int32, cols []byte, plus, minus []int32, nOut int) {
 		for ; g < nG; g++ {
 			base := g << 3
 			var ev, od uint64
-			for _, pi := range p {
-				w := binary.LittleEndian.Uint64(cols[int(pi)*nOut+base:]) ^ biasI8
-				ev += w & laneMaskE8
-				od += (w >> 8) & laneMaskE8
+			for k, pm := range p {
+				for ; pm != 0; pm &= pm - 1 {
+					w := binary.LittleEndian.Uint64(chunk[(k<<6+bits.TrailingZeros64(pm))*nOut+base:]) ^ biasI8
+					ev += w & laneMaskE8
+					od += (w >> 8) & laneMaskE8
+				}
 			}
-			for _, mi := range m {
-				w := binary.LittleEndian.Uint64(cols[int(mi)*nOut+base:]) ^ biasI8Neg
-				ev += w & laneMaskE8
-				od += (w >> 8) & laneMaskE8
+			for k, mm := range m {
+				for ; mm != 0; mm &= mm - 1 {
+					w := binary.LittleEndian.Uint64(chunk[(k<<6+bits.TrailingZeros64(mm))*nOut+base:]) ^ biasI8Neg
+					ev += w & laneMaskE8
+					od += (w >> 8) & laneMaskE8
+				}
 			}
 			spreadLanes(acc[base:], ev, od, corr, first)
 		}

@@ -20,7 +20,7 @@ package deploy
 // pad column can never contaminate a real one. The ~2% of extra arithmetic
 // on pad columns buys branch-free full-width loads everywhere.
 //
-// Every standard-conv row walks its ±1 index runs — one add per nonzero tap
+// Every standard-conv row walks its ±1 plane masks — one add per nonzero tap
 // per column, the paper's one-add-per-nonzero cost — into an int32 row
 // (walk.go: the AVX2 walk, or the Go walk as fallback), then requantises it
 // (hidRowQ8/hidRowQ16/outRowQ8 below: the AVX2 requant kernels of
@@ -36,7 +36,10 @@ package deploy
 // bit arithmetic — bit-identical to Mult.Apply (see requantRowGo) — so the
 // requant stages retire no data-dependent branches at all.
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // pad8 rounds a column count up to the SWAR group width — the single-frame
 // column-lane stride.
@@ -63,19 +66,22 @@ func pad8(n int) int { return (n + 7) &^ 7 }
 // Masked-out lanes are filled with the tap's bias byte (bsel &^ mask): an
 // invalid lane then contributes exactly 128 (+1 tap) or 127 (−1 tap), the
 // same as reading a zero pixel, so the correction stays the uniform
-// 128·n₊ + 127·n₋ and invalid lanes sum to exactly zero. A depthwise row
-// has at most KH·KW ≤ 256 taps, so one 16-bit-lane chunk always suffices.
+// 128·n₊ + 127·n₋ and invalid lanes sum to exactly zero. The kernel sums
+// every tap of a group in one 16-bit-lane chunk, exact for at most
+// chunkPlanes8 = 256 taps, so compileDWCol admits no larger kernel.
 //
 // Every other depthwise layer — R > 1, stride ≠ 1, an output width unlike
-// the input's, a plane under one word (h·w < 8) — and every channel with a
-// saturated multiplier runs the scalar tap walk (dwGatherTap, kernels.go).
+// the input's, a plane under one word (h·w < 8), more than 256 taps — and
+// every channel with a saturated multiplier runs the scalar tap walk
+// (dwGatherTap, kernels.go).
 
 // compileDWCol builds the fused kernel's tables for this conv at its input
 // geometry h×w: per-tap linear offsets and per-group-per-tap lane-validity
 // masks. A layer the fused kernel cannot take gets no tables, and dwCol
 // stays false.
 func (q *QConv) compileDWCol(h, w int) {
-	if q.Kind != kindDepthwise || q.R != 1 || q.Stride != 1 || h*w < 8 {
+	if q.Kind != kindDepthwise || q.R != 1 || q.Stride != 1 || h*w < 8 ||
+		int(q.KH)*int(q.KW) > chunkPlanes8 {
 		return
 	}
 	oh, ow := q.outSize(h, w)
@@ -150,10 +156,25 @@ func dwTapWordEdge(img []byte, off int) uint64 {
 // requantisation by hm clamped to the policy's hidden width [hlo, hhi]
 // (int16 mixed, int8 under PolicyInt8), ±1 fold s, and output
 // requantisation by om with bias b and floor lo (0 under ReLU, else −128).
-// plus/minus index the compiled tap tables; dst holds the channel's nOut
-// real columns.
-func (q *QConv) dwColFused(dst []int8, img []byte, plus, minus []int32, hm Mult, hlo, hhi, s int32, om Mult, b, lo int32, gLo, gHi int) {
-	corr := int32(128*len(plus) + 127*len(minus))
+// plus/minus are the channel's tap masks, bit t selecting the compiled tap
+// tables' entry t; dst holds the channel's nOut real columns. The masks
+// decode once per call, into tap lists on the stack that every group
+// reuses: a layer has at most chunkPlanes8 taps (compileDWCol), so each
+// index fits a byte.
+func (q *QConv) dwColFused(dst []int8, img []byte, plus, minus []uint64, hm Mult, hlo, hhi, s int32, om Mult, b, lo int32, gLo, gHi int) {
+	var tp, tm [chunkPlanes8]uint8
+	np, nm := 0, 0
+	for k := range plus {
+		for p := plus[k]; p != 0; p &= p - 1 {
+			tp[np] = uint8(k<<6 + bits.TrailingZeros64(p))
+			np++
+		}
+		for m := minus[k]; m != 0; m &= m - 1 {
+			tm[nm] = uint8(k<<6 + bits.TrailingZeros64(m))
+			nm++
+		}
+	}
+	corr := int32(128*np + 127*nm)
 	hmant := int64(hm.Mant)
 	hshift := hm.Shift & 63
 	hhalf := int64(1) << (hshift - 1)
@@ -166,13 +187,13 @@ func (q *QConv) dwColFused(dst []int8, img []byte, plus, minus []int32, hm Mult,
 		base := g << 3
 		masks := q.dwColMask[g*nT:][:nT]
 		var ev, od uint64
-		for _, t := range plus {
+		for _, t := range tp[:np] {
 			w8 := (dwTapWord(img, base+int(offs[t])) ^ biasI8) & masks[t]
 			w8 |= biasI8 &^ masks[t]
 			ev += w8 & laneMaskE8
 			od += (w8 >> 8) & laneMaskE8
 		}
-		for _, t := range minus {
+		for _, t := range tm[:nm] {
 			w8 := (dwTapWord(img, base+int(offs[t])) ^ biasI8Neg) & masks[t]
 			w8 |= biasI8Neg &^ masks[t]
 			ev += w8 & laneMaskE8
@@ -382,9 +403,9 @@ func (q *QConv) outRowQ8(c int, dst []int8, acc []int32, hid []byte, stride int)
 }
 
 // sumBytesI8 sums a run of int8 values through the biased even/odd lanes —
-// eight bytes per step instead of one. Safe for runs up to 1024 bytes (the
-// 16-bit lane headroom after the even/odd fold); pool windows are far below
-// that.
+// eight bytes per step instead of one. Exact for runs of at most
+// sumBytesMax bytes (the 16-bit lane headroom after the even/odd fold);
+// poolInto takes it only for windows within that bound.
 func sumBytesI8(src []int8) int32 {
 	b := i8Bytes(src)
 	var ev, od uint64

@@ -11,17 +11,14 @@ import (
 )
 
 // oracleGather is the scalar reference for one ternary row over int8 planes
-// at the given column stride: acc[j] = Σ₊ cols[p·stride+j] − Σ₋.
-func oracleGather(cols []int8, plus, minus []int32, stride int) []int32 {
+// at the given column stride, read off the dense row w (one −1/0/+1 entry
+// per plane), never through the kernels' mask decode:
+// acc[j] = Σ_p w[p]·cols[p·stride+j].
+func oracleGather(cols []int8, w []int8, stride int) []int32 {
 	acc := make([]int32, stride)
-	for _, p := range plus {
-		for j := 0; j < stride; j++ {
-			acc[j] += int32(cols[int(p)*stride+j])
-		}
-	}
-	for _, m := range minus {
-		for j := 0; j < stride; j++ {
-			acc[j] -= int32(cols[int(m)*stride+j])
+	for p, v := range w {
+		for j := 0; j < stride && v != 0; j++ {
+			acc[j] += int32(v) * int32(cols[p*stride+j])
 		}
 	}
 	return acc
@@ -43,7 +40,7 @@ func ternaryRows(rng *rand.Rand, rows, taps int, density float64) []int8 {
 	return w
 }
 
-// TestGatherRowProperty drives the index-run row kernel over randomized
+// TestGatherRowProperty drives the plane-mask row kernel over randomized
 // shapes and densities and checks it against the scalar oracle on every
 // column including the pads. The sweep deliberately crosses the edge cases:
 // all-zero rows, full-density rows, tap counts past the 256-plane chunk
@@ -71,7 +68,7 @@ func TestGatherRowProperty(t *testing.T) {
 
 		for r := 0; r < rows; r++ {
 			plus, minus := sp.row(r)
-			want := oracleGather(cols, plus, minus, stride)
+			want := oracleGather(cols, w[r*taps:(r+1)*taps], stride)
 			got := make([]int32, stride)
 			for j := range got {
 				got[j] = 123456 // stale garbage the gather must overwrite
@@ -123,8 +120,7 @@ func TestConvRowsMatchOracle(t *testing.T) {
 			HidMul: []Mult{m}, hidMul8: []Mult{m}, outMul8: []Mult{m},
 			OutBias: []int32{b}, ReLU: relu,
 		}
-		plus, minus := q.wbSp.row(0)
-		sum := oracleGather(cols, plus, minus, stride)
+		sum := oracleGather(cols, w, stride)
 
 		acc := make([]int32, stride)
 		hid8 := make([]int8, nOut)
@@ -190,17 +186,16 @@ func dwChain(hv int32, hm Mult, s int32, om Mult, b int32, relu, act8 bool) int8
 }
 
 // dwTapSums is the scalar oracle of one depthwise unit's tap sums over the
-// whole output plane: its +1 and −1 taps gathered by dwGatherTap straight
-// off the channel plane img.
-func dwTapSums(q *QConv, img []int8, h, w int, plus, minus []int32) []int32 {
+// whole output plane: the taps its dense Wb row w selects, gathered by
+// dwGatherTap straight off the channel plane img.
+func dwTapSums(q *QConv, img []int8, h, w int, row []int8) []int32 {
 	oh, ow := q.outSize(h, w)
 	kw := int(q.KW)
 	sums := make([]int32, oh*ow)
-	for _, p := range plus {
-		dwGatherTap(sums, img[:h*w], int(p)/kw, int(p)%kw, h, w, oh, ow, int(q.Stride), int(q.PadH), int(q.PadW), 1)
-	}
-	for _, p := range minus {
-		dwGatherTap(sums, img[:h*w], int(p)/kw, int(p)%kw, h, w, oh, ow, int(q.Stride), int(q.PadH), int(q.PadW), -1)
+	for p, v := range row {
+		if v != 0 {
+			dwGatherTap(sums, img[:h*w], p/kw, p%kw, h, w, oh, ow, int(q.Stride), int(q.PadH), int(q.PadW), int32(v))
+		}
 	}
 	return sums
 }
@@ -273,10 +268,10 @@ func TestDWColMatchesScalar(t *testing.T) {
 		for i := range x {
 			x[i] = int8(rng.Intn(256) - 128)
 		}
+		wb, _ := q.ternaries()
 		sums := make([][]int32, cin)
 		for ch := range sums {
-			plus, minus := q.wbSp.row(ch)
-			sums[ch] = dwTapSums(q, x[ch*inStride:], h, w, plus, minus)
+			sums[ch] = dwTapSums(q, x[ch*inStride:], h, w, wb[ch*kh*kw:(ch+1)*kh*kw])
 		}
 		mults := func(pol Policy, ch int) (hm, om Mult, hlo, hhi int32) {
 			if pol == PolicyInt8 {

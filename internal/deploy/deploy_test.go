@@ -364,3 +364,44 @@ func TestReadEngineTruncatedStream(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolFullWidthMatchesScalar pins poolInto's full-width windows (k = w,
+// the paper shape's 5×5 pool over a width-5 plane) against a window sum
+// the test takes itself, on both sides of the SWAR byte folder's exact
+// range: a 32×32 window is 1,024 bytes, a 33×33 one 1,089. Each case pools
+// one channel of random bytes and one of 127s, the largest sum.
+func TestPoolFullWidthMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []int{5, 32, 33, 40} {
+		const c = 2
+		h, w := 2*k+3, k
+		img := make([]int8, c*h*w)
+		for i := range img[:h*w] {
+			img[i] = int8(rng.Intn(256) - 128)
+		}
+		for i := range img[h*w:] {
+			img[h*w+i] = 127
+		}
+		outH := (h-k)/k + 1
+		dst := make([]int8, c*outH)
+		if oh, ow := poolInto(dst, img, c, h, w, k, k, h*w); oh != outH || ow != 1 {
+			t.Fatalf("k=%d: pooled to %dx%d, want %dx1", k, oh, ow, outH)
+		}
+		area := k * k
+		for ch := 0; ch < c; ch++ {
+			for oi := 0; oi < outH; oi++ {
+				sum := 0
+				for _, v := range img[ch*h*w+oi*k*w:][:k*w] {
+					sum += int(v)
+				}
+				want := (sum + area/2) / area
+				if sum < 0 {
+					want = -((-sum + area/2) / area)
+				}
+				if got := dst[ch*outH+oi]; int(got) != want {
+					t.Fatalf("k=w=%d ch %d window %d: pooled %d, want %d (sum %d)", k, ch, oi, got, want, sum)
+				}
+			}
+		}
+	}
+}

@@ -32,7 +32,7 @@ type QConv struct {
 	ReLU                        bool
 	InScale, HidScale, OutScale float32
 
-	wbSp, wcSp       sparseRows // compiled nonzero index lists (standard: both; depthwise: Wb)
+	wbSp, wcSp       sparseRows // compiled ±1 plane masks (standard: both; depthwise: Wb)
 	wcSign           []int8     // depthwise only: the Cin·R Wc signs, one per hidden unit
 	hidMul8, outMul8 []Mult     // PolicyInt8 requantisers, derived by deriveAct8
 
@@ -269,7 +269,7 @@ type QDense struct {
 	OutMul     Mult
 	OutScale   float32
 
-	wbSp, wcSp sparseRows // compiled nonzero index lists (hot path, kernels.go)
+	wbSp, wcSp sparseRows // compiled ±1 plane masks (hot path, kernels.go)
 }
 
 // ternaries unpacks fresh dense copies of Wb and Wc.
@@ -481,10 +481,11 @@ func poolInto(dst []int8, img []int8, c, h, w, k, s, srcCh int) (int, int) {
 	outH := (h-k)/s + 1
 	outW := (w-k)/s + 1
 	area := int32(k * k)
-	if k == w {
+	if k == w && k*w <= sumBytesMax {
 		// Full-width window (the paper shape's 5×5 pool over a width-5
 		// plane): every window is k·w consecutive bytes, so the sum runs
-		// through the SWAR byte folder instead of the nested tap walk.
+		// through the SWAR byte folder instead of the nested tap walk,
+		// which is exact for windows of up to sumBytesMax bytes.
 		for ch := 0; ch < c; ch++ {
 			src := img[ch*srcCh:][:h*w]
 			for oi := 0; oi < outH; oi++ {
@@ -627,27 +628,50 @@ func (e *Engine) ScratchBytes() int64 {
 	return e.residentArena().bytes()
 }
 
-// WeightBytes reports the resident bytes of every weight-derived slice the
-// compiled engine keeps: packed ternaries, index runs, requantisers and
-// biases, depthwise tables, and the tree's θ and tanh tables — the model
-// column of the paper's footprint table, measured on the artefact rather
-// than the file. Compiles the kernels if needed.
-func (e *Engine) WeightBytes() int64 {
+// WeightFootprint is Engine.WeightBytes broken down by component, in
+// resident bytes.
+type WeightFootprint struct {
+	Masks   int64 `json:"masks"`   // compiled ±1 plane masks of every ternary matrix
+	Packed  int64 `json:"packed"`  // packed 2-bit ternaries, the .thnt form
+	Requant int64 `json:"requant"` // fixed-point multipliers, both policies' sets
+	Tables  int64 `json:"tables"`  // output biases, depthwise Wc signs and column tables
+	Tree    int64 `json:"tree"`    // θ and the tanh LUT
+}
+
+// Total is the sum of the components: Engine.WeightBytes.
+func (f WeightFootprint) Total() int64 {
+	return f.Masks + f.Packed + f.Requant + f.Tables + f.Tree
+}
+
+// WeightFootprint reports the resident bytes of every weight-derived slice
+// the compiled engine keeps, by component — the model column of the
+// paper's footprint table, measured on the artefact rather than the file.
+// Compiles the kernels if needed.
+func (e *Engine) WeightFootprint() WeightFootprint {
 	e.ensureCompiled()
 	mult := int64(unsafe.Sizeof(Mult{}))
-	runs := func(s sparseRows) int64 { return 4 * int64(len(s.idx)+len(s.off)) }
-	var n int64
+	masks := func(s sparseRows) int64 { return 8 * int64(len(s.mask)) }
+	var f WeightFootprint
 	for _, q := range e.Convs {
-		n += int64(len(q.WbPacked)+len(q.WcPacked)+len(q.wcSign)) + runs(q.wbSp) + runs(q.wcSp)
-		n += mult * int64(len(q.HidMul)+len(q.OutMul)+len(q.hidMul8)+len(q.outMul8))
-		n += 4*int64(len(q.OutBias)+len(q.dwColOffs)) + 8*int64(len(q.dwColMask))
+		f.Masks += masks(q.wbSp) + masks(q.wcSp)
+		f.Packed += int64(len(q.WbPacked) + len(q.WcPacked))
+		f.Requant += mult * int64(len(q.HidMul)+len(q.OutMul)+len(q.hidMul8)+len(q.outMul8))
+		f.Tables += int64(len(q.wcSign)) + 4*int64(len(q.OutBias)+len(q.dwColOffs)) + 8*int64(len(q.dwColMask))
 	}
 	t := e.Tree
 	for _, d := range append([]*QDense{t.Z}, append(t.W, t.V...)...) {
-		n += int64(len(d.WbPacked)+len(d.WcPacked)) + runs(d.wbSp) + runs(d.wcSp) + mult*int64(len(d.HidMul))
+		f.Masks += masks(d.wbSp) + masks(d.wcSp)
+		f.Packed += int64(len(d.WbPacked) + len(d.WcPacked))
+		f.Requant += mult * int64(len(d.HidMul))
 	}
-	return n + 2*int64(len(t.Theta)+len(t.TanhLUT))
+	f.Tree = 2 * int64(len(t.Theta)+len(t.TanhLUT))
+	return f
 }
+
+// WeightBytes reports the total resident bytes of the compiled engine's
+// weights: every component of WeightFootprint. Compiles the kernels if
+// needed.
+func (e *Engine) WeightBytes() int64 { return e.WeightFootprint().Total() }
 
 func argmax(sc []int32) int {
 	best := 0

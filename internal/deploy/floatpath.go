@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Float reference path: the engine as it would run with float32 activations.
@@ -197,28 +198,32 @@ func im2colF32Into(dst []float32, x []float32, c, h, w, kh, kw, stride, padH, pa
 }
 
 // gatherF32 accumulates the ternary combination of float32 planes selected
-// by the plus/minus index runs into the float64 accumulator.
-func gatherF32(acc []float64, planes []float32, plus, minus []int32, nOut int) {
+// by the plus/minus plane masks into the float64 accumulator.
+func gatherF32(acc []float64, planes []float32, plus, minus []uint64, nOut int) {
 	acc = acc[:nOut]
-	for j := range acc {
-		acc[j] = 0
-	}
-	for _, p := range plus {
-		src := planes[int(p)*nOut:][:nOut]
-		for j, v := range src {
-			acc[j] += float64(v)
+	clear(acc)
+	for k, m := range plus {
+		for m != 0 {
+			p := k<<6 + bits.TrailingZeros64(m)
+			m &= m - 1
+			for j, v := range planes[p*nOut:][:nOut] {
+				acc[j] += float64(v)
+			}
 		}
 	}
-	for _, p := range minus {
-		src := planes[int(p)*nOut:][:nOut]
-		for j, v := range src {
-			acc[j] -= float64(v)
+	for k, m := range minus {
+		for m != 0 {
+			p := k<<6 + bits.TrailingZeros64(m)
+			m &= m - 1
+			for j, v := range planes[p*nOut:][:nOut] {
+				acc[j] -= float64(v)
+			}
 		}
 	}
 }
 
-// forwardFloat runs the convolution through the sparse index lists over
-// float32 activations.
+// forwardFloat runs the convolution through the plane masks over float32
+// activations.
 func (q *QConv) forwardFloat(fa *floatArena, x []float32, out []float32, h, w int, pol Policy) (int, int) {
 	kh, kw, stride := int(q.KH), int(q.KW), int(q.Stride)
 	padH, padW := int(q.PadH), int(q.PadW)
@@ -326,11 +331,17 @@ func (q *QConv) dwFloat(fa *floatArena, x, out []float32, h, w, outH, outW int, 
 				hacc[j] = 0
 			}
 			plus, minus := q.wbSp.row(hu)
-			for _, p := range plus {
-				dwGatherTapF(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, 1)
+			for k, m := range plus {
+				for ; m != 0; m &= m - 1 {
+					p := k<<6 + bits.TrailingZeros64(m)
+					dwGatherTapF(hacc, img, p/kw, p%kw, h, w, outH, outW, stride, padH, padW, 1)
+				}
 			}
-			for _, p := range minus {
-				dwGatherTapF(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, -1)
+			for k, m := range minus {
+				for ; m != 0; m &= m - 1 {
+					p := k<<6 + bits.TrailingZeros64(m)
+					dwGatherTapF(hacc, img, p/kw, p%kw, h, w, outH, outW, stride, padH, padW, -1)
+				}
 			}
 			var mf, lim float64
 			if act8 {
@@ -392,27 +403,37 @@ func (q *QDense) forwardFloat(x []float32, y []float32, hid []float32) {
 	r := int(q.R)
 	for i := 0; i < r; i++ {
 		plus, minus := q.wbSp.row(i)
-		var acc float64
-		for _, p := range plus {
-			acc += float64(x[p])
-		}
-		for _, p := range minus {
-			acc -= float64(x[p])
-		}
+		acc := maskDotF(x, plus, minus)
 		hid[i] = float32(clampF(math.Round(acc*q.HidMul[i].Float()), -32768, 32767))
 	}
 	mf := q.OutMul.Float()
 	for c := 0; c < int(q.Out); c++ {
 		plus, minus := q.wcSp.row(c)
-		var acc float64
-		for _, i := range plus {
-			acc += float64(hid[i])
-		}
-		for _, i := range minus {
-			acc -= float64(hid[i])
-		}
+		acc := maskDotF(hid, plus, minus)
 		y[c] = float32(clampF(math.Round(acc*mf), -32768, 32767))
 	}
+}
+
+// maskDotF is runDot in the float simulation.
+func maskDotF(v []float32, plus, minus []uint64) float64 {
+	var acc float64
+	for k, m := range plus {
+		vk := v[k<<6:]
+		for m != 0 {
+			i := bits.TrailingZeros64(m)
+			m &= m - 1
+			acc += float64(vk[i])
+		}
+	}
+	for k, m := range minus {
+		vk := v[k<<6:]
+		for m != 0 {
+			i := bits.TrailingZeros64(m)
+			m &= m - 1
+			acc -= float64(vk[i])
+		}
+	}
+	return acc
 }
 
 // forwardFloat is QTree.forwardInto in the float simulation. Scores

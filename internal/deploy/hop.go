@@ -44,7 +44,7 @@ import "fmt"
 // padded stride pad8(nBand); depthwise bands run the fused R = 1 kernel over
 // the groups the band touches (dwSparse). Every kernel is position-wise
 // exact — int32 accumulation is associative mod 2³², and each output
-// position's sum walks the same compiled nonzero indices in the same order
+// position's sum walks the same compiled plane masks in the same order
 // regardless of which other positions share the dispatch — so a recomputed
 // band row is bit-identical to the same row of a full-window Infer, and a
 // reused row is bit-identical by induction. TestInferHopMatchesFullStream

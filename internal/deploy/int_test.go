@@ -10,10 +10,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestGatherWordPackedMatchesScalar pins the SWAR plane gather against its
-// scalar oracle across random plane counts (including >256 to exercise the
-// chunk fold), widths (including non-multiples of 8 for the tail path) and
-// sign assignments.
+// TestGatherWordPackedMatchesScalar pins the SWAR plane gather and the
+// scalar gather against the dense-row oracle across random plane counts
+// (including >256 to exercise the chunk fold over several mask words),
+// widths (including non-multiples of 8 for the tail path) and sign
+// assignments.
 func TestGatherWordPackedMatchesScalar(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(300 + seed))
@@ -26,23 +27,21 @@ func TestGatherWordPackedMatchesScalar(t *testing.T) {
 		for i := range planes {
 			planes[i] = int8(rng.Intn(256) - 128)
 		}
-		var plus, minus []int32
-		for p := 0; p < nPlanes; p++ {
-			switch rng.Intn(3) {
-			case 0:
-				plus = append(plus, int32(p))
-			case 1:
-				minus = append(minus, int32(p))
-			}
+		w := make([]int8, nPlanes)
+		for p := range w {
+			w[p] = int8(rng.Intn(3) - 1)
 		}
-		want := make([]int32, nOut)
-		gather(want, planes, plus, minus, nOut)
+		sp := compileRows(w, 1, nPlanes)
+		plus, minus := sp.row(0)
+		want := oracleGather(planes, w, nOut)
+		scalar := make([]int32, nOut)
+		gather(scalar, planes, plus, minus, nOut)
 		got := make([]int32, nOut)
 		gatherPlanesI8W(got, i8Bytes(planes), plus, minus, nOut)
 		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("seed %d (planes=%d nOut=%d +%d −%d): word[%d]=%d scalar=%d",
-					seed, nPlanes, nOut, len(plus), len(minus), j, got[j], want[j])
+			if got[j] != want[j] || scalar[j] != want[j] {
+				t.Fatalf("seed %d (planes=%d nOut=%d nnz=%d): word[%d]=%d scalar=%d, oracle %d",
+					seed, nPlanes, nOut, sp.nnz, j, got[j], scalar[j], want[j])
 			}
 		}
 	}

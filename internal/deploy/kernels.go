@@ -5,64 +5,68 @@ package deploy
 // TWN quantisation drives most ternary entries to zero, so iterating a dense
 // ternary row wastes the majority of its loop trips on `t == 0` checks. At
 // kernel-compilation time (ReadEngine / Compile / first Infer) every ternary
-// matrix row is converted into two index lists — the columns of its +1
-// entries and the columns of its −1 entries — so the inner loops become
-// gather-add / gather-sub over only the nonzeros: one add per nonzero
-// ternary entry per output position, the paper's cost model for a
-// strassenified matmul. Those index runs are the only compiled form of a
-// ternary matrix — conv rows walk them through the SWAR kernels in
-// bitplane.go and collane.go, the tree's dense maps walk them scalar.
-// Integer addition is exact and commutative, so the sparse kernels are
-// bit-identical to the naive dense reference retained in engine.go
-// (NaiveInt).
+// matrix row is converted into two plane bitmasks — bit p of the +1 mask
+// set where column p holds +1, of the −1 mask where it holds −1 — so the
+// inner loops become gather-add / gather-sub over only the nonzeros: each
+// walk decodes a mask by trailing-zero count and clears the lowest set bit,
+// one add per nonzero ternary entry per output position, the paper's cost
+// model for a strassenified matmul. A mask costs 2 bits per weight plus
+// row padding to a whole 64-bit word, the same information as the packed
+// .thnt form. Those masks are the only compiled form of a ternary matrix —
+// conv rows walk them through the AVX2 walk (walk_amd64.s) or the SWAR
+// kernels in bitplane.go, the depthwise taps and the tree's dense maps walk
+// them scalar. Integer addition is exact and commutative, so the
+// sparse kernels are bit-identical to the naive dense reference retained in
+// engine.go (NaiveInt).
 
-// sparseRows is a compiled ternary matrix: one flat index array holding, per
-// row, the run of +1 column indices followed by the run of −1 column
-// indices. Row r's runs are idx[off[2r]:off[2r+1]] (plus) and
-// idx[off[2r+1]:off[2r+2]] (minus). len(idx) is the matrix's nonzero count;
-// planes is its column count, so every index is below it — the bound the
-// assembly row walk's O(1) bounds proof rests on (walk.go).
+import "math/bits"
+
+// sparseRows is a compiled ternary matrix: per row, words uint64s of +1
+// plane mask followed by words uint64s of −1 plane mask, bit p of word k
+// standing for column 64k+p. Bits at or past planes are zero, so every
+// decoded index is below planes — the bound the assembly row walk's O(1)
+// bounds proof rests on (walk.go). nnz is the matrix's nonzero count (the
+// telemetry's visit counters read it). compileRows builds the masks once,
+// under Engine.compileOnce, and nothing writes them afterwards: any number
+// of goroutines walk one matrix at once.
 type sparseRows struct {
-	idx    []int32
-	off    []int32
+	mask   []uint64
+	words  int
 	planes int
+	nnz    int
 }
 
-// compileRows converts a dense ternary matrix [rows, cols] into its sparse
-// row form.
+// compileRows converts a dense ternary matrix [rows, cols] into its plane
+// masks.
 func compileRows(w []int8, rows, cols int) sparseRows {
-	nnz := 0
-	for _, v := range w {
-		if v != 0 {
-			nnz++
-		}
-	}
-	s := sparseRows{
-		idx:    make([]int32, 0, nnz),
-		off:    make([]int32, 2*rows+1),
-		planes: cols,
-	}
+	words := (cols + 63) >> 6
+	s := sparseRows{mask: make([]uint64, 2*rows*words), words: words, planes: cols}
 	for r := 0; r < rows; r++ {
-		row := w[r*cols : (r+1)*cols]
-		for c, v := range row {
-			if v > 0 {
-				s.idx = append(s.idx, int32(c))
+		plus, minus := s.row(r)
+		for c, v := range w[r*cols : (r+1)*cols] {
+			switch {
+			case v > 0:
+				plus[c>>6] |= 1 << (c & 63)
+			case v < 0:
+				minus[c>>6] |= 1 << (c & 63)
+			default:
+				continue
 			}
+			s.nnz++
 		}
-		s.off[2*r+1] = int32(len(s.idx))
-		for c, v := range row {
-			if v < 0 {
-				s.idx = append(s.idx, int32(c))
-			}
-		}
-		s.off[2*r+2] = int32(len(s.idx))
 	}
 	return s
 }
 
-// row returns the +1 and −1 column-index runs of row r.
-func (s *sparseRows) row(r int) (plus, minus []int32) {
-	return s.idx[s.off[2*r]:s.off[2*r+1]], s.idx[s.off[2*r+1]:s.off[2*r+2]]
+// rowMasks returns row r's mask words: its +1 words, then its −1 words.
+func (s *sparseRows) rowMasks(r int) []uint64 {
+	return s.mask[2*r*s.words : (2*r+2)*s.words]
+}
+
+// row returns the +1 and −1 plane masks of row r.
+func (s *sparseRows) row(r int) (plus, minus []uint64) {
+	m := s.rowMasks(r)
+	return m[:s.words], m[s.words:]
 }
 
 // compileKernels builds the sparse row forms from a transient unpacked copy
@@ -118,52 +122,50 @@ func colRuns(n, k, stride, pad, outN int) (lo, hi int) {
 }
 
 // gather accumulates the ternary combination of the int8 or int16 planes
-// selected by the plus/minus index runs into acc. The first plane is
-// assigned rather than added, so acc needs no zeroing pass; an empty row
-// zeroes it instead. Remaining planes are folded up to eight at a time —
-// the partial sum of eight int8 or int16 values cannot wrap an int32, and
-// int32 addition is associative mod 2³², so the result stays bit-identical
-// to one-at-a-time accumulation while acc is loaded and stored an eighth as
-// often. All slices are resliced to exactly nOut so the inner loops
-// bounds-check once, not per element.
+// selected by the plus/minus plane masks into acc. Planes are folded up to
+// eight at a time — the partial sum of eight int8 or int16 values cannot
+// wrap an int32, and int32 addition is associative mod 2³², so the result
+// stays bit-identical to one-at-a-time accumulation while acc is loaded and
+// stored an eighth as often. All slices are resliced to exactly nOut so the
+// inner loops bounds-check once, not per element.
 //
 // It is the portable Go walk for int16 rows (walk.go runs it wherever the
-// AVX2 walk does not) and the scalar oracle of both walks: int8 rows take
-// the word-packed gatherPlanesI8W (bitplane.go) instead.
-func gather[T int8 | int16](acc []int32, planes []T, plus, minus []int32, nOut int) {
+// AVX2 walk does not); int8 rows take the word-packed gatherPlanesI8W
+// (bitplane.go) instead.
+func gather[T int8 | int16](acc []int32, planes []T, plus, minus []uint64, nOut int) {
 	acc = acc[:nOut]
-	switch {
-	case len(plus) > 0:
-		src := planes[int(plus[0])*nOut:][:nOut]
-		for j, v := range src {
-			acc[j] = int32(v)
-		}
-		addPlanes(acc, planes, plus[1:], nOut, 1)
-		addPlanes(acc, planes, minus, nOut, -1)
-	case len(minus) > 0:
-		src := planes[int(minus[0])*nOut:][:nOut]
-		for j, v := range src {
-			acc[j] = -int32(v)
-		}
-		addPlanes(acc, planes, minus[1:], nOut, -1)
-	default:
-		clear(acc)
-	}
+	clear(acc)
+	addPlanes(acc, planes, plus, nOut, 1)
+	addPlanes(acc, planes, minus, nOut, -1)
 }
 
-// addPlanes adds (sign +1) or subtracts (sign −1) the selected planes into
-// acc, up to eight planes per pass.
-func addPlanes[T int8 | int16](acc []int32, planes []T, idx []int32, nOut int, sign int32) {
-	k := 0
-	for ; k+7 < len(idx); k += 8 {
-		s1 := planes[int(idx[k])*nOut:][:nOut]
-		s2 := planes[int(idx[k+1])*nOut:][:nOut]
-		s3 := planes[int(idx[k+2])*nOut:][:nOut]
-		s4 := planes[int(idx[k+3])*nOut:][:nOut]
-		s5 := planes[int(idx[k+4])*nOut:][:nOut]
-		s6 := planes[int(idx[k+5])*nOut:][:nOut]
-		s7 := planes[int(idx[k+6])*nOut:][:nOut]
-		s8 := planes[int(idx[k+7])*nOut:][:nOut]
+// addPlanes adds (sign +1) or subtracts (sign −1) the planes mask selects
+// into acc: each decoded plane's offset is queued, and every eighth one
+// flushes the queue in one pass over acc.
+func addPlanes[T int8 | int16](acc []int32, planes []T, mask []uint64, nOut int, sign int32) {
+	var q [8]int
+	n := 0
+	for k, m := range mask {
+		for m != 0 {
+			q[n] = (k<<6 + bits.TrailingZeros64(m)) * nOut
+			m &= m - 1
+			if n++; n == len(q) {
+				addQueued(acc, planes, q[:], nOut, sign)
+				n = 0
+			}
+		}
+	}
+	addQueued(acc, planes, q[:n], nOut, sign)
+}
+
+// addQueued adds or subtracts the planes at offsets q (at most eight) into
+// acc: eight in one pass, else four in one pass and the rest one by one.
+func addQueued[T int8 | int16](acc []int32, planes []T, q []int, nOut int, sign int32) {
+	if len(q) == 8 {
+		s1, s2 := planes[q[0]:][:nOut], planes[q[1]:][:nOut]
+		s3, s4 := planes[q[2]:][:nOut], planes[q[3]:][:nOut]
+		s5, s6 := planes[q[4]:][:nOut], planes[q[5]:][:nOut]
+		s7, s8 := planes[q[6]:][:nOut], planes[q[7]:][:nOut]
 		if sign > 0 {
 			for j := range acc {
 				acc[j] += int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j]) +
@@ -175,12 +177,11 @@ func addPlanes[T int8 | int16](acc []int32, planes []T, idx []int32, nOut int, s
 					int32(s5[j]) + int32(s6[j]) + int32(s7[j]) + int32(s8[j])
 			}
 		}
+		return
 	}
-	for ; k+3 < len(idx); k += 4 {
-		s1 := planes[int(idx[k])*nOut:][:nOut]
-		s2 := planes[int(idx[k+1])*nOut:][:nOut]
-		s3 := planes[int(idx[k+2])*nOut:][:nOut]
-		s4 := planes[int(idx[k+3])*nOut:][:nOut]
+	if len(q) >= 4 {
+		s1, s2 := planes[q[0]:][:nOut], planes[q[1]:][:nOut]
+		s3, s4 := planes[q[2]:][:nOut], planes[q[3]:][:nOut]
 		if sign > 0 {
 			for j := range acc {
 				acc[j] += int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j])
@@ -190,9 +191,10 @@ func addPlanes[T int8 | int16](acc []int32, planes []T, idx []int32, nOut int, s
 				acc[j] -= int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j])
 			}
 		}
+		q = q[4:]
 	}
-	for ; k < len(idx); k++ {
-		src := planes[int(idx[k])*nOut:][:nOut]
+	for _, off := range q {
+		src := planes[off:][:nOut]
 		if sign > 0 {
 			for j, v := range src {
 				acc[j] += int32(v)
@@ -315,11 +317,17 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 			}
 			plus, minus := q.wbSp.row(hu)
 			clear(hacc)
-			for _, p := range plus {
-				dwGatherTap(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, 1)
+			for k, m := range plus {
+				for ; m != 0; m &= m - 1 {
+					p := k<<6 + bits.TrailingZeros64(m)
+					dwGatherTap(hacc, img, p/kw, p%kw, h, w, outH, outW, stride, padH, padW, 1)
+				}
 			}
-			for _, p := range minus {
-				dwGatherTap(hacc, img, int(p)/kw, int(p)%kw, h, w, outH, outW, stride, padH, padW, -1)
+			for k, m := range minus {
+				for ; m != 0; m &= m - 1 {
+					p := k<<6 + bits.TrailingZeros64(m)
+					dwGatherTap(hacc, img, p/kw, p%kw, h, w, outH, outW, stride, padH, padW, -1)
+				}
 			}
 			foldRow(acc, hacc, hm[hu], int32(q.wcSign[hu]), hlo, hhi)
 		}
@@ -384,7 +392,7 @@ func dwGatherTap(hacc []int32, img []int8, ki, kj, h, w, outH, outW, stride, pad
 
 // forwardInto is the zero-allocation QDense forward: y and hid are
 // caller-owned (y of length Out, hid of at least R). Both stages walk their
-// index runs — the int8 input through Wb, the int16 hidden vector through
+// plane masks — the int8 input through Wb, the int16 hidden vector through
 // Wc.
 func (q *QDense) forwardInto(x []int8, y []int16, hid []int16) {
 	for i := 0; i < int(q.R); i++ {
@@ -397,15 +405,29 @@ func (q *QDense) forwardInto(x []int8, y []int16, hid []int16) {
 	}
 }
 
-// runDot is one ternary row's dot product with v through its index runs:
-// Σ v[plus] − Σ v[minus].
-func runDot[T int8 | int16](v []T, plus, minus []int32) int32 {
+// runDot is one ternary row's dot product with v through its plane masks:
+// Σ v[plus] − Σ v[minus]. The statement order is deliberate: written as
+// acc += v[k<<6+bits.TrailingZeros64(m)], the compiler's BSFQ (which keeps
+// its destination on a zero source, so waits for its last write) reused the
+// register of the previous activation load, chaining every decode to it and
+// nearly doubling the paper-shape tree's time.
+func runDot[T int8 | int16](v []T, plus, minus []uint64) int32 {
 	var acc int32
-	for _, i := range plus {
-		acc += int32(v[i])
+	for k, m := range plus {
+		vk := v[k<<6:]
+		for m != 0 {
+			i := bits.TrailingZeros64(m)
+			m &= m - 1
+			acc += int32(vk[i])
+		}
 	}
-	for _, i := range minus {
-		acc -= int32(v[i])
+	for k, m := range minus {
+		vk := v[k<<6:]
+		for m != 0 {
+			i := bits.TrailingZeros64(m)
+			m &= m - 1
+			acc -= int32(vk[i])
+		}
 	}
 	return acc
 }

@@ -225,6 +225,41 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 		t.Fatalf("sweep missed a depthwise path: %d fused layers; scalar walk for %d R = 2, %d stride-2 and %d width-changing layers",
 			fused, wideR, strided, narrowed)
 	}
+
+	// A same-width stride-1 R = 1 layer of more than 256 taps: 17×17, every
+	// tap +1, over a plane of 127s. Its biased tap sums (289·255) overflow
+	// the fused kernel's 16-bit lanes, so it must take the scalar tap walk.
+	const h, w, k = 20, 17, 17
+	taps := make([]int8, k*k)
+	for i := range taps {
+		taps[i] = 1
+	}
+	q := &QConv{
+		Kind: kindDepthwise, Cin: 1, Cout: 1, KH: k, KW: k,
+		Stride: 1, PadH: k / 2, PadW: k / 2, R: 1,
+		WbPacked: PackTernary(taps),
+		WcPacked: PackTernary([]int8{1}),
+		HidMul:   []Mult{NewMult(1.0 / 64)},
+		OutMul:   []Mult{NewMult(0.1)},
+		OutBias:  []int32{0},
+	}
+	q.compileKernels()
+	q.compileDWCol(h, w)
+	x := make([]int8, pad8(h*w))
+	for i := range x {
+		x[i] = 127
+	}
+	nOut := h * w
+	out := make([]int8, pad8(nOut))
+	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+		want, _, _ := q.forwardRef(x[:h*w], h, w, pol)
+		runConv(arenaForConv(q, h, w), q, x, out, h, w, pol, pad8(h*w), pad8(nOut))
+		for j := range want {
+			if out[j] != want[j] {
+				t.Fatalf("17×17 depthwise, pol %v (fused %v): out[%d]=%d naive=%d", pol, q.dwFused(pad8(nOut)), j, out[j], want[j])
+			}
+		}
+	}
 }
 
 // TestSparseDenseMatchesNaive does the same for QDense.
@@ -387,7 +422,7 @@ func TestEngineSparseMatchesNaiveRandomized(t *testing.T) {
 }
 
 // TestSyntheticEngineSparseMatchesNaive pins the paper deployment shape
-// across the densities the index-run walk must serve — from sparser than any
+// across the densities the plane-mask walk must serve — from sparser than any
 // trained model (0.05) through the benchmark's 0.35 to fully dense (1.0) —
 // under both policies: single-frame Infer, a 13-frame batch and a 30-hop
 // InferHop stream must all match the NaiveInt oracle bit for bit.

@@ -75,20 +75,20 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 }
 
 // gatherVisits counts one inference's gather-add work through this conv:
-// every compiled nonzero index is visited once per output position.
+// every compiled nonzero is visited once per output position.
 func (q *QConv) gatherVisits(nOut int) int64 {
-	return int64(len(q.wbSp.idx)+len(q.wcSp.idx)) * int64(nOut)
+	return int64(q.wbSp.nnz+q.wcSp.nnz) * int64(nOut)
 }
 
 // gatherVisits counts the tree's per-inference gather work. The root-to-leaf
 // walk is input-dependent, so W/V work is estimated as the mean per-node
 // count times the path length — exact for Z and θ, which every input pays.
 func (t *QTree) gatherVisits() int64 {
-	visits := int64(len(t.Z.wbSp.idx) + len(t.Z.wcSp.idx))
+	visits := int64(t.Z.wbSp.nnz + t.Z.wcSp.nnz)
 	var wv int64
 	for k := range t.W {
-		wv += int64(len(t.W[k].wbSp.idx) + len(t.W[k].wcSp.idx))
-		wv += int64(len(t.V[k].wbSp.idx) + len(t.V[k].wcSp.idx))
+		wv += int64(t.W[k].wbSp.nnz + t.W[k].wcSp.nnz)
+		wv += int64(t.V[k].wbSp.nnz + t.V[k].wcSp.nnz)
 	}
 	if n := int64(len(t.W)); n > 0 {
 		visits += wv / n * int64(t.Depth+1)

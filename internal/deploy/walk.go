@@ -3,13 +3,13 @@ package deploy
 // Row walk dispatch.
 //
 // Every standard-conv row — single-frame Wb and Wc (which every InferBatch
-// frame runs too) and hop bands — runs one of two walks over its ±1 index
-// runs. On amd64 with AVX2 (checked once at init) a row whose column
+// frame runs too) and hop bands — runs one of two walks over its ±1 plane
+// masks. On amd64 with AVX2 (checked once at init) a row whose column
 // count is a multiple of 8 takes the assembly walk in walk_amd64.s; every
 // other row, every row on other architectures and every row under
-// -tags purego takes the portable Go walk (gatherPlanesI8W, gather),
-// which is also the assembly walk's oracle in the property tests. Both
-// produce the exact int32 sums mod 2³², so they agree bit for bit
+// -tags purego takes the portable Go walk (gatherPlanesI8W, gather). Both
+// produce the exact int32 sums mod 2³², so they agree bit for bit, and the
+// property tests pin both against oracles that read the dense rows
 // (DESIGN.md, "One row walk").
 
 import "fmt"
@@ -25,31 +25,31 @@ func RowWalk() string {
 }
 
 // walkI8 sets acc[j] = Σ₊ src[p·stride+j] − Σ₋ src[m·stride+j] for j in
-// [0, stride) over row r's index runs, src holding int8 planes at plane
+// [0, stride) over row r's plane masks, src holding int8 planes at plane
 // stride stride.
 func (s *sparseRows) walkI8(r int, acc []int32, src []byte, stride int) {
-	plus, minus := s.row(r)
 	if rowWalkAVX2 && stride&7 == 0 {
 		s.proveWalk(len(src), stride)
-		walkI8AVX2(acc[:stride], src, plus, minus, stride)
+		walkI8AVX2(acc[:stride], src, s.rowMasks(r), stride)
 		return
 	}
+	plus, minus := s.row(r)
 	gatherPlanesI8W(acc, src, plus, minus, stride)
 }
 
 // walkI16 is walkI8 over int16 planes (the mixed policy's hidden layer).
 func (s *sparseRows) walkI16(r int, acc []int32, src []int16, stride int) {
-	plus, minus := s.row(r)
 	if rowWalkAVX2 && stride&7 == 0 {
 		s.proveWalk(len(src), stride)
-		walkI16AVX2(acc[:stride], src, plus, minus, stride)
+		walkI16AVX2(acc[:stride], src, s.rowMasks(r), stride)
 		return
 	}
+	plus, minus := s.row(r)
 	gather(acc, src, plus, minus, stride)
 }
 
 // proveWalk is the assembly walk's bounds proof, O(1) per call: compileRows
-// emits only indices below s.planes, so the furthest element a walk of
+// sets no mask bit at or past s.planes, so the furthest element a walk of
 // stride columns reads is s.planes·stride − 1. A shorter source is a caller
 // bug, and the walk panics rather than read past it.
 func (s *sparseRows) proveWalk(n, stride int) {

@@ -6,14 +6,15 @@ import "repro/internal/cpuid"
 
 // Declarations for the AVX2 row walk in walk_amd64.s. Both kernels compute
 // acc[j] = Σ₊ planes[p·stride+j] − Σ₋ planes[m·stride+j] for j in
-// [0, len(acc)), len(acc) a multiple of 8, and trust their caller to have
-// proved every read in bounds (sparseRows.proveWalk).
+// [0, len(acc)), len(acc) a multiple of 8, over the planes one row's masks
+// select (its +1 words, then as many −1 words), and trust their caller to
+// have proved every read in bounds (sparseRows.proveWalk).
 
 //go:noescape
-func walkI8AVX2(acc []int32, planes []byte, plus, minus []int32, stride int)
+func walkI8AVX2(acc []int32, planes []byte, masks []uint64, stride int)
 
 //go:noescape
-func walkI16AVX2(acc []int32, planes []int16, plus, minus []int32, stride int)
+func walkI16AVX2(acc []int32, planes []int16, masks []uint64, stride int)
 
 // Declarations for the AVX2 requant rows in requant_amd64.s: the
 // requantRowGo loop of collane.go, at int8 and at int16 with no bias, over

@@ -7,11 +7,11 @@ package deploy
 // are never called.
 const rowWalkAVX2 = false
 
-func walkI8AVX2(acc []int32, planes []byte, plus, minus []int32, stride int) {
+func walkI8AVX2(acc []int32, planes []byte, masks []uint64, stride int) {
 	panic("deploy: no assembly row walk in this build")
 }
 
-func walkI16AVX2(acc []int32, planes []int16, plus, minus []int32, stride int) {
+func walkI16AVX2(acc []int32, planes []int16, masks []uint64, stride int) {
 	panic("deploy: no assembly row walk in this build")
 }
 

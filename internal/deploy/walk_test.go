@@ -7,18 +7,13 @@ import (
 	"testing"
 )
 
-// oracleGather16 is oracleGather over int16 planes: acc[j] = Σ₊
-// planes[p·stride+j] − Σ₋ for j in [0, stride).
-func oracleGather16(planes []int16, plus, minus []int32, stride int) []int32 {
+// oracleGather16 is oracleGather over int16 planes: acc[j] =
+// Σ_p w[p]·planes[p·stride+j] for j in [0, stride), read off the dense row.
+func oracleGather16(planes []int16, w []int8, stride int) []int32 {
 	acc := make([]int32, stride)
-	for _, p := range plus {
-		for j := 0; j < stride; j++ {
-			acc[j] += int32(planes[int(p)*stride+j])
-		}
-	}
-	for _, m := range minus {
-		for j := 0; j < stride; j++ {
-			acc[j] -= int32(planes[int(m)*stride+j])
+	for p, v := range w {
+		for j := 0; j < stride && v != 0; j++ {
+			acc[j] += int32(v) * int32(planes[p*stride+j])
 		}
 	}
 	return acc
@@ -27,13 +22,19 @@ func oracleGather16(planes []int16, plus, minus []int32, stride int) []int32 {
 // staleAcc is stale accumulator garbage every walk must overwrite.
 const staleAcc = 0x5A5A5A5A
 
-// walkCase is one random ternary matrix over random int8 and int16 planes.
+// walkCase is one random ternary matrix, dense and compiled, over random
+// int8 and int16 planes.
 type walkCase struct {
+	w    []int8 // dense rows×taps, the oracles' source
 	sp   sparseRows
 	rows int
+	taps int
 	p8   []int8
 	p16  []int16
 }
+
+// dense returns row r of the dense matrix.
+func (c *walkCase) dense(r int) []int8 { return c.w[r*c.taps : (r+1)*c.taps] }
 
 // newWalkCase draws a rows×taps matrix whose every row holds an index at the
 // last plane (densities 0, 0.35 and 1 besides), over planes at the given
@@ -49,7 +50,7 @@ func newWalkCase(rng *rand.Rand, taps, stride int) walkCase {
 		}
 		w = append(w, row...)
 	}
-	c := walkCase{sp: compileRows(w, rows, taps), rows: rows,
+	c := walkCase{w: w, sp: compileRows(w, rows, taps), rows: rows, taps: taps,
 		p8: make([]int8, taps*stride), p16: make([]int16, taps*stride)}
 	for i := range c.p8 {
 		c.p8[i] = int8(rng.Intn(1 << 8))
@@ -80,26 +81,30 @@ func checkWalk(t *testing.T, name string, n int, want []int32, walk func(acc []i
 }
 
 // TestRowWalksMatchOracle drives both row walks over int8 and int16 planes
-// against the scalar oracles: the AVX2 assembly walk when the host runs it,
-// the portable Go walk (gatherPlanesI8W, gather) always, and the
-// dispatching sparseRows walk the engine calls. Tap counts cross the 256-plane
-// SWAR chunk; column counts cover the 64-column tile, the 8-column
-// remainder and a lane of 125·8; plane strides run past the column count (as
-// when a pointwise conv reads its input at the caller's channel stride),
-// including strides off the 8-column grid; every row reads the last plane and
-// every accumulator starts as garbage.
+// against the dense-row oracles: the AVX2 assembly walk when the host runs
+// it, the portable Go walk (gatherPlanesI8W, gather) always, and the
+// dispatching sparseRows walk the engine calls. Tap counts cross every mask
+// word boundary (63, 64, 65, 127, 128, 129: a last word with one bit, a
+// full word with bit 63 set, a first bit of the next word) and the
+// 256-plane SWAR chunk; column counts cover the 64-column tile and every
+// combination of the 32-, 16- and 8-column remainder passes, and a lane of
+// 125·8; plane strides run past the column count (as when a pointwise conv
+// reads its input at the caller's channel stride), including strides off
+// the 8-column grid; every row reads the last plane and every accumulator
+// starts as garbage.
 func TestRowWalksMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for _, taps := range []int{0, 1, 7, 255, 256, 300} {
-		for _, n := range []int{8, 16, 56, 64, 72, 120, 128, 1000} {
+	for _, taps := range []int{0, 1, 7, 63, 64, 65, 127, 128, 129, 255, 256, 300} {
+		for _, n := range []int{8, 16, 24, 40, 48, 56, 64, 72, 80, 104, 120, 128, 1000} {
 			for _, extra := range []int{0, 3, 8} {
 				stride := n + extra
 				c := newWalkCase(rng, taps, stride)
 				p8 := i8Bytes(c.p8)
 				for r := 0; r < c.rows; r++ {
 					plus, minus := c.sp.row(r)
-					want8 := oracleGather(c.p8, plus, minus, stride)
-					want16 := oracleGather16(c.p16, plus, minus, stride)
+					masks := c.sp.rowMasks(r)
+					want8 := oracleGather(c.p8, c.dense(r), stride)
+					want16 := oracleGather16(c.p16, c.dense(r), stride)
 					tag := fmt.Sprintf("taps=%d n=%d stride=%d row=%d", taps, n, stride, r)
 					checkWalk(t, "go i8 "+tag, stride, want8, func(acc []int32) {
 						gatherPlanesI8W(acc, p8, plus, minus, stride)
@@ -117,10 +122,10 @@ func TestRowWalksMatchOracle(t *testing.T) {
 						continue
 					}
 					checkWalk(t, "avx2 i8 "+tag, n, want8, func(acc []int32) {
-						walkI8AVX2(acc, p8, plus, minus, stride)
+						walkI8AVX2(acc, p8, masks, stride)
 					})
 					checkWalk(t, "avx2 i16 "+tag, n, want16, func(acc []int32) {
-						walkI16AVX2(acc, c.p16, plus, minus, stride)
+						walkI16AVX2(acc, c.p16, masks, stride)
 					})
 				}
 			}
@@ -163,65 +168,75 @@ func TestRowWalkShortPlanesPanics(t *testing.T) {
 	}
 }
 
+// rowWalkBenchCols are the column counts the row-walk benchmarks time: a
+// frame's 128-column paper-shape plane, and the 56- and 72-column bands a
+// warm 12-frame hop recomputes in conv0 and ds1.pw.
+var rowWalkBenchCols = []int{128, 56, 72}
+
 // BenchmarkRowWalkI8 times one paper-shape pointwise hidden stage — 48 rows
-// over 64 int8 planes, 128 columns, density 0.35 — through each walk the
-// host runs, so the AVX2 walk's speedup over the Go walk can be re-checked.
+// over 64 int8 planes, density 0.35 — at each of rowWalkBenchCols through
+// each walk the host runs, so the AVX2 walk's speedup over the Go walk can
+// be re-checked.
 func BenchmarkRowWalkI8(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const rows, planes, cols = 48, 64, 128
-	sp := compileRows(ternaryRows(rng, rows, planes, 0.35), rows, planes)
-	src := make([]byte, planes*cols)
-	rng.Read(src)
-	acc := make([]int32, cols)
-	b.Run("go", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < rows; r++ {
-				plus, minus := sp.row(r)
-				gatherPlanesI8W(acc, src, plus, minus, cols)
+	const rows, planes = 48, 64
+	for _, cols := range rowWalkBenchCols {
+		rng := rand.New(rand.NewSource(1))
+		sp := compileRows(ternaryRows(rng, rows, planes, 0.35), rows, planes)
+		src := make([]byte, planes*cols)
+		rng.Read(src)
+		acc := make([]int32, cols)
+		b.Run(fmt.Sprintf("cols=%d/go", cols), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r++ {
+					plus, minus := sp.row(r)
+					gatherPlanesI8W(acc, src, plus, minus, cols)
+				}
 			}
-		}
-	})
-	b.Run("avx2", func(b *testing.B) {
-		if !rowWalkAVX2 {
-			b.Skip("no AVX2 row walk in this build or on this CPU")
-		}
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < rows; r++ {
-				sp.walkI8(r, acc, src, cols)
+		})
+		b.Run(fmt.Sprintf("cols=%d/avx2", cols), func(b *testing.B) {
+			if !rowWalkAVX2 {
+				b.Skip("no AVX2 row walk in this build or on this CPU")
 			}
-		}
-	})
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r++ {
+					sp.walkI8(r, acc, src, cols)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkRowWalkI16 is BenchmarkRowWalkI8 for the mixed policy's Wc stage:
-// 64 rows over 48 int16 hidden planes, 128 columns, density 0.35.
+// 64 rows over 48 int16 hidden planes, density 0.35.
 func BenchmarkRowWalkI16(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	const rows, planes, cols = 64, 48, 128
-	sp := compileRows(ternaryRows(rng, rows, planes, 0.35), rows, planes)
-	src := make([]int16, planes*cols)
-	for i := range src {
-		src[i] = int16(rng.Intn(1 << 16))
+	const rows, planes = 64, 48
+	for _, cols := range rowWalkBenchCols {
+		rng := rand.New(rand.NewSource(2))
+		sp := compileRows(ternaryRows(rng, rows, planes, 0.35), rows, planes)
+		src := make([]int16, planes*cols)
+		for i := range src {
+			src[i] = int16(rng.Intn(1 << 16))
+		}
+		acc := make([]int32, cols)
+		b.Run(fmt.Sprintf("cols=%d/go", cols), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r++ {
+					plus, minus := sp.row(r)
+					gather(acc, src, plus, minus, cols)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("cols=%d/avx2", cols), func(b *testing.B) {
+			if !rowWalkAVX2 {
+				b.Skip("no AVX2 row walk in this build or on this CPU")
+			}
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r++ {
+					sp.walkI16(r, acc, src, cols)
+				}
+			}
+		})
 	}
-	acc := make([]int32, cols)
-	b.Run("go", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < rows; r++ {
-				plus, minus := sp.row(r)
-				gather(acc, src, plus, minus, cols)
-			}
-		}
-	})
-	b.Run("avx2", func(b *testing.B) {
-		if !rowWalkAVX2 {
-			b.Skip("no AVX2 row walk in this build or on this CPU")
-		}
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < rows; r++ {
-				sp.walkI16(r, acc, src, cols)
-			}
-		}
-	})
 }
 
 // requantCase is one requant row: a multiplier, a bias and ReLU cut, and an
