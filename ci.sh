@@ -23,10 +23,12 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 go build ./...
 # The -race pass also drives concurrent InferBatch callers on one engine,
-# each on its own arena from the engine's pool, and the scalar oracle
-# running beside an engine's first compile (TestInferBatchConcurrent,
-# TestInferBatchLaneMatchesPerFrame, TestInferBatchLaneConcurrent,
-# TestOracleConcurrentWithCompile in internal/deploy).
+# each on its own arena from the engine's pool, the scalar oracle
+# running beside an engine's first compile, and an engine's InferBatch
+# beside WithPolicy and the hops of the engine it returns
+# (TestInferBatchConcurrent, TestInferBatchLaneMatchesPerFrame,
+# TestInferBatchLaneConcurrent, TestOracleConcurrentWithCompile,
+# TestWithPolicy in internal/deploy).
 go test -race ./...
 
 # Engine benchmark smoke: one iteration of each packed-engine benchmark, so
@@ -72,7 +74,9 @@ echo "$BENCH_INT"
 #     compiled from; a depthwise layer of more than 256 taps and a pool
 #     window of more than 1,024 bytes must leave the SWAR kernels whose
 #     16-bit lanes they would overflow; and the paper shape's resident
-#     weights must stay within 41,000 B and equal the sum of their parts.
+#     weights must equal the sum of their parts and stay within 36,000 B
+#     at the mixed policy (35,568 B; an engine holds only its own policy's
+#     requantisers, so the int8 engine holds 40,304 B).
 go test -count=1 -short \
     -run='TestInferIntMatchesFloatSimulation|TestInferIntMatchesNaiveRandomized|TestInferIntZeroAllocs|TestEngineSparseMatchesNaiveRandomized|TestFloatSimulationRandomized' \
     ./internal/deploy
@@ -86,7 +90,8 @@ go test -count=1 \
 go test -count=1 -tags purego ./internal/deploy
 # (4) Serialization round-trip matrix: a PolicyInt8 engine written as .thnt
 #     v1, v2 and v3 must read back and score identically (v3 additionally
-#     preserving the policy byte and calibration table).
+#     preserving the policy byte and calibration table; v1/v2 load mixed
+#     and score through WithPolicy(PolicyInt8)).
 go test -count=1 -run='TestWriteToVersionMatrix|TestV1ArtifactsStillReadable' ./internal/deploy
 
 # Batch gauntlet (InferBatch: every frame through Infer's pipeline, on the
@@ -108,12 +113,16 @@ go test -count=1 -short \
 # (3) Mixed single-frame/batch concurrency under the race detector: one
 #     goroutine hammering the resident-arena Infer path while three more
 #     drive InferBatch on the same engine — the contract the serving daemon
-#     leans on.
-go test -race -count=1 -run='TestMixedSingleBatchConcurrent' ./internal/deploy
+#     leans on — and an engine's InferBatch running while WithPolicy reads
+#     it and the engine WithPolicy returns runs hops: the new engine shares
+#     no state with its parent.
+go test -race -count=1 -run='TestMixedSingleBatchConcurrent|TestWithPolicy' ./internal/deploy
 # (4) Engine bench smoke: kws-bench must clear its gates — single-frame
 #     int8 at least 2.5x faster than the float baseline (paired median),
-#     batch ns/frame within 1.5x of single-frame (batch runs the same
-#     per-frame pipeline, so this bounds its arena checkout and result copy),
+#     InferBatchInto over an 8-frame batch within 1.5x of Infer over the
+#     same frames (paired median per policy, timed in one phase; batch runs
+#     the same per-frame pipeline, so this bounds its arena checkout and
+#     result copy),
 #     1000 frames of batch output matching the scalar NaiveInt oracle under
 #     both policies, the same oracle holding with a telemetry observer
 #     attached, 1000 consecutive hops of InferHop matching full-window

@@ -79,12 +79,18 @@ func main() {
 	floatAcc := train.Accuracy(h, tx, ty, 64)
 	fmt.Printf("float test accuracy:   %.4f\n", floatAcc)
 
-	eng, err := deploy.Compile(h, x)
+	// Compile builds a mixed-policy engine; -int8 ships one of its own.
+	mixed, err := deploy.Compile(h, x)
 	if err != nil {
 		fatal(err)
 	}
+	int8Eng, err := mixed.WithPolicy(deploy.PolicyInt8)
+	if err != nil {
+		fatal(err)
+	}
+	eng := mixed
 	if *int8Pol {
-		eng.Policy = deploy.PolicyInt8
+		eng = int8Eng
 	}
 	fmt.Printf("activation policy:     %s\n", eng.Policy)
 
@@ -144,25 +150,21 @@ func main() {
 	// file), the weight-derived bytes the compiled engine holds resident
 	// (plane masks, packed ternaries, requantisers, tables — measured, not
 	// computed; the float reference holds its float32 parameters) and
-	// steady-state activation scratch under each execution mode, then the
-	// resident weights by component beside opcount's analytic model size.
-	scratchFloat := eng.FloatScratchBytes()
-	weights := eng.WeightBytes()
-	eng.Policy = deploy.PolicyInt8
-	scratch8 := eng.ScratchBytes()
-	eng.Policy = deploy.PolicyMixed
-	scratchMixed := eng.ScratchBytes()
+	// steady-state activation scratch under each execution mode, each
+	// packed row read from an engine at its own policy, then the shipped
+	// engine's resident weights by component beside opcount's analytic
+	// model size.
 	fmt.Println("\nfootprint (bytes):          model file  resident weights  activation scratch")
-	fmt.Printf("  float32 reference     %12d  %16d  %18d\n", floatBytes, floatBytes, scratchFloat)
-	fmt.Printf("  packed mixed 8/16-bit %12d  %16d  %18d\n", n, weights, scratchMixed)
-	fmt.Printf("  packed fully 8-bit    %12d  %16d  %18d\n", n, weights, scratch8)
+	fmt.Printf("  float32 reference     %12d  %16d  %18d\n", floatBytes, floatBytes, eng.FloatScratchBytes())
+	fmt.Printf("  packed mixed 8/16-bit %12d  %16d  %18d\n", n, mixed.WeightBytes(), mixed.ScratchBytes())
+	fmt.Printf("  packed fully 8-bit    %12d  %16d  %18d\n", n, int8Eng.WeightBytes(), int8Eng.ScratchBytes())
 
 	wf := eng.WeightFootprint()
 	model := opcount.Count(h, core.InputDim).ModelSizeBytes(2)
-	fmt.Println("\nresident weights by component (bytes):")
+	fmt.Printf("\nresident weights by component, %s (bytes):\n", eng.Policy)
 	fmt.Printf("  ±1 plane masks            %8d\n", wf.Masks)
 	fmt.Printf("  packed 2-bit ternaries    %8d\n", wf.Packed)
-	fmt.Printf("  requantisers (both sets)  %8d\n", wf.Requant)
+	fmt.Printf("  requantisers              %8d\n", wf.Requant)
 	fmt.Printf("  biases, depthwise tables  %8d\n", wf.Tables)
 	fmt.Printf("  tree θ and tanh LUT       %8d\n", wf.Tree)
 	fmt.Printf("  total                     %8d  (analytic model, 2-bit ternary + 16-bit â/bias: %.0f)\n", wf.Total(), model)

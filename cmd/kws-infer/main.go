@@ -151,12 +151,25 @@ func main() {
 		}
 	}
 	if eng != nil {
-		// Policy flags override whatever a v3 model stored.
+		// Policy flags override whatever a v3 model stored: the loaded
+		// engine compiled at the stored policy, so another one needs an
+		// engine of its own.
+		pol := eng.Policy
 		if *int8Pol {
-			eng.Policy = deploy.PolicyInt8
+			pol = deploy.PolicyInt8
 		} else if *mixedPol {
-			eng.Policy = deploy.PolicyMixed
+			pol = deploy.PolicyMixed
 		}
+		if pol != eng.Policy {
+			if e, err := eng.WithPolicy(pol); err != nil {
+				log.Warn("integer engine rejected at the requested policy; falling back to the float model", "err", err)
+				eng = nil
+			} else {
+				eng = e
+			}
+		}
+	}
+	if eng != nil {
 		log.Info("engine activation policy", "policy", eng.Policy.String())
 		if reg != nil {
 			eng.EnableTelemetry(reg, tracer)

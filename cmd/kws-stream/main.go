@@ -93,12 +93,20 @@ func main() {
 		if n := int(eng.Tree.NumClasses); n != speechcmd.NumClasses {
 			fatal(log, fmt.Errorf("%s has %d classes, detector needs %d", *engine, n, speechcmd.NumClasses))
 		}
-		// Policy flags override whatever a v3 model stored; the Detector
-		// routes through Engine.Infer, which honours e.Policy per frame.
+		// Policy flags override whatever a v3 model stored: the loaded
+		// engine compiled at the stored policy, so another one needs an
+		// engine of its own. The Detector's hops (InferBatchInto, or
+		// InferHop when incremental) run at the engine's policy.
+		pol := eng.Policy
 		if *int8Pol {
-			eng.Policy = deploy.PolicyInt8
+			pol = deploy.PolicyInt8
 		} else if *mixedPol {
-			eng.Policy = deploy.PolicyMixed
+			pol = deploy.PolicyMixed
+		}
+		if pol != eng.Policy {
+			if eng, err = eng.WithPolicy(pol); err != nil {
+				fatal(log, fmt.Errorf("%s at %v: %w", *engine, pol, err))
+			}
 		}
 		if reg != nil {
 			eng.EnableTelemetry(reg, tracer)

@@ -44,7 +44,6 @@ func (q *QConv) pointwise() bool {
 // Engine.Infer uses the engine's resident arena, InferBatch checks one out
 // per call, and each HopState owns a hop arena.
 type arena struct {
-	pol      Policy    // activation policy this arena was sized for
 	planes   [][]int8  // image buffers: two ping-pong planes (frame) or the input and one per conv (hop)
 	in       []int8    // quantised input image, Frames·Coeffs
 	imgs     [][]int8  // conv i's output image, Cout·outStride
@@ -107,7 +106,6 @@ func newArena(e *Engine, hop bool) *arena {
 	}
 
 	a := &arena{
-		pol:      e.Policy,
 		imgs:     make([][]int8, len(e.Convs)),
 		cols:     make([]int8, maxCols),
 		acc:      make([]int32, maxAcc),
@@ -145,7 +143,7 @@ func newArena(e *Engine, hop bool) *arena {
 	// The hidden planes are the policy-dependent buffer: int16 under the
 	// mixed policy, int8 under PolicyInt8 — half the resident activation
 	// bytes for the dominant buffer.
-	if e.Policy == PolicyInt8 {
+	if e.pol == PolicyInt8 {
 		a.hidden8 = make([]int8, maxHidden)
 	} else {
 		a.hidden = make([]int16, maxHidden)
@@ -168,14 +166,13 @@ func (a *arena) bytes() int64 {
 	return int64(n)
 }
 
-// forward runs one pass of the conv chain, pool and tree on arena a at the
-// arena's policy and returns the arena-owned scores and how many conv
-// output positions the pass computed. x is the whole window; nNew is how
-// many of its trailing frame rows are new since the previous pass on a —
-// Frames for a frame pass or a cold hop, which leaves the input's clean
-// interval empty. The observer's stage hooks (telemetry.go) time and trace
-// each conv, the pool and the tree under root when one is attached and do
-// nothing otherwise.
+// forward runs one pass of the conv chain, pool and tree on arena a and
+// returns the arena-owned scores and how many conv output positions the
+// pass computed. x is the whole window; nNew is how many of its trailing
+// frame rows are new since the previous pass on a — Frames for a frame
+// pass or a cold hop, which leaves the input's clean interval empty. The
+// observer's stage hooks (telemetry.go) time and trace each conv, the pool
+// and the tree under root when one is attached and do nothing otherwise.
 func (e *Engine) forward(a *arena, x []float32, nNew int, root obsStage) ([]int32, int64) {
 	o := e.obs
 	h0, w0 := int(e.Frames), int(e.Coeffs)
@@ -241,8 +238,8 @@ func segN(segs [][2]int, ow int) int {
 }
 
 // runBand is the one conv-layer kernel: it computes the listed output-row
-// segments of conv q from input image x into output image out at the
-// arena's policy, and returns the number of output positions it computed.
+// segments of conv q from input image x into output image out at the policy
+// q compiled at, and returns the number of output positions it computed.
 // All segments share one kernel dispatch: the band im2col concatenates
 // their rows into a band-local plane at stride pad8(nBand), the compiled
 // row kernels run once over the nBand positions, and the requantised rows
@@ -262,7 +259,7 @@ func (a *arena) runBand(q *QConv, g *convGeom, x, out []int8, segs [][2]int) int
 		if !q.dwFused(g.outStride) {
 			segs, nBand = a.bands(0, 0, g.oh), g.oh*g.ow
 		}
-		q.dwSparse(a, x[:int(q.Cin)*g.inStride], out, g.h, g.w, g.oh, g.ow, a.pol, g.inStride, g.outStride, segs)
+		q.dwSparse(a, x[:int(q.Cin)*g.inStride], out, g.h, g.w, g.oh, g.ow, g.inStride, g.outStride, segs)
 		return nBand
 	}
 	kh, kw := int(q.KH), int(q.KW)
@@ -297,7 +294,7 @@ func (a *arena) runBand(q *QConv, g *convGeom, x, out []int8, segs [][2]int) int
 	direct := len(segs) == 1
 	base0 := segs[0][0] * g.ow
 	acc := a.acc[:pb]
-	if a.pol == PolicyInt8 {
+	if q.pol == PolicyInt8 {
 		hidden8 := a.hidden8[:r*pb]
 		q.stdHiddenRows8(cols, hidden8, acc, nBand, ps)
 		if direct {
@@ -319,7 +316,7 @@ func (a *arena) runBand(q *QConv, g *convGeom, x, out []int8, segs [][2]int) int
 	}
 	for c := 0; c < cout; c++ {
 		q.wcSp.walkI16(c, acc, hidden, pb)
-		q.requantChannel(a.row[:nBand], acc, c)
+		requantRowI8(a.row[:nBand], acc, q.outReq[c], q.OutBias[c], q.ReLU)
 		a.scatter(out[c*g.outStride:], segs, g.ow)
 	}
 	return nBand

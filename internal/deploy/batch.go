@@ -43,14 +43,14 @@ func (e *Engine) InferBatchInto(dst []BatchResult, xs [][]float32) []BatchResult
 		copy(grown, dst[:cap(dst)]) // carry reusable Scores storage forward
 		dst = grown
 	}
+	// Compile (and check the policy) before any frame's recover, so a
+	// Policy written after compile panics out of the call.
+	e.ensureCompiled()
 	if len(xs) == 0 {
 		return dst
 	}
-	e.ensureCompiled()
-	// Pooled arenas sized for a different policy are dropped (the pool
-	// refills at the current one).
 	a, ok := e.arenas.Get().(*arena)
-	if !ok || a.pol != e.Policy {
+	if !ok {
 		a = newArena(e, false)
 	}
 	for i, x := range xs {
@@ -75,9 +75,6 @@ func (e *Engine) inferOne(a *arena, x []float32, scratch []int32) (r BatchResult
 		e.obs.fault()
 		return BatchResult{Class: -1, Err: fmt.Errorf("%w: input length %d, want %d", ErrShapeMismatch, len(x), want)}
 	}
-	// Run at the arena's policy, not e.Policy: the kernels must match the
-	// buffers the arena was sized with, even if Policy was flipped after
-	// this call checked its arena out.
 	sc, cls := e.inferFrame(a, x)
 	return BatchResult{Scores: append(scratch[:0], sc...), Class: cls}
 }

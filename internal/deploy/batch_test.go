@@ -74,9 +74,13 @@ func TestInferBatchLaneMatchesPerFrame(t *testing.T) {
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(4200 + seed))
-		e := randSmallEngine(rng)
-		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
-			e.Policy = pol
+		mixed := randSmallEngine(rng)
+		int8e, err := mixed.WithPolicy(PolicyInt8)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, e := range []*Engine{mixed, int8e} {
+			pol := e.Policy
 			var dst []BatchResult
 			for _, n := range sizes {
 				xs := randFrames(rng, e, n)
@@ -95,11 +99,11 @@ func TestInferBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc counts are meaningless")
 	}
-	e := SyntheticEngine(3, 0.35)
 	const batch = 16
-	xs := randFrames(rand.New(rand.NewSource(77)), e, batch)
 	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+		e := SyntheticEngine(3, 0.35)
 		e.Policy = pol
+		xs := randFrames(rand.New(rand.NewSource(77)), e, batch)
 		var dst []BatchResult
 		dst = e.InferBatchInto(dst, xs) // warm: arena pool + Scores storage
 		allocs := testing.AllocsPerRun(10, func() {

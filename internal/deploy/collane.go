@@ -386,20 +386,20 @@ func satMult(m Mult) bool { return m.Shift == 0 && m.Mant != 0 }
 // im2col planes at stride, then the int8 rescale of the real columns.
 func (q *QConv) hidRowQ8(i int, dst []int8, acc []int32, cols []byte, stride int) {
 	q.wbSp.walkI8(i, acc, cols, stride)
-	requantRowI8(dst, acc, q.hidMul8[i], 0, false)
+	requantRowI8(dst, acc, q.hidReq[i], 0, false)
 }
 
 // hidRowQ16 is hidRowQ8 at the mixed policy's int16 hidden width.
 func (q *QConv) hidRowQ16(i int, dst []int16, acc []int32, cols []byte, stride int) {
 	q.wbSp.walkI8(i, acc, cols, stride)
-	requantRowHid16(dst, acc, q.HidMul[i])
+	requantRowHid16(dst, acc, q.hidReq[i])
 }
 
 // outRowQ8 produces output channel c from int8 hidden planes (PolicyInt8),
 // the Wc counterpart of hidRowQ8.
 func (q *QConv) outRowQ8(c int, dst []int8, acc []int32, hid []byte, stride int) {
 	q.wcSp.walkI8(c, acc, hid, stride)
-	requantRowI8(dst, acc, q.outMul8[c], q.OutBias[c], q.ReLU)
+	requantRowI8(dst, acc, q.outReq[c], q.OutBias[c], q.ReLU)
 }
 
 // sumBytesI8 sums a run of int8 values through the biased even/odd lanes —

@@ -117,7 +117,7 @@ func TestConvRowsMatchOracle(t *testing.T) {
 		relu := rng.Intn(2) == 0
 		q := &QConv{
 			wbSp: compileRows(w, 1, taps), wcSp: compileRows(w, 1, taps),
-			HidMul: []Mult{m}, hidMul8: []Mult{m}, outMul8: []Mult{m},
+			hidReq: []Mult{m}, outReq: []Mult{m},
 			OutBias: []int32{b}, ReLU: relu,
 		}
 		sum := oracleGather(cols, w, stride)
@@ -202,7 +202,8 @@ func dwTapSums(q *QConv, img []int8, h, w int, row []int8) []int32 {
 
 // TestDWColMatchesScalar pins the fused R = 1 depthwise kernel against
 // dwGatherTap's tap sums followed by the scalar Apply chain (dwChain):
-// dwColFused under both policies' multipliers and hidden widths, at both
+// dwColFused under the multipliers and hidden width the layer compiles at
+// under each policy, at both
 // fold signs, over the whole plane or a random run of its 8-column groups,
 // and dwSparse over whole layers and random hop bands, where pruned units
 // (wcSign 0) requantise a zero accumulator and a channel with a saturated
@@ -235,22 +236,27 @@ func TestDWColMatchesScalar(t *testing.T) {
 			q.OutMul = append(q.OutMul, NewMult(0.0005+0.05*rng.Float64()))
 			q.OutBias[ch] = int32(rng.Intn(81) - 40)
 		}
-		q.compileKernels()
+		q.compileKernels(PolicyMixed)
 		q.compileDWCol(h, w)
 		if !q.dwCol {
 			t.Fatalf("trial %d: stride-1 same-width geometry %dx%d k=%dx%d rejected", trial, h, w, kh, kw)
 		}
 		// Every fourth layer saturates one channel's hidden or output
 		// multiplier under both policies (|m| ≥ 2³¹, outside the fused
-		// kernel's identity).
-		sat := -1
+		// kernel's identity): compileAt compiles q at a policy and writes
+		// the saturated multiplier into the compiled set.
+		sat, satHid := -1, false
 		if trial%4 == 0 {
-			sat = rng.Intn(cin)
+			sat, satHid = rng.Intn(cin), rng.Intn(2) == 0
+		}
+		compileAt := func(pol Policy) {
+			q.compileKernels(pol)
 			m := Mult{Mant: 1 << 30, Shift: 0}
-			if rng.Intn(2) == 0 {
-				q.HidMul[sat], q.hidMul8[sat] = m, m
-			} else {
-				q.OutMul[sat], q.outMul8[sat] = m, m
+			switch {
+			case sat >= 0 && satHid:
+				q.hidReq[sat] = m
+			case sat >= 0:
+				q.outReq[sat] = m
 			}
 		}
 		oh, ow := q.outSize(h, w)
@@ -273,11 +279,9 @@ func TestDWColMatchesScalar(t *testing.T) {
 		for ch := range sums {
 			sums[ch] = dwTapSums(q, x[ch*inStride:], h, w, wb[ch*kh*kw:(ch+1)*kh*kw])
 		}
-		mults := func(pol Policy, ch int) (hm, om Mult, hlo, hhi int32) {
-			if pol == PolicyInt8 {
-				return q.hidMul8[ch], q.outMul8[ch], -128, 127
-			}
-			return q.HidMul[ch], q.OutMul[ch], -32768, 32767
+		mults := func(ch int) (hm, om Mult, hlo, hhi int32) {
+			hlo, hhi = hidBounds(q.pol)
+			return q.hidReq[ch], q.outReq[ch], hlo, hhi
 		}
 		var lo int32 = -128
 		if q.ReLU {
@@ -288,7 +292,8 @@ func TestDWColMatchesScalar(t *testing.T) {
 			plus, minus := q.wbSp.row(ch)
 			img := i8Bytes(x[ch*inStride:])
 			for _, pol := range policies {
-				hm, om, hlo, hhi := mults(pol, ch)
+				compileAt(pol)
+				hm, om, hlo, hhi := mults(ch)
 				act8 := pol == PolicyInt8
 				for _, s := range []int32{-1, 1} {
 					dst := make([]int8, nOut+8)
@@ -334,9 +339,10 @@ func TestDWColMatchesScalar(t *testing.T) {
 			for i := range out {
 				out[i] = canaryI8
 			}
-			q.dwSparse(arenaForConv(q, h, w), x, out, h, w, oh, ow, pol, inStride, outStride, segs)
+			compileAt(pol)
+			q.dwSparse(arenaForConv(q, h, w), x, out, h, w, oh, ow, inStride, outStride, segs)
 			for ch := 0; ch < cin; ch++ {
-				hm, om, _, _ := mults(pol, ch)
+				hm, om, _, _ := mults(ch)
 				s := int32(q.wcSign[ch])
 				if pol == PolicyMixed {
 					if s == 0 {
@@ -370,30 +376,29 @@ func TestDWColMatchesScalar(t *testing.T) {
 
 // BenchmarkDepthwiseLayer times the paper shape's first depthwise layer,
 // ds1.dw (64 channels of a 25×5 plane, 3×3 taps, R = 1), through dwSparse
-// under both policies: over the whole plane, as a full window runs it, and
-// over the bands a warm 12-frame hop recomputes, which the hop's interval
-// rule (cleanOut) gives as rows {0,4} and {16,25}.
+// under both policies, on one engine per policy: over the whole plane, as a
+// full window runs it, and over the bands a warm 12-frame hop recomputes,
+// which the hop's interval rule (cleanOut) gives as rows {0,4} and {16,25}.
 func BenchmarkDepthwiseLayer(b *testing.B) {
 	const hop = 12
-	e := SyntheticEngine(9, 0.35)
-	e.ensureCompiled()
-	c1, q := e.Convs[0], e.Convs[1]
-	g1, g2 := &e.geom[0], &e.geom[1]
-	a1, b1, s1 := cleanOut(c1, g1, 0, g1.h-hop, hop)
-	a2, b2, _ := cleanOut(q, g2, a1, b1, s1)
-	inStride, outStride := g2.inStride, g2.outStride
-	rng := rand.New(rand.NewSource(1))
-	x := make([]int8, int(q.Cin)*inStride)
-	for i := range x {
-		x[i] = int8(rng.Intn(256) - 128)
-	}
-	out := make([]int8, int(q.Cout)*outStride)
 	for _, p := range []struct {
 		pol  Policy
 		name string
 	}{{PolicyMixed, "mixed"}, {PolicyInt8, "int8"}} {
-		pol := p.pol
-		e.Policy = pol
+		e := SyntheticEngine(9, 0.35)
+		e.Policy = p.pol
+		e.ensureCompiled()
+		c1, q := e.Convs[0], e.Convs[1]
+		g1, g2 := &e.geom[0], &e.geom[1]
+		a1, b1, s1 := cleanOut(c1, g1, 0, g1.h-hop, hop)
+		a2, b2, _ := cleanOut(q, g2, a1, b1, s1)
+		inStride, outStride := g2.inStride, g2.outStride
+		rng := rand.New(rand.NewSource(1))
+		x := make([]int8, int(q.Cin)*inStride)
+		for i := range x {
+			x[i] = int8(rng.Intn(256) - 128)
+		}
+		out := make([]int8, int(q.Cout)*outStride)
 		a := newArena(e, false)
 		for _, c := range []struct {
 			name string
@@ -404,7 +409,7 @@ func BenchmarkDepthwiseLayer(b *testing.B) {
 		} {
 			b.Run(p.name+"/"+c.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					q.dwSparse(a, x, out, g2.h, g2.w, g2.oh, g2.ow, pol, inStride, outStride, c.segs)
+					q.dwSparse(a, x, out, g2.h, g2.w, g2.oh, g2.ow, inStride, outStride, c.segs)
 				}
 			})
 		}

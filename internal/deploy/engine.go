@@ -32,9 +32,10 @@ type QConv struct {
 	ReLU                        bool
 	InScale, HidScale, OutScale float32
 
-	wbSp, wcSp       sparseRows // compiled ±1 plane masks (standard: both; depthwise: Wb)
-	wcSign           []int8     // depthwise only: the Cin·R Wc signs, one per hidden unit
-	hidMul8, outMul8 []Mult     // PolicyInt8 requantisers, derived by deriveAct8
+	wbSp, wcSp     sparseRows // compiled ±1 plane masks (standard: both; depthwise: Wb)
+	wcSign         []int8     // depthwise only: the Cin·R Wc signs, one per hidden unit
+	pol            Policy     // the policy the kernels compiled at
+	hidReq, outReq []Mult     // its requantisers: HidMul and OutMul, or under PolicyInt8 the derived set
 
 	// Fused R = 1 depthwise tables (collane.go compileDWCol): per-tap linear
 	// read offsets and per-group-per-tap lane-validity masks for the SWAR
@@ -95,18 +96,11 @@ func im2colI8(x []int8, c, h, w, kh, kw, stride, padH, padW int) ([]int8, int, i
 	return cols, outH, outW
 }
 
-// Forward runs the integer convolution on an int8 image [cin, h, w] under
-// the mixed activation policy, returning the int8 output image and its
-// spatial dims. It delegates to forwardRef; see there for the contract.
-func (q *QConv) Forward(x []int8, h, w int) ([]int8, int, int) {
-	return q.forwardRef(x, h, w, PolicyMixed)
-}
-
 // forwardRef is the naive dense reference path and the engine's scalar
 // oracle: it iterates every ternary entry (zeros included) of a Wb/Wc copy
 // it unpacks itself, accumulates in int64, and allocates its scratch per
-// call; PolicyInt8 reads the requantisers compileKernels derives. The
-// engine's hot path uses the precompiled sparse kernels in kernels.go;
+// call, PolicyInt8's requantisers included, so it reads no compiled state.
+// The engine's hot path uses the precompiled sparse kernels in kernels.go;
 // forwardRef is retained as the correctness oracle behind NaiveInt and the
 // sparse-vs-naive property tests. The int64 accumulators are narrowed to
 // int32 before each requantisation, so if a sum ever exceeded 32 bits the
@@ -118,6 +112,10 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 	cols, outH, outW := im2colI8(x, int(q.Cin), h, w, int(q.KH), int(q.KW), int(q.Stride), int(q.PadH), int(q.PadW))
 	nOut := outH * outW
 	out := make([]int8, int(q.Cout)*nOut)
+	hm, om := q.HidMul, q.OutMul
+	if pol == PolicyInt8 {
+		hm, om = act8Mults(q.HidMul, hidToI8), act8Mults(q.OutMul, i8ToHid)
+	}
 	switch q.Kind {
 	case kindStandard:
 		k := int(q.Cin * q.KH * q.KW)
@@ -145,13 +143,12 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 				}
 			}
 			dst := hidden[i*nOut : (i+1)*nOut]
+			m := hm[i]
 			if pol == PolicyInt8 {
-				m := q.hidMul8[i]
 				for j, v := range acc {
 					dst[j] = int16(clampI8(m.Apply(int32(v))))
 				}
 			} else {
-				m := q.HidMul[i]
 				for j, v := range acc {
 					dst[j] = clampI16(m.Apply(int32(v)))
 				}
@@ -175,7 +172,7 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 					}
 				}
 			}
-			q.requantRef(out[c*nOut:(c+1)*nOut], acc, c, pol)
+			q.requantRef(out[c*nOut:(c+1)*nOut], acc, om[c], q.OutBias[c])
 		}
 	case kindDepthwise:
 		k := int(q.KH * q.KW)
@@ -205,8 +202,8 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 				if wcv == 0 {
 					continue
 				}
+				m := hm[hu]
 				if pol == PolicyInt8 {
-					m := q.hidMul8[hu]
 					for j, v := range hacc {
 						hv := int64(clampI8(m.Apply(int32(v)))) // 8-bit intermediate
 						if wcv > 0 {
@@ -216,7 +213,6 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 						}
 					}
 				} else {
-					m := q.HidMul[hu]
 					for j, v := range hacc {
 						hv := int64(clampI16(m.Apply(int32(v)))) // 16-bit intermediate
 						if wcv > 0 {
@@ -227,7 +223,7 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 					}
 				}
 			}
-			q.requantRef(out[ch*nOut:(ch+1)*nOut], acc, ch, pol)
+			q.requantRef(out[ch*nOut:(ch+1)*nOut], acc, om[ch], q.OutBias[ch])
 		}
 	default:
 		panic(fmt.Sprintf("deploy: unknown conv kind %q", q.Kind))
@@ -235,20 +231,9 @@ func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 	return out, outH, outW
 }
 
-// requantChannel applies the per-channel output multiplier, bias and
-// optional ReLU, saturating to int8, through the int8 requant row
-// (collane.go). Mixed-policy form: acc holds sums of int16 hidden values.
-func (q *QConv) requantChannel(dst []int8, acc []int32, c int) {
-	requantRowI8(dst, acc, q.OutMul[c], q.OutBias[c], q.ReLU)
-}
-
-// requantRef is the int64-accumulator requantisation used by forwardRef.
-func (q *QConv) requantRef(dst []int8, acc []int64, c int, pol Policy) {
-	m := q.OutMul[c]
-	if pol == PolicyInt8 {
-		m = q.outMul8[c]
-	}
-	b := q.OutBias[c]
+// requantRef is forwardRef's int64-accumulator requantisation of one output
+// channel by multiplier m and bias b.
+func (q *QConv) requantRef(dst []int8, acc []int64, m Mult, b int32) {
 	for j, v := range acc {
 		o := m.Apply(int32(v)) + b
 		if q.ReLU && o < 0 {
@@ -413,8 +398,9 @@ type Engine struct {
 
 	// Policy selects the activation bit widths the integer path runs at:
 	// the paper's mixed 8/16-bit assignment (default) or fully 8-bit.
-	// Changing it between inferences is allowed; the next call rebuilds the
-	// scratch arena for the new layout. Serialised in .thnt v3.
+	// Serialised in .thnt v3. It is read once, when the engine compiles
+	// (ReadEngine and Compile compile eagerly, a hand-built engine at first
+	// use); a write after that panics at the next entry point (WithPolicy).
 	Policy Policy
 
 	// Calib is the per-site activation calibration table (input, hidden and
@@ -424,6 +410,7 @@ type Engine struct {
 	Calib []CalibEntry
 
 	compileOnce sync.Once   // guards kernel compilation
+	pol         Policy      // the Policy the kernels compiled at, written once under compileOnce
 	geom        []convGeom  // per-conv geometry, written once under compileOnce
 	arena       *arena      // resident arena for Infer/InferSafe
 	arenas      sync.Pool   // spare arenas for InferBatch calls
@@ -436,23 +423,28 @@ type Engine struct {
 	obs *Observer
 }
 
-// ensureCompiled walks the conv chain once, recording each conv's geometry
-// (the arenas, the float arena and the observer read it) and building its
-// sparse kernels. Safe to call from concurrent InferBatch entry points.
+// ensureCompiled walks the conv chain once, recording the policy, each
+// conv's geometry (the arenas, the float arena and the observer read it)
+// and building its kernels at that policy; nothing writes that state again,
+// so concurrent entry points may call it. It panics if Policy has changed.
 func (e *Engine) ensureCompiled() {
 	e.compileOnce.Do(func() {
+		e.pol = e.Policy
 		h, w := int(e.Frames), int(e.Coeffs)
 		inStride := h * w
 		e.geom = make([]convGeom, len(e.Convs))
 		for i, q := range e.Convs {
 			oh, ow := q.outSize(h, w)
 			e.geom[i] = convGeom{h: h, w: w, oh: oh, ow: ow, inStride: inStride, outStride: pad8(oh * ow)}
-			q.compileKernels()
+			q.compileKernels(e.pol)
 			q.compileDWCol(h, w)
 			h, w, inStride = oh, ow, pad8(oh*ow)
 		}
 		e.Tree.compileKernels()
 	})
+	if e.Policy != e.pol {
+		panic(fmt.Sprintf("deploy: Engine.Policy set to %v after the engine compiled at %v; use WithPolicy", e.Policy, e.pol))
+	}
 }
 
 // QuantizeInput converts float MFCC features to int8 at the engine's input
@@ -526,7 +518,7 @@ func poolInto(dst []int8, img []int8, c, h, w, k, s, srcCh int) (int, int) {
 }
 
 // Infer classifies one float MFCC image (length Frames·Coeffs) through the
-// compiled integer kernels at the engine's Policy, returning integer class
+// compiled integer kernels at the engine's policy, returning integer class
 // scores and the argmax class. The scores slice is owned by the engine's
 // arena and valid until the next Infer/InferSafe call; in steady state
 // Infer performs zero heap allocations.
@@ -538,11 +530,10 @@ func (e *Engine) Infer(x []float32) (scores []int32, class int) {
 }
 
 // residentArena returns the arena Infer/InferSafe run on, compiling the
-// kernels on first use and rebuilding the arena if the policy changed since
-// it was sized.
+// kernels and building the arena on first use.
 func (e *Engine) residentArena() *arena {
 	e.ensureCompiled()
-	if e.arena == nil || e.arena.pol != e.Policy {
+	if e.arena == nil {
 		e.arena = newArena(e, false)
 	}
 	return e.arena
@@ -560,8 +551,7 @@ func (e *Engine) NaiveInt(x []float32) (scores []int32, class int) {
 	return e.inferNaive(x, e.Policy)
 }
 
-// inferFrame classifies one frame on the given arena at the arena's
-// policy: the single-frame pass behind Infer, InferSafe and every
+// inferFrame classifies one frame on the given arena: the single-frame pass behind Infer, InferSafe and every
 // InferBatch frame, which runs the engine's one driver (forward, arena.go)
 // with every row of the window new.
 func (e *Engine) inferFrame(a *arena, x []float32) ([]int32, int) {
@@ -573,11 +563,10 @@ func (e *Engine) inferFrame(a *arena, x []float32) ([]int32, int) {
 }
 
 // inferNaive is the retained dense reference pipeline: per-call scratch
-// allocation, every ternary zero visited, strictly single-threaded. It
-// compiles first only for the PolicyInt8 requantisers; the weights it reads
-// are its own unpacked copies.
+// allocation, every ternary zero visited, strictly single-threaded. It reads
+// no compiled state: the weights and requantisers are its own per-call
+// copies.
 func (e *Engine) inferNaive(x []float32, pol Policy) ([]int32, int) {
-	e.ensureCompiled()
 	img := e.QuantizeInput(x)
 	h, w := int(e.Frames), int(e.Coeffs)
 	for _, conv := range e.Convs {
@@ -622,8 +611,8 @@ func (e *Engine) MeasuredDensity() float64 {
 }
 
 // ScratchBytes reports the steady-state activation scratch the integer path
-// holds resident at the engine's current Policy — the "activation memory"
-// column of the paper's footprint table. Builds the arena if needed.
+// holds resident at the engine's policy — the "activation memory" column of
+// the paper's footprint table. Builds the arena if needed.
 func (e *Engine) ScratchBytes() int64 {
 	return e.residentArena().bytes()
 }
@@ -633,7 +622,7 @@ func (e *Engine) ScratchBytes() int64 {
 type WeightFootprint struct {
 	Masks   int64 `json:"masks"`   // compiled ±1 plane masks of every ternary matrix
 	Packed  int64 `json:"packed"`  // packed 2-bit ternaries, the .thnt form
-	Requant int64 `json:"requant"` // fixed-point multipliers, both policies' sets
+	Requant int64 `json:"requant"` // fixed-point multipliers, the engine's policy's set
 	Tables  int64 `json:"tables"`  // output biases, depthwise Wc signs and column tables
 	Tree    int64 `json:"tree"`    // θ and the tanh LUT
 }
@@ -655,7 +644,10 @@ func (e *Engine) WeightFootprint() WeightFootprint {
 	for _, q := range e.Convs {
 		f.Masks += masks(q.wbSp) + masks(q.wcSp)
 		f.Packed += int64(len(q.WbPacked) + len(q.WcPacked))
-		f.Requant += mult * int64(len(q.HidMul)+len(q.OutMul)+len(q.hidMul8)+len(q.outMul8))
+		f.Requant += mult * int64(len(q.HidMul)+len(q.OutMul))
+		if q.pol == PolicyInt8 { // the derived set; a mixed conv requantises by HidMul and OutMul
+			f.Requant += mult * int64(len(q.hidReq)+len(q.outReq))
+		}
 		f.Tables += int64(len(q.wcSign)) + 4*int64(len(q.OutBias)+len(q.dwColOffs)) + 8*int64(len(q.dwColMask))
 	}
 	t := e.Tree

@@ -125,7 +125,7 @@ func clampF(v, lo, hi float64) float64 {
 }
 
 // InferFloat classifies one float MFCC image through the float32 reference
-// simulation at the engine's current Policy, returning integer class scores
+// simulation at the engine's policy, returning integer class scores
 // and the argmax class. The scores slice is arena-owned, valid until the
 // next InferFloat call. Not safe for concurrent use on one engine.
 func (e *Engine) InferFloat(x []float32) (scores []int32, class int) {
@@ -147,7 +147,7 @@ func (e *Engine) InferFloat(x []float32) (scores []int32, class int) {
 	img, next := fa.imgA, fa.imgB
 	h, w := int(e.Frames), int(e.Coeffs)
 	for _, conv := range e.Convs {
-		oh, ow := conv.forwardFloat(fa, img[:int(conv.Cin)*h*w], next, h, w, e.Policy)
+		oh, ow := conv.forwardFloat(fa, img[:int(conv.Cin)*h*w], next, h, w)
 		img, next = next, img
 		h, w = oh, ow
 	}
@@ -223,15 +223,16 @@ func gatherF32(acc []float64, planes []float32, plus, minus []uint64, nOut int) 
 }
 
 // forwardFloat runs the convolution through the plane masks over float32
-// activations.
-func (q *QConv) forwardFloat(fa *floatArena, x []float32, out []float32, h, w int, pol Policy) (int, int) {
+// activations, at the requantisers and hidden clamp of the policy q
+// compiled at.
+func (q *QConv) forwardFloat(fa *floatArena, x []float32, out []float32, h, w int) (int, int) {
 	kh, kw, stride := int(q.KH), int(q.KW), int(q.Stride)
 	padH, padW := int(q.PadH), int(q.PadW)
 	outH := (h+2*padH-kh)/stride + 1
 	outW := (w+2*padW-kw)/stride + 1
 	nOut := outH * outW
 	if q.Kind == kindDepthwise {
-		q.dwFloat(fa, x, out[:int(q.Cin)*nOut], h, w, outH, outW, pol)
+		q.dwFloat(fa, x, out[:int(q.Cin)*nOut], h, w, outH, outW)
 		return outH, outW
 	}
 	var cols []float32
@@ -244,37 +245,28 @@ func (q *QConv) forwardFloat(fa *floatArena, x []float32, out []float32, h, w in
 	r, cout := int(q.R), int(q.Cout)
 	hidden := fa.hidden[:r*nOut]
 	acc := fa.acc[:nOut]
+	lo32, hi32 := hidBounds(q.pol)
+	lo, hi := float64(lo32), float64(hi32)
 	for i := 0; i < r; i++ {
 		plus, minus := q.wbSp.row(i)
 		gatherF32(acc, cols, plus, minus, nOut)
 		dst := hidden[i*nOut:][:nOut]
-		if pol == PolicyInt8 {
-			mf := q.hidMul8[i].Float()
-			for j, v := range acc {
-				dst[j] = float32(clampF(math.Round(v*mf), -128, 127))
-			}
-		} else {
-			mf := q.HidMul[i].Float()
-			for j, v := range acc {
-				dst[j] = float32(clampF(math.Round(v*mf), -32768, 32767))
-			}
+		mf := q.hidReq[i].Float()
+		for j, v := range acc {
+			dst[j] = float32(clampF(math.Round(v*mf), lo, hi))
 		}
 	}
 	for c := 0; c < cout; c++ {
 		plus, minus := q.wcSp.row(c)
 		gatherF32(acc, hidden, plus, minus, nOut)
-		q.requantFloat(out[c*nOut:][:nOut], acc, c, pol)
+		q.requantFloat(out[c*nOut:][:nOut], acc, c)
 	}
 	return outH, outW
 }
 
-// requantFloat is requantChannel in the float simulation.
-func (q *QConv) requantFloat(dst []float32, acc []float64, c int, pol Policy) {
-	m := q.OutMul[c]
-	if pol == PolicyInt8 {
-		m = q.outMul8[c]
-	}
-	mf := m.Float()
+// requantFloat is the output requant row in the float simulation.
+func (q *QConv) requantFloat(dst []float32, acc []float64, c int) {
+	mf := q.outReq[c].Float()
 	b := float64(q.OutBias[c])
 	for j, v := range acc {
 		o := math.Round(v*mf) + b
@@ -307,7 +299,7 @@ func dwGatherTapF(hacc []float64, img []float32, ki, kj, h, w, outH, outW, strid
 }
 
 // dwFloat is dwSparse in the float simulation.
-func (q *QConv) dwFloat(fa *floatArena, x, out []float32, h, w, outH, outW int, pol Policy) {
+func (q *QConv) dwFloat(fa *floatArena, x, out []float32, h, w, outH, outW int) {
 	kw := int(q.KW)
 	stride := int(q.Stride)
 	padH, padW := int(q.PadH), int(q.PadW)
@@ -315,7 +307,8 @@ func (q *QConv) dwFloat(fa *floatArena, x, out []float32, h, w, outH, outW int, 
 	r := int(q.R)
 	acc := fa.acc[:nOut]
 	hacc := fa.acc[nOut:][:nOut]
-	act8 := pol == PolicyInt8
+	lo32, hi32 := hidBounds(q.pol)
+	lo, hi := float64(lo32), float64(hi32)
 	for ch := 0; ch < int(q.Cin); ch++ {
 		img := x[ch*h*w:][:h*w]
 		for j := range acc {
@@ -343,23 +336,18 @@ func (q *QConv) dwFloat(fa *floatArena, x, out []float32, h, w, outH, outW int, 
 					dwGatherTapF(hacc, img, p/kw, p%kw, h, w, outH, outW, stride, padH, padW, -1)
 				}
 			}
-			var mf, lim float64
-			if act8 {
-				mf, lim = q.hidMul8[hu].Float(), 127
-			} else {
-				mf, lim = q.HidMul[hu].Float(), 32767
-			}
+			mf := q.hidReq[hu].Float()
 			if wcv > 0 {
 				for j, v := range hacc {
-					acc[j] += clampF(math.Round(v*mf), -lim-1, lim)
+					acc[j] += clampF(math.Round(v*mf), lo, hi)
 				}
 			} else {
 				for j, v := range hacc {
-					acc[j] -= clampF(math.Round(v*mf), -lim-1, lim)
+					acc[j] -= clampF(math.Round(v*mf), lo, hi)
 				}
 			}
 		}
-		q.requantFloat(out[ch*nOut:][:nOut], acc, ch, pol)
+		q.requantFloat(out[ch*nOut:][:nOut], acc, ch)
 	}
 }
 

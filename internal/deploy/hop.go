@@ -84,7 +84,7 @@ type HopState struct {
 func (hs *HopState) Invalidate() { hs.valid = false }
 
 // LastFull reports whether the most recent hop fell back to a full-window
-// recompute (cold cache, invalidation, policy change, or nNew ≥ Frames).
+// recompute (cold cache, invalidation, or nNew ≥ Frames).
 func (hs *HopState) LastFull() bool { return hs.lastFull }
 
 // Stats returns the state's work counters.
@@ -111,7 +111,7 @@ func (hs *HopState) Release() {
 }
 
 // InferHop classifies one hop of a sliding window through the integer path
-// at the engine's current policy, bit-exact with a full-window Infer on the
+// at the engine's policy, bit-exact with a full-window Infer on the
 // same window at a fraction of the work. x is the full current window
 // (Frames × Coeffs); nNew is how many trailing frame rows are new since the
 // previous call — the caller guarantees x's leading Frames−nNew rows equal
@@ -124,6 +124,7 @@ func (e *Engine) InferHop(hs *HopState, x []float32, nNew int) (scores []int32, 
 	if len(x) != int(e.Frames*e.Coeffs) {
 		panic(fmt.Sprintf("deploy: input length %d, want %d", len(x), e.Frames*e.Coeffs))
 	}
+	e.ensureCompiled() // compiled since NewHopState: checks the policy
 	return hs.infer(x, nNew)
 }
 
@@ -132,12 +133,6 @@ func (e *Engine) InferHop(hs *HopState, x []float32, nNew int) (scores []int32, 
 // frame pass on the hop arena.
 func (hs *HopState) infer(x []float32, nNew int) ([]int32, int) {
 	e := hs.e
-	if e.Policy != hs.a.pol {
-		// Cached activations are policy-specific: rebuild the arena at the
-		// engine's policy and recompute in full.
-		hs.a = newArena(e, true)
-		hs.valid = false
-	}
 	full := !hs.valid || nNew < 0 || nNew >= int(e.Frames)
 	if full {
 		nNew = int(e.Frames)

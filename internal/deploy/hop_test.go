@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -105,79 +106,82 @@ func liveHopEngine(rng *rand.Rand, e *Engine) {
 }
 
 // TestInferHopProperty sweeps random engine shapes, random (including
-// ragged and oversized) hop sizes, cold restarts, invalidations and policy
-// flips: every hop must stay bit-exact with the full-window path at the
-// engine's then-current policy, in its scores and in every cached layer
-// image (the scores alone can mask a wrong position). Even seeds keep
-// randSmallEngine's one hidden unit per depthwise channel, so their bands
-// run the fused column kernels over the bands' 8-column groups; odd seeds
-// get two (liveHopEngine), so each hop recomputes the depthwise planes
-// whole.
+// ragged and oversized) hop sizes, cold restarts and invalidations: every
+// hop must stay bit-exact with the full-window path, in its scores and in
+// every cached layer image (the scores alone can mask a wrong position).
+// Each seed's stream runs under both policies, on one engine per policy
+// (liveInt8 for PolicyInt8). Even seeds keep randSmallEngine's one hidden
+// unit per depthwise channel, so their bands run the fused column kernels
+// over the bands' 8-column groups; odd seeds get two (liveHopEngine), so
+// each hop recomputes the depthwise planes whole.
 func TestInferHopProperty(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
-		rng := rand.New(rand.NewSource(9100 + seed))
-		e := randSmallEngine(rng)
-		if seed%2 == 1 {
-			liveHopEngine(rng, e)
+		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+			// One rng per policy: both engines and both streams draw alike.
+			rng := rand.New(rand.NewSource(9100 + seed))
+			e := randSmallEngine(rng)
+			if seed%2 == 1 {
+				liveHopEngine(rng, e)
+			}
+			if pol == PolicyInt8 {
+				liveInt8(e)
+			}
+			e.Policy = pol
+			e.Calib = e.calibTable()
+			if err := e.Validate(); err != nil {
+				t.Fatalf("seed %d pol %v: random engine invalid: %v", seed, pol, err)
+			}
+			checkHopStream(t, rng, e, fmt.Sprintf("seed %d pol %v", seed, pol))
 		}
-		e.Calib = e.calibTable()
-		if err := e.Validate(); err != nil {
-			t.Fatalf("seed %d: random engine invalid: %v", seed, err)
+	}
+}
+
+// checkHopStream drives 60 random hops, with random invalidations, through
+// a hop state on e and checks each against the full-window path and each
+// cached layer image against a state that recomputes every window in full.
+func checkHopStream(t *testing.T, rng *rand.Rand, e *Engine, tag string) {
+	t.Helper()
+	frames, coeffs := int(e.Frames), int(e.Coeffs)
+	hs := e.NewHopState()
+	defer hs.Release()
+	ref := e.NewHopState() // recomputes every window in full
+	defer ref.Release()
+	win := make([]float32, frames*coeffs)
+	for i := range win {
+		win[i] = float32(rng.NormFloat64())
+	}
+	for hop := 0; hop < 60; hop++ {
+		if rng.Intn(10) == 0 {
+			hs.Invalidate()
 		}
-		frames, coeffs := int(e.Frames), int(e.Coeffs)
-		hs := e.NewHopState()
-		ref := e.NewHopState() // recomputes every window in full
-		win := make([]float32, frames*coeffs)
-		for i := range win {
-			win[i] = float32(rng.NormFloat64())
+		// Shift the window by a random number of frames (0 = repeat, up to
+		// frames+2 = complete replacement, possibly overshooting).
+		nNew := rng.Intn(frames + 3)
+		shift := min(nNew, frames)
+		copy(win, win[shift*coeffs:])
+		tail := win[(frames-shift)*coeffs:]
+		for i := range tail {
+			tail[i] = float32(rng.NormFloat64())
 		}
-		for hop := 0; hop < 60; hop++ {
-			switch rng.Intn(10) {
-			case 0:
-				hs.Invalidate()
-			case 1:
-				if e.Policy == PolicyMixed {
-					e.Policy = PolicyInt8
-				} else {
-					e.Policy = PolicyMixed
+		gotSc, gotCls := e.InferHop(hs, win, nNew)
+		wantSc, wantCls := e.Infer(win)
+		if gotCls != wantCls {
+			t.Fatalf("%s hop %d (nNew=%d): class %d vs full %d", tag, hop, nNew, gotCls, wantCls)
+		}
+		for j := range wantSc {
+			if gotSc[j] != wantSc[j] {
+				t.Fatalf("%s hop %d (nNew=%d): score[%d]=%d vs full %d", tag, hop, nNew, j, gotSc[j], wantSc[j])
+			}
+		}
+		e.InferHop(ref, win, frames)
+		for l, g := range e.geom {
+			for j, v := range ref.a.imgs[l] {
+				if j%g.outStride < g.oh*g.ow && hs.a.imgs[l][j] != v {
+					t.Fatalf("%s hop %d (nNew=%d): layer %d image[%d]=%d vs full %d",
+						tag, hop, nNew, l, j, hs.a.imgs[l][j], v)
 				}
 			}
-			// Shift the window by a random number of frames (0 = repeat, up
-			// to frames+2 = complete replacement, possibly overshooting).
-			nNew := rng.Intn(frames + 3)
-			shift := nNew
-			if shift > frames {
-				shift = frames
-			}
-			copy(win, win[shift*coeffs:])
-			tail := win[(frames-shift)*coeffs:]
-			for i := range tail {
-				tail[i] = float32(rng.NormFloat64())
-			}
-			gotSc, gotCls := e.InferHop(hs, win, nNew)
-			wantSc, wantCls := e.Infer(win)
-			if gotCls != wantCls {
-				t.Fatalf("seed %d hop %d (nNew=%d pol=%v): class %d vs full %d",
-					seed, hop, nNew, e.Policy, gotCls, wantCls)
-			}
-			for j := range wantSc {
-				if gotSc[j] != wantSc[j] {
-					t.Fatalf("seed %d hop %d (nNew=%d pol=%v): score[%d]=%d vs full %d",
-						seed, hop, nNew, e.Policy, j, gotSc[j], wantSc[j])
-				}
-			}
-			e.InferHop(ref, win, frames)
-			for l, g := range e.geom {
-				for j, v := range ref.a.imgs[l] {
-					if j%g.outStride < g.oh*g.ow && hs.a.imgs[l][j] != v {
-						t.Fatalf("seed %d hop %d (nNew=%d pol=%v): layer %d image[%d]=%d vs full %d",
-							seed, hop, nNew, e.Policy, l, j, hs.a.imgs[l][j], v)
-					}
-				}
-			}
 		}
-		hs.Release()
-		ref.Release()
 	}
 }
 
@@ -233,40 +237,36 @@ func TestInferHopZeroAllocs(t *testing.T) {
 	}
 }
 
-// checkHopArena fails unless hs's arena is sized for pol and gives the
-// input and every conv an image buffer of its own — the hop cache — where a
-// frame arena lays them over two ping-pong planes.
-func checkHopArena(t *testing.T, hs *HopState, pol Policy) {
+// checkHopArena fails unless hs's arena gives the input and every conv an
+// image buffer of its own — the hop cache — where a frame arena lays them
+// over two ping-pong planes.
+func checkHopArena(t *testing.T, hs *HopState) {
 	t.Helper()
 	a := hs.a
-	if a.pol != pol || (len(a.hidden8) > 0) != (pol == PolicyInt8) {
-		t.Fatalf("hop arena sized for %v (int8 hidden planes %d), engine runs %v", a.pol, len(a.hidden8), pol)
-	}
 	imgs := append([][]int8{a.in}, a.imgs...)
 	if len(a.planes) != len(imgs) || len(a.row) == 0 {
-		t.Fatalf("pol %v: %d image buffers for %d images, scatter row %d bytes", pol, len(a.planes), len(imgs), len(a.row))
+		t.Fatalf("%d image buffers for %d images, scatter row %d bytes", len(a.planes), len(imgs), len(a.row))
 	}
 	for l, img := range imgs {
 		if p := a.planes[l]; len(img) != len(p) || &img[0] != &p[0] {
-			t.Fatalf("pol %v: hop arena image %d is not its own buffer", pol, l)
+			t.Fatalf("hop arena image %d is not its own buffer", l)
 		}
 	}
 }
 
 // TestInferHopStateReuse exercises the engine-level hop-state pool: a
-// released state must come back invalidated and survive a policy change
-// between checkouts, which rebuilds its arena; before and after, the arena
-// gives every conv its own cached image.
+// released state must come back invalidated, so its first hop recomputes
+// the window in full; before and after, the arena gives every conv its own
+// cached image.
 func TestInferHopStateReuse(t *testing.T) {
 	e := SyntheticEngine(9, 0.35)
 	rng := rand.New(rand.NewSource(6))
 	s := newHopStream(rng, int(e.Frames), int(e.Coeffs), 12, 8)
 	hs := e.NewHopState()
 	e.InferHop(hs, s.window(0), int(e.Frames))
-	checkHopArena(t, hs, PolicyMixed)
+	checkHopArena(t, hs)
 	hs.Release()
 
-	e.Policy = PolicyInt8
 	hs2 := e.NewHopState()
 	if hs2.valid {
 		t.Fatal("pooled hop state came back with a valid cache")
@@ -275,13 +275,13 @@ func TestInferHopStateReuse(t *testing.T) {
 	want, _ := e.Infer(s.window(1))
 	for j := range want {
 		if got[j] != want[j] {
-			t.Fatalf("pooled state after policy flip: score[%d]=%d want %d", j, got[j], want[j])
+			t.Fatalf("pooled state: score[%d]=%d want %d", j, got[j], want[j])
 		}
 	}
 	if !hs2.LastFull() {
 		t.Fatal("first hop on a pooled state must be a full recompute")
 	}
-	checkHopArena(t, hs2, PolicyInt8)
+	checkHopArena(t, hs2)
 	hs2.Release()
 }
 

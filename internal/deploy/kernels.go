@@ -70,11 +70,14 @@ func (s *sparseRows) row(r int) (plus, minus []uint64) {
 }
 
 // compileKernels builds the sparse row forms from a transient unpacked copy
-// of the ternary matrices and derives the PolicyInt8 requantisers. Run once
-// per engine under Engine.ensureCompiled.
-func (q *QConv) compileKernels() {
+// of the ternary matrices and sets the requantisers of policy pol, deriving
+// them only for PolicyInt8. Run once per engine under Engine.ensureCompiled.
+func (q *QConv) compileKernels(pol Policy) {
 	wb, wc := q.ternaries()
-	q.deriveAct8()
+	q.pol, q.hidReq, q.outReq = pol, q.HidMul, q.OutMul
+	if pol == PolicyInt8 {
+		q.hidReq, q.outReq = act8Mults(q.HidMul, hidToI8), act8Mults(q.OutMul, i8ToHid)
+	}
 	if q.Kind == kindDepthwise {
 		// Wc is one sign per hidden unit; only Wb needs row compilation.
 		q.wbSp = compileRows(wb, int(q.Cin)*int(q.R), int(q.KH*q.KW))
@@ -221,7 +224,7 @@ func (q *QConv) stdHiddenRows(cols []int8, hidden []int16, acc []int32, nOut, ps
 }
 
 // stdHiddenRows8 is stdHiddenRows under PolicyInt8: the hidden planes are
-// stored int8 through the derived hidMul8 requantiser.
+// stored int8 through the derived int8 requantisers.
 func (q *QConv) stdHiddenRows8(cols []int8, hidden8 []int8, acc []int32, nOut, ps int) {
 	colsB := i8Bytes(cols)
 	pa := pad8(nOut)
@@ -237,7 +240,7 @@ func (q *QConv) stdOutRows(hidden []int16, acc []int32, out []int8, nOut, os int
 	pa := pad8(nOut)
 	for c := 0; c < int(q.Cout); c++ {
 		q.wcSp.walkI16(c, acc, hidden, pa)
-		q.requantChannel(out[c*os:][:nOut], acc, c)
+		requantRowI8(out[c*os:][:nOut], acc, q.outReq[c], q.OutBias[c], q.ReLU)
 	}
 }
 
@@ -269,7 +272,7 @@ func (q *QConv) stdOutRows8(hidden8 []int8, acc []int32, out []int8, nOut, os in
 // groups its segments touch; a group that overlaps rows outside them
 // rewrites those rows with the values a whole-plane pass would give, which
 // are the values they hold. Every other channel recomputes its whole plane.
-func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Policy, inStride, outStride int, segs [][2]int) {
+func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW, inStride, outStride int, segs [][2]int) {
 	kw := int(q.KW)
 	stride := int(q.Stride)
 	padH, padW := int(q.PadH), int(q.PadW)
@@ -277,12 +280,8 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 	r := int(q.R)
 	acc := a.acc[:nOut]
 	hacc := a.acc[pad8(nOut):][:nOut]
-	hm, om := q.HidMul, q.OutMul
-	var hlo, hhi int32 = -32768, 32767
-	if pol == PolicyInt8 {
-		hm, om = q.hidMul8, q.outMul8
-		hlo, hhi = -128, 127
-	}
+	hm, om := q.hidReq, q.outReq
+	hlo, hhi := hidBounds(q.pol)
 	var lo int32 = -128
 	if q.ReLU {
 		lo = 0

@@ -85,17 +85,28 @@ func TestCompiledMasksMatchDense(t *testing.T) {
 }
 
 // TestWeightFootprint pins the paper shape's resident weights: at most
-// 41,000 B, every component counted once, and the masks 2 bits per weight
-// padded to whole 64-bit words per row — 15,104 B, of which the tree's Z
-// projection (24 rows of five words per sign) takes 1,920.
+// 36,000 B at the mixed policy, every component counted once, and the masks
+// 2 bits per weight padded to whole 64-bit words per row — 15,104 B, of
+// which the tree's Z projection (24 rows of five words per sign) takes
+// 1,920. An engine holds only its own policy's requantisers: 6,272 B mixed
+// (35,568 B in all), 11,008 B with the derived int8 set (40,304 B).
 func TestWeightFootprint(t *testing.T) {
 	e := SyntheticEngine(9, 0.35)
 	f := e.WeightFootprint()
 	if got := e.WeightBytes(); got != f.Total() || got != f.Masks+f.Packed+f.Requant+f.Tables+f.Tree {
 		t.Fatalf("WeightBytes %d, components %+v sum to %d", got, f, f.Total())
 	}
-	if f.Total() > 41000 {
-		t.Fatalf("resident weights %d B, want at most 41,000 (%+v)", f.Total(), f)
+	if f.Total() > 36000 {
+		t.Fatalf("resident weights %d B, want at most 36,000 (%+v)", f.Total(), f)
+	}
+	e8, err := e.WithPolicy(PolicyInt8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f8 := e8.WeightFootprint()
+	if f.Requant != 6272 || f.Total() != 35568 || f8.Requant != 11008 || f8.Total() != 40304 {
+		t.Fatalf("requantisers / total: mixed %d / %d B, int8 %d / %d B; want 6,272 / 35,568 and 11,008 / 40,304",
+			f.Requant, f.Total(), f8.Requant, f8.Total())
 	}
 	if f.Masks != 15104 {
 		t.Fatalf("masks %d B, want 15,104", f.Masks)

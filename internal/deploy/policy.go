@@ -1,6 +1,9 @@
 package deploy
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Policy selects the engine's activation bit-width assignment, mirroring the
 // paper's Table 6 deployment variants. It only changes how activations are
@@ -69,7 +72,7 @@ func (e *Engine) calibTable() []CalibEntry {
 	return c
 }
 
-// act8Mults derives the fully-8-bit requantisation constants from the stored
+// The fully-8-bit requantisation constants are derived from the stored
 // mixed-policy multipliers. The int8 hidden grid reuses the calibrated range
 // (hidScale8 = hidScale16 · 32767/127), so the hidden multiplier shrinks by
 // 127/32767 and the output multiplier grows by the inverse — the product,
@@ -81,13 +84,33 @@ const (
 	i8ToHid = 32767.0 / 127.0
 )
 
-func (q *QConv) deriveAct8() {
-	q.hidMul8 = make([]Mult, len(q.HidMul))
-	for i, m := range q.HidMul {
-		q.hidMul8[i] = NewMult(m.Float() * hidToI8)
+// act8Mults derives one fully-8-bit multiplier set, each of ms scaled by k:
+// an int8 engine's compileKernels keeps it, the oracle derives its own.
+func act8Mults(ms []Mult, k float64) []Mult {
+	out := make([]Mult, len(ms))
+	for i, m := range ms {
+		out[i] = NewMult(m.Float() * k)
 	}
-	q.outMul8 = make([]Mult, len(q.OutMul))
-	for i, m := range q.OutMul {
-		q.outMul8[i] = NewMult(m.Float() * i8ToHid)
+	return out
+}
+
+// hidBounds is the clamp of a hidden plane under policy p: int16 under the
+// mixed policy, int8 under PolicyInt8.
+func hidBounds(p Policy) (lo, hi int32) {
+	if p == PolicyInt8 {
+		return -128, 127
 	}
+	return -32768, 32767
+}
+
+// WithPolicy returns a new engine at policy p: e written as .thnt v3 with
+// policy byte p and read back by ReadEngine, which validates it (an unknown
+// p is ErrCorrupt) and compiles it at p. It only reads e, and the new engine
+// shares no state with e and carries no observer.
+func (e *Engine) WithPolicy(p Policy) (*Engine, error) {
+	var buf bytes.Buffer
+	if _, err := e.writeVersion(&buf, formatVersion, p); err != nil {
+		return nil, err
+	}
+	return ReadEngine(&buf)
 }

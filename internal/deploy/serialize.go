@@ -306,11 +306,11 @@ func (e *Engine) writeBody(cw *countingWriter) {
 	cw.write(math.Float32bits(t.WScale))
 }
 
-// writeV3 serialises the version-3 section: the activation policy byte and
+// writeV3 serialises the version-3 section: the activation policy byte p and
 // the length-prefixed calibration table. It sits inside the CRC-covered
 // region, after the v2 body.
-func (e *Engine) writeV3(cw *countingWriter) {
-	cw.write(byte(e.Policy))
+func (e *Engine) writeV3(cw *countingWriter, p Policy) {
+	cw.write(byte(p))
 	cw.write(int32(len(e.Calib)))
 	for _, c := range e.Calib {
 		cw.writeBytes([]byte(c.Site))
@@ -368,6 +368,11 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 // the checksum). Older versions simply drop the newer sections; the v1/v2/v3
 // round-trip matrix in the tests and ci.sh pins the compatibility story.
 func (e *Engine) WriteToVersion(w io.Writer, version int32) (int64, error) {
+	return e.writeVersion(w, version, e.Policy)
+}
+
+// writeVersion is WriteToVersion with the v3 policy byte given as p.
+func (e *Engine) writeVersion(w io.Writer, version int32, p Policy) (int64, error) {
 	if version < minReadVersion || version > formatVersion {
 		return 0, fmt.Errorf("deploy: cannot write format version %d (supported: %d..%d)", version, minReadVersion, formatVersion)
 	}
@@ -380,7 +385,7 @@ func (e *Engine) WriteToVersion(w io.Writer, version int32) (int64, error) {
 		cw.w = io.MultiWriter(bw, crc)
 		e.writeBody(cw)
 		if version >= 3 {
-			e.writeV3(cw)
+			e.writeV3(cw, p)
 		}
 		cw.w = bw
 		cw.write(crc.Sum32())
@@ -475,7 +480,8 @@ func readBody(rd *reader) *Engine {
 // the allocation it sizes, the v2+ checksum is verified against the body,
 // and the result passes Validate before it is returned — a non-nil engine
 // cannot panic in Infer. v1/v2 artifacts load as PolicyMixed with a nil
-// calibration table.
+// calibration table. The engine comes back compiled at its policy; for one
+// at another policy, use WithPolicy.
 func ReadEngine(r io.Reader) (*Engine, error) {
 	br := bufio.NewReader(r)
 	rd := &reader{r: br}

@@ -62,7 +62,7 @@ func checkVarying(t *testing.T, pol Policy, varying, n int) {
 }
 
 // liveInt8 rescales e's conv multipliers so that the PolicyInt8
-// requantisers deriveAct8 derives from them are randMults' live draws:
+// requantisers act8Mults derives from them are randMults' live draws:
 // every HidMul grows by 32767/127 and every OutMul shrinks by 127/32767.
 // Without it the derived int8 hidden rescale (hidToI8, ≈ 1/258) zeroes the
 // hidden planes and a random engine's int8 scores are constant. Call it
@@ -99,12 +99,11 @@ func arenaForConv(q *QConv, h, w int) *arena {
 }
 
 // runConv runs conv q over its whole output plane from an h×w input
-// through runBand, the engine's conv-layer kernel, at policy pol and the
-// given channel strides.
-func runConv(a *arena, q *QConv, x, out []int8, h, w int, pol Policy, inStride, outStride int) {
+// through runBand, the engine's conv-layer kernel, at the policy q compiled
+// at and the given channel strides.
+func runConv(a *arena, q *QConv, x, out []int8, h, w int, inStride, outStride int) {
 	oh, ow := q.outSize(h, w)
 	g := convGeom{h: h, w: w, oh: oh, ow: ow, inStride: inStride, outStride: outStride}
-	a.pol = pol
 	a.runBand(q, &g, x, out, a.bands(0, 0, oh))
 }
 
@@ -173,14 +172,14 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 		for i := range x {
 			x[i] = int8(rng.Intn(255) - 127)
 		}
-		q.compileKernels()
 		q.compileDWCol(h, w)
 		a := arenaForConv(q, h, w)
 		nOut := oh * ow
 		got := make([]int8, int(q.Cout)*nOut)
 		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+			q.compileKernels(pol)
 			want, _, _ := q.forwardRef(x, h, w, pol)
-			runConv(a, q, x, got, h, w, pol, h*w, nOut)
+			runConv(a, q, x, got, h, w, h*w, nOut)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d kind %q pol %v: sparse[%d]=%d naive=%d", seed, q.Kind, pol, i, got[i], want[i])
@@ -210,7 +209,7 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 				copy(xp[ch*inP:], x[ch*h*w:(ch+1)*h*w])
 			}
 			gotP := make([]int8, cin*outP)
-			runConv(a, q, xp, gotP, h, w, pol, inP, outP)
+			runConv(a, q, xp, gotP, h, w, inP, outP)
 			for ch := 0; ch < cin; ch++ {
 				for j := 0; j < nOut; j++ {
 					if g, n := gotP[ch*outP+j], want[ch*nOut+j]; g != n {
@@ -243,7 +242,6 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 		OutMul:   []Mult{NewMult(0.1)},
 		OutBias:  []int32{0},
 	}
-	q.compileKernels()
 	q.compileDWCol(h, w)
 	x := make([]int8, pad8(h*w))
 	for i := range x {
@@ -252,8 +250,9 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 	nOut := h * w
 	out := make([]int8, pad8(nOut))
 	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+		q.compileKernels(pol)
 		want, _, _ := q.forwardRef(x[:h*w], h, w, pol)
-		runConv(arenaForConv(q, h, w), q, x, out, h, w, pol, pad8(h*w), pad8(nOut))
+		runConv(arenaForConv(q, h, w), q, x, out, h, w, pad8(h*w), pad8(nOut))
 		for j := range want {
 			if out[j] != want[j] {
 				t.Fatalf("17×17 depthwise, pol %v (fused %v): out[%d]=%d naive=%d", pol, q.dwFused(pad8(nOut)), j, out[j], want[j])

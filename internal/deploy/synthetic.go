@@ -12,9 +12,11 @@ import (
 // nonzero density. It needs no training, so benchmarks and load tests can
 // construct the exact deployment shape in microseconds; the weights are
 // random, so only its cost profile — never its accuracy — is meaningful.
-// density is clamped to [0.05, 1]; the TWN quantiser typically leaves
-// roughly a third of the entries nonzero, so 0.35 is a representative
-// default.
+// density is clamped to [0.05, 1]. Training leaves more: TWN's threshold
+// Δ = 0.7·E|w| (strassen.TernaryThresholdFactor) keeps 2·(1−Φ(0.7·√(2/π)))
+// ≈ 58% of Gaussian weights, and a trained width-1.0 engine measures 0.588.
+// Benchmarks keep 0.35 because it is the fixture behind kwsperf and every
+// committed bench row, so changing it is a benchmark change.
 func SyntheticEngine(seed int64, density float64) *Engine {
 	if density < 0.05 {
 		density = 0.05

@@ -77,10 +77,10 @@ func (m *ModelClassifier) NumClasses() int { return m.Classes }
 // (Scores storage included) are held across hops, so steady-state hops do
 // not allocate. The integer class scores are turned into posteriors with a
 // numerically stable softmax; the returned slice is reused between calls.
-// The activation policy (mixed 8/16-bit vs fully 8-bit) is the engine's
-// own: set Engine.Policy before streaming and every hop runs the
-// word-packed integer kernels at that width — the classifier adds no
-// routing of its own.
+// The activation policy (mixed 8/16-bit vs fully 8-bit) is the one the
+// engine compiled at (an engine at another policy comes from
+// Engine.WithPolicy): every hop runs the word-packed integer kernels at
+// that width — the classifier adds no routing of its own.
 type EngineClassifier struct {
 	Engine *deploy.Engine
 
